@@ -84,14 +84,14 @@ KINDS = ("audit", "dilated", "davenport", "ergodic", "riesz", "symbolic")
 
 #: audit/diagnostic catalog: name -> (module anchor, one-line description)
 SUITES = {
-    "telescoping-parseval": ("martingale", "detail energies sum to the centered L2 energy"),
+    "telescoping": ("martingale", "detail energies sum to the centered L2 energy"),
     "rio": ("martingale", "moment bound with constant max(1, sqrt(p-1))"),
     "doob": ("martingale", "maximal inequality with constant p/(p-1)"),
     "detail-criteria-maximal": ("martingale", "two-sided detail criteria, maximal constant K_p"),
     "bounded-moments": ("martingale", "sup-norm criteria moment chain 2 K_p (D1+D2)"),
     "condensation": ("martingale", "dyadic condensation equivalence of series"),
     "paley-zygmund": ("martingale", "anti-concentration lower bound"),
-    "dyadic-approx": ("modulus", "factor-2 block-average approximation bound"),
+    "dyadic_approx": ("modulus", "factor-2 block-average approximation bound"),
     "modulus-criterion": ("modulus", "summability of omega_p(2^-n)/n^(1/p)"),
     "contraction": ("dilated", "dilation averaging bound 2^n/m"),
     "contraction-refined": ("dilated", "refined bound sqrt(l 2^n)/m at p=2"),
@@ -226,44 +226,89 @@ def _coeffs_from(rule, K: int) -> tuple:
     raise ConfigError(f"unrecognized coefficient rule {rule!r}")
 
 
+# the batch audits are looked up on ``mg`` at call time, so a patched or
+# instrumented martingale module is honoured
+def _audit_rio(cases, p_values, J, seed):
+    return mg.rio_audit_batch(cases, p_values, J, seed)
+
+
+def _audit_doob(cases, p_values, J, seed):
+    return mg.doob_audit_batch(cases, p_values, J, seed)
+
+
+def _audit_dyadic_approx(cases, p_values, J, seed):
+    rng = np.random.default_rng(seed)
+    arr = mg.random_grid_functions(cases, J, rng, "trig")
+    reports = []
+    for i in range(cases):
+        gf = GridFunction(J, arr[i], "real")
+        reports.extend(dyadic_approx_audit_all(gf, p_values[i % len(p_values)]))
+    return reports
+
+
+def _audit_contraction(cases, p_values, J, seed):
+    rng = np.random.default_rng(seed)
+    reports = []
+    for i in range(cases):
+        deg = int(rng.integers(1, 33))
+        amp = {int(m): float(a) for m, a in zip(rng.integers(1, 64, deg), rng.standard_normal(deg))}
+        f = sine_series(amp)
+        mmax = max(1, (2 ** (J - 1) - 1) // max(f.max_frequency, 1))
+        m = int(rng.integers(1, mmax + 1))
+        n = int(rng.integers(0, J - 1))
+        reports.append(contraction_audit(f, m, n, p_values[i % len(p_values)], J))
+        reports.append(contraction_refined_audit(f, m, n, J))
+    return reports
+
+
+def _audit_telescoping(cases, p_values, J, seed):
+    rng = np.random.default_rng(seed)
+    arr = mg.random_grid_functions(cases, J, rng, "mixed")
+    return [mg.telescope_check(GridFunction(J, arr[i], "real"), 0, J - 1) for i in range(cases)]
+
+
+def _moment_p(p) -> bool:
+    return 1 < p < math.inf
+
+
+def _norm_p(p) -> bool:
+    return p >= 1
+
+
+#: runnable audit suites: name -> (runner, admissible exponent p); every
+#: name here is also a key of SUITES
+_AUDIT_SUITES = {
+    "rio": (_audit_rio, _moment_p),
+    "doob": (_audit_doob, _moment_p),
+    "dyadic_approx": (_audit_dyadic_approx, _norm_p),
+    "contraction": (_audit_contraction, _norm_p),
+    "telescoping": (_audit_telescoping, None),
+}
+
+
+def _audit_p_values(raw, admissible) -> list:
+    """The config's exponent list with "inf" read as math.inf; a value the
+    suite cannot take is a ConfigError, not an audit failure."""
+    if not isinstance(raw, list) or not raw:
+        raise ConfigError(f"audit p must be a non-empty list, got {raw!r}")
+    values = [math.inf if v == "inf" else v for v in raw]
+    for v in values:
+        if isinstance(v, bool) or not isinstance(v, (int, float)) or math.isnan(v):
+            raise ConfigError(f"audit p values must be numbers or \"inf\", got {v!r}")
+        if admissible is not None and not admissible(v):
+            raise ConfigError(f"audit p={v!r} outside the range this suite admits")
+    return values
+
+
 def _run_audit(config: ExperimentConfig) -> bool:
     p = config.parameters
     suite = p.get("suite")
-    cases = int(p.get("cases", 100))
-    seed, J = config.seed, config.resolution
-    p_values = p.get("p", [1.5, 2, 3, 4, 8])
-    if suite == "rio":
-        reports = mg.rio_audit_batch(cases, p_values, J, seed)
-    elif suite == "doob":
-        reports = mg.doob_audit_batch(cases, p_values, J, seed)
-    elif suite == "dyadic_approx":
-        rng = np.random.default_rng(seed)
-        arr = mg.random_grid_functions(cases, J, rng, "trig")
-        reports = []
-        for i in range(cases):
-            gf = GridFunction(J, arr[i], "real")
-            pv = p_values[i % len(p_values)]
-            reports.extend(dyadic_approx_audit_all(gf, math.inf if pv == "inf" else pv))
-    elif suite == "contraction":
-        rng = np.random.default_rng(seed)
-        reports = []
-        for i in range(cases):
-            deg = int(rng.integers(1, 33))
-            amp = {int(m): float(a) for m, a in zip(rng.integers(1, 64, deg), rng.standard_normal(deg))}
-            f = sine_series(amp)
-            mmax = max(1, (2 ** (J - 1) - 1) // max(f.max_frequency, 1))
-            m = int(rng.integers(1, mmax + 1))
-            n = int(rng.integers(0, J - 1))
-            pv = p_values[i % len(p_values)]
-            pv = math.inf if pv == "inf" else pv
-            reports.append(contraction_audit(f, m, n, pv, J))
-            reports.append(contraction_refined_audit(f, m, n, J))
-    elif suite == "telescoping":
-        rng = np.random.default_rng(seed)
-        arr = mg.random_grid_functions(cases, J, rng, "mixed")
-        reports = [mg.telescope_check(GridFunction(J, arr[i], "real"), 0, J - 1) for i in range(cases)]
-    else:
+    if suite not in _AUDIT_SUITES:
         raise ConfigError(f"unknown audit suite {suite!r}")
+    runner, admissible = _AUDIT_SUITES[suite]
+    cases = int(p.get("cases", 100))
+    p_values = _audit_p_values(p.get("p", [1.5, 2, 3, 4, 8]), admissible)
+    reports = runner(cases, p_values, config.resolution, config.seed)
     _, ok = _emit_reports(config, f"audit_{suite}", reports)
     return ok
 

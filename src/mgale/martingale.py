@@ -156,10 +156,47 @@ def detail(f: GridFunction, n: int) -> GridFunction:
     return GridFunction(J, out, f.value_kind, aliased=f.aliased)
 
 
+def _haar_means(arr: np.ndarray, J: int) -> list[np.ndarray]:
+    """Level means [m_0, ..., m_J] of the last axis; m_n has shape (..., 2^n).
+
+    m_n holds the value of E(.|F_n) on each level-n block, built by
+    pairwise averaging from m_J = arr (the fast Haar transform), so the
+    whole pyramid costs about two copies of arr.
+    """
+    means = [arr]
+    for _ in range(J):
+        fine = means[-1]
+        means.append(0.5 * (fine[..., 0::2] + fine[..., 1::2]))
+    return means[::-1]
+
+
+def _haar_details(means: list[np.ndarray]) -> list[np.ndarray]:
+    """Details D_n f at their own resolution: shape (..., 2^(n+1)).
+
+    D_n f is constant on level-(n+1) blocks, so any L^p norm of the
+    coarse array equals the norm of the full-grid detail exactly.
+    """
+    return [means[n + 1] - np.repeat(means[n], 2, axis=-1) for n in range(len(means) - 1)]
+
+
 def _details_stack(arr: np.ndarray, J: int) -> list[np.ndarray]:
-    """All details [D_0 f, ..., D_{J-1} f] of the last axis, one pass."""
-    levels = [_block_average(arr, n, J) for n in range(J + 1)]
-    return [levels[n + 1] - levels[n] for n in range(J)]
+    """All details [D_0 f, ..., D_{J-1} f] of the last axis at full resolution."""
+    return [
+        np.repeat(d, 2 ** (J - n - 1), axis=-1)
+        for n, d in enumerate(_haar_details(_haar_means(arr, J)))
+    ]
+
+
+def _doob_maximal(means: list[np.ndarray]) -> np.ndarray:
+    """S* = max_{1<=m<=J} |E(.|F_m) - E(.|F_0)| on the full grid.
+
+    The partial sums S_m = D_0 + ... + D_{m-1} = E_m - E_0 are constant on
+    level-m blocks, so the running maximum is built coarse to fine.
+    """
+    run = np.zeros(means[0].shape)
+    for m in range(1, len(means)):
+        run = np.maximum(np.repeat(run, 2, axis=-1), np.abs(means[m] - means[0]))
+    return run
 
 
 @dataclass(frozen=True)
@@ -176,16 +213,20 @@ class DetailSequence:
         return total
 
 
+def _require_centered(f: GridFunction, caller: str) -> None:
+    if abs(f.mean()) > CENTERING_TOL:
+        raise ValueError(
+            f"{caller} requires a centered function, |mean| = {abs(f.mean()):.3e}"
+        )
+
+
 def decompose(f: GridFunction) -> DetailSequence:
     """Decompose a centered f into its details D_0 f .. D_{J-1} f.
 
     Rejects non-centered input (|mean| > 1e-12) instead of silently
     recentering: the auditors downstream must not mask centering bugs.
     """
-    if abs(f.mean()) > CENTERING_TOL:
-        raise ValueError(
-            f"decompose requires a centered function, |mean| = {abs(f.mean()):.3e}"
-        )
+    _require_centered(f, "decompose")
     J = f.resolution_log2
     stack = _details_stack(f.samples, J)
     details = tuple(GridFunction(J, d, f.value_kind) for d in stack)
@@ -197,10 +238,12 @@ def telescope_check(f: GridFunction, N1: int, N2: int, rel_tol: float = 1e-10) -
     J = f.resolution_log2
     if not 0 <= N1 <= N2 <= J - 1:
         raise ValueError(f"need 0 <= N1 <= N2 <= {J - 1}")
+    means = _haar_means(f.samples, J)
+    details = _haar_details(means)
     lhs = 0.0
     for n in range(N1, N2 + 1):
-        lhs += lp_norm(detail(f, n), 2) ** 2
-    diff = _block_average(f.samples, N2 + 1, J) - _block_average(f.samples, N1, J)
+        lhs += _lp_norm_array(details[n], 2) ** 2
+    diff = means[N2 + 1] - np.repeat(means[N1], 2 ** (N2 + 1 - N1))
     rhs = _lp_norm_array(diff, 2) ** 2
     return _equality_report(lhs, rhs, f"telescoping-parseval[{N1},{N2}]", rel_tol=rel_tol)
 
@@ -216,11 +259,12 @@ def rio_audit(f: GridFunction, p: float) -> AuditReport:
     """
     if p <= 1:
         raise ValueError("rio_audit needs p > 1")
-    seq = decompose(f)
+    _require_centered(f, "rio_audit")
     pp = _p_prime(p)
     const = max(1.0, math.sqrt(p - 1.0))
     lhs = lp_norm(f, p)
-    detail_norms = np.array([lp_norm(d, p) for d in seq.details])
+    details = _haar_details(_haar_means(f.samples, f.resolution_log2))
+    detail_norms = np.array([_lp_norm_array(d, p) for d in details])
     rhs = const * float(np.sum(detail_norms**pp)) ** (1.0 / pp)
     return _bound_report(lhs, rhs, const, f"rio[p={p}]")
 
@@ -507,21 +551,28 @@ def random_grid_functions(
 def rio_audit_batch(
     cases: int, p_values, J: int, seed: int, family: str = "mixed"
 ) -> list[AuditReport]:
-    """Randomized Rio audits; one report per case, all expected to pass."""
+    """Randomized Rio audits; one report per case, all expected to pass.
+
+    Case i uses p_values[i % len(p_values)]; the norms of all cases that
+    share a p are taken in one vectorized pass over the Haar pyramid.
+    """
     rng = np.random.default_rng(seed)
     p_values = list(p_values)
     arr = random_grid_functions(cases, J, rng, family)
-    stack = _details_stack(arr, J)
-    reports = []
-    for i in range(cases):
-        p = p_values[i % len(p_values)]
+    details = _haar_details(_haar_means(arr, J))
+    consts = [max(1.0, math.sqrt(p - 1.0)) for p in p_values]
+    lhs, rhs = np.empty(cases), np.empty(cases)
+    for k, (p, const) in enumerate(zip(p_values, consts)):
+        rows = slice(k, None, len(p_values))
         pp = _p_prime(p)
-        const = max(1.0, math.sqrt(p - 1.0))
-        lhs = _lp_norm_array(arr[i], p)
-        dsum = sum(float(_lp_norm_array(s[i], p)) ** pp for s in stack)
-        rhs = const * dsum ** (1.0 / pp)
-        reports.append(_bound_report(lhs, rhs, const, f"rio[p={p},case={i}]", seed=seed))
-    return reports
+        lhs[rows] = _lp_norm_array(arr[rows], p)
+        dsum = sum(_lp_norm_array(d[rows], p) ** pp for d in details)
+        rhs[rows] = const * dsum ** (1.0 / pp)
+    return [
+        _bound_report(lhs[i], rhs[i], consts[i % len(p_values)],
+                      f"rio[p={p_values[i % len(p_values)]},case={i}]", seed=seed)
+        for i in range(cases)
+    ]
 
 
 def doob_audit_batch(
@@ -531,15 +582,17 @@ def doob_audit_batch(
     rng = np.random.default_rng(seed)
     p_values = list(p_values)
     arr = random_grid_functions(cases, J, rng, family)
-    stack = _details_stack(arr, J)
-    partial = np.cumsum(np.stack(stack), axis=0)  # (J, cases, n)
-    smax = np.abs(partial).max(axis=0)
-    final = partial[-1]
-    reports = []
-    for i in range(cases):
-        p = p_values[i % len(p_values)]
-        const = p / (p - 1.0)
-        lhs = _lp_norm_array(smax[i], p)
-        rhs = const * _lp_norm_array(final[i], p)
-        reports.append(_bound_report(lhs, rhs, const, f"doob[p={p},case={i}]", seed=seed))
-    return reports
+    means = _haar_means(arr, J)
+    smax = _doob_maximal(means)
+    final = arr - means[0]
+    consts = [p / (p - 1.0) for p in p_values]
+    lhs, rhs = np.empty(cases), np.empty(cases)
+    for k, (p, const) in enumerate(zip(p_values, consts)):
+        rows = slice(k, None, len(p_values))
+        lhs[rows] = _lp_norm_array(smax[rows], p)
+        rhs[rows] = const * _lp_norm_array(final[rows], p)
+    return [
+        _bound_report(lhs[i], rhs[i], consts[i % len(p_values)],
+                      f"doob[p={p_values[i % len(p_values)]},case={i}]", seed=seed)
+        for i in range(cases)
+    ]

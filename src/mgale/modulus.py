@@ -79,7 +79,10 @@ def shift_norm_curve(
     p = 2 always, and p = 4 for real data, go through O(N log N)
     circular correlations (the fourth power expands into correlations
     of f, f^2, f^3).  Remaining p values share one chunked pass over
-    the (shift, sample) difference matrix.
+    the (shift, sample) difference matrix.  That pass uses the symmetry
+    ||tau_t f - f||_p = ||tau_(N-t) f - f||_p (substitute k -> k + t in
+    the sum over grid points), so it scans only t <= N/2 and reads the
+    other shifts off as N - t.
     """
     s = np.asarray(samples)
     n = s.shape[-1]
@@ -107,12 +110,13 @@ def shift_norm_curve(
             remaining.append(p)
     if not remaining:
         return curves
-    ext = np.concatenate([s, s])
-    base = np.arange(n)
-    for lo in range(0, max_shift + 1, chunk):
-        ts = np.arange(lo, min(lo + chunk, max_shift + 1))
-        gathered = ext[(ts % n)[:, None] + base[None, :]]
-        a = np.abs(gathered - s[None, :])
+    last = min(max_shift, n // 2)
+    # shifted[t] = tau_t f as a contiguous view of one period-doubled copy
+    shifted = np.lib.stride_tricks.sliding_window_view(np.concatenate([s, s]), n)
+    scan = {p: np.empty(last + 1) for p in remaining}
+    for lo in range(0, last + 1, chunk):
+        hi = min(lo + chunk, last + 1)
+        a = np.abs(shifted[lo:hi] - s)
         for p in remaining:
             if p == math.inf:
                 vals = a.max(axis=1)
@@ -125,7 +129,10 @@ def shift_norm_curve(
                 vals = (sq * sq).mean(axis=1) ** 0.25
             else:
                 vals = np.power(a, p).mean(axis=1) ** (1.0 / p)
-            curves[p][ts] = vals
+            scan[p][lo:hi] = vals
+    folded = np.minimum(ts_all, n - ts_all)
+    for p in remaining:
+        curves[p] = scan[p][folded]
     return curves
 
 

@@ -71,6 +71,8 @@ class GridFunction:
             raise ValueError(f"unknown value_kind {self.value_kind!r}")
         dtype = np.float64 if self.value_kind == "real" else np.complex128
         arr = arr.astype(dtype, copy=False)
+        if isinstance(self.samples, np.ndarray) and np.may_share_memory(arr, self.samples):
+            arr = arr.copy()  # freeze a private copy, never the caller's buffer
         if arr.shape != (2**self.resolution_log2,):
             raise ValueError(
                 f"expected {2**self.resolution_log2} samples, got shape {arr.shape}"

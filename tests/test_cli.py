@@ -19,13 +19,62 @@ def body_of(path: Path) -> str:
     return "\n".join(lines[1:])
 
 
-def test_suites_catalog():
+def test_suites_catalog(tmp_path):
     suites = cli.list_suites()
     assert len(suites) >= 15
     names = {name for name, _, _ in suites}
-    assert "dyadic-approx" in names
+    assert "dyadic_approx" in names
     assert "detail-criteria-maximal" in names
     assert "rio" in names
+    # every audit suite the runner accepts is in the catalog under the
+    # name that runs it
+    for suite in cli._AUDIT_SUITES:
+        assert suite in names
+        raw = {
+            "kind": "audit",
+            "parameters": {"suite": suite, "cases": 2},
+            "output": {"path": str(tmp_path / suite)},
+            "resolution": 8,
+        }
+        assert cli.main(["run", str(write_config(tmp_path, raw))]) == 0
+        assert (tmp_path / suite / f"audit_{suite}.csv").exists()
+    raw["parameters"]["suite"] = "telescoping-parseval"
+    assert cli.main(["run", str(write_config(tmp_path, raw))]) == 2
+
+
+@pytest.mark.parametrize("suite, p_values", [
+    ("rio", ["inf"]),
+    ("doob", ["inf"]),
+    ("rio", [0.5]),
+    ("doob", [2, 0.5]),
+    ("rio", [1]),
+    ("dyadic_approx", [0.5]),
+    ("contraction", [0.5]),
+    ("contraction", ["two"]),
+    ("rio", []),
+    ("rio", 3),
+])
+def test_audit_inadmissible_p_is_config_error(tmp_path, suite, p_values):
+    raw = {
+        "kind": "audit",
+        "parameters": {"suite": suite, "cases": 3, "p": p_values},
+        "output": {"path": str(tmp_path / "out")},
+        "resolution": 5,
+    }
+    assert cli.main(["run", str(write_config(tmp_path, raw))]) == 2
+    assert not (tmp_path / "out" / "audit_FAILED.txt").exists()
+
+
+def test_audit_inf_p_runs_where_admissible(tmp_path):
+    raw = {
+        "kind": "audit",
+        "parameters": {"suite": "dyadic_approx", "cases": 2, "p": ["inf", 1]},
+        "output": {"path": str(tmp_path)},
+        "resolution": 5,
+    }
+    assert cli.main(["run", str(write_config(tmp_path, raw))]) == 0
+    body = body_of(tmp_path / "audit_dyadic_approx.csv")
+    assert "dyadic-approx[p=inf,n=0]" in body and "dyadic-approx[p=1,n=0]" in body
 
 
 def test_validate_rejects_bad_configs():

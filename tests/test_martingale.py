@@ -196,6 +196,98 @@ def test_rio_doob_randomized_batches_all_pass():
     assert all(r.passed for r in mg.doob_audit_batch(500, ps, 9, seed=102))
 
 
+# ------------------------------------------------------ Haar pyramid kernels
+# The full-resolution formulations the pyramid replaced stay here as the
+# references: details as differences of block averages, Doob's maximum
+# as the running maximum of the cumulated details, and the per-case
+# batch loops.  Only the summation order differs, so the tolerances are
+# a few ulps of the data.
+
+def _reference_details(arr, J):
+    return [mg._block_average(arr, n + 1, J) - mg._block_average(arr, n, J) for n in range(J)]
+
+
+def _pyramid_input(rng, J, batch, complex_values):
+    shape = (5, 2**J) if batch else (2**J,)
+    arr = rng.standard_normal(shape)
+    if complex_values:
+        arr = arr + 1j * rng.standard_normal(shape)
+    return arr
+
+
+@pytest.mark.parametrize("J", [0, 1, 6])
+@pytest.mark.parametrize("batch", [False, True])
+@pytest.mark.parametrize("complex_values", [False, True])
+def test_pyramid_details_match_block_average_differences(rng, J, batch, complex_values):
+    arr = _pyramid_input(rng, J, batch, complex_values)
+    atol = 64 * np.finfo(np.float64).eps * np.abs(arr).max()
+    ref = _reference_details(arr, J)
+    coarse = mg._haar_details(mg._haar_means(arr, J))
+    full = mg._details_stack(arr, J)
+    assert len(coarse) == len(full) == J
+    for n in range(J):
+        assert coarse[n].shape == arr.shape[:-1] + (2 ** (n + 1),)
+        np.testing.assert_allclose(full[n], ref[n], rtol=0, atol=atol)
+        np.testing.assert_array_equal(np.repeat(coarse[n], 2 ** (J - n - 1), axis=-1), full[n])
+        for p in (1.5, 2, 3, math.inf):
+            np.testing.assert_allclose(
+                mg._lp_norm_array(coarse[n], p), mg._lp_norm_array(ref[n], p), rtol=1e-13, atol=atol
+            )
+
+
+@pytest.mark.parametrize("J", [1, 6])
+@pytest.mark.parametrize("batch", [False, True])
+@pytest.mark.parametrize("complex_values", [False, True])
+def test_pyramid_doob_maximum_matches_cumulated_details(rng, J, batch, complex_values):
+    arr = _pyramid_input(rng, J, batch, complex_values)
+    atol = 64 * np.finfo(np.float64).eps * np.abs(arr).max()
+    ref = np.abs(np.cumsum(np.stack(_reference_details(arr, J)), axis=0)).max(axis=0)
+    np.testing.assert_allclose(mg._doob_maximal(mg._haar_means(arr, J)), ref, rtol=0, atol=atol)
+
+
+def test_pyramid_doob_maximum_at_J0_is_zero():
+    np.testing.assert_array_equal(mg._doob_maximal(mg._haar_means(np.array([2.5]), 0)), [0.0])
+
+
+def _reference_rio_batch(cases, p_values, J, seed):
+    arr = mg.random_grid_functions(cases, J, np.random.default_rng(seed), "mixed")
+    stack = _reference_details(arr, J)
+    out = []
+    for i in range(cases):
+        p = p_values[i % len(p_values)]
+        pp = min(2.0, p)
+        dsum = sum(float(mg._lp_norm_array(s[i], p)) ** pp for s in stack)
+        out.append((mg._lp_norm_array(arr[i], p), max(1.0, math.sqrt(p - 1.0)) * dsum ** (1.0 / pp),
+                    f"rio[p={p},case={i}]"))
+    return out
+
+
+def _reference_doob_batch(cases, p_values, J, seed):
+    arr = mg.random_grid_functions(cases, J, np.random.default_rng(seed), "mixed")
+    partial = np.cumsum(np.stack(_reference_details(arr, J)), axis=0)
+    smax = np.abs(partial).max(axis=0)
+    out = []
+    for i in range(cases):
+        p = p_values[i % len(p_values)]
+        out.append((mg._lp_norm_array(smax[i], p), p / (p - 1.0) * mg._lp_norm_array(partial[-1][i], p),
+                    f"doob[p={p},case={i}]"))
+    return out
+
+
+@pytest.mark.parametrize("batch, reference", [
+    (mg.rio_audit_batch, _reference_rio_batch),
+    (mg.doob_audit_batch, _reference_doob_batch),
+])
+def test_batch_audits_match_per_case_reference(batch, reference):
+    ps = [1.5, 2, 3, 8]
+    reports = batch(23, ps, 7, seed=11)
+    ref = reference(23, ps, 7, 11)
+    assert [r.context for r in reports] == [c for _, _, c in ref]
+    assert all(r.passed and r.seed == 11 for r in reports)
+    np.testing.assert_allclose([r.lhs for r in reports], [l for l, _, _ in ref], rtol=1e-13)
+    np.testing.assert_allclose([r.rhs for r in reports], [h for _, h, _ in ref], rtol=1e-13)
+
+
 # ----------------------------------------------------- detail criteria
 
 def test_k_p_value():

@@ -7,7 +7,7 @@ from conftest import random_trig_poly
 from mgale import modulus as mo
 from mgale.martingale import cond_exp
 from mgale.tails import TailModel, fit_tail_model
-from mgale.torus import GridFunction, lp_norm, render, sine_series
+from mgale.torus import GridFunction, _lp_norm_array, lp_norm, render, sine_series
 
 
 def test_profile_constant_is_zero():
@@ -142,3 +142,33 @@ def test_shift_norm_curve_fft_path_matches_direct(rng):
     fft_curve = mo.shift_norm_curve(arr, [2])[2]
     direct = mo.shift_norm_curve(arr, [2, math.inf])[2]
     assert np.abs(fft_curve - direct).max() < 1e-10
+
+
+def _rolled_scan(s, p, max_shift):
+    """The reference: every shift t = 0..max_shift rolled out explicitly."""
+    return np.array([_lp_norm_array(np.roll(s, -t) - s, p) for t in range(max_shift + 1)])
+
+
+@pytest.mark.parametrize("p", [1.5, 3, math.inf])
+@pytest.mark.parametrize("J, max_shift", [
+    (6, 20),   # below N/2
+    (6, 32),   # N/2
+    (6, 64),   # N
+    (6, 150),  # past N: shifts wrap
+    (0, 0),
+    (0, 1),
+    (1, 1),
+    (1, 2),
+])
+@pytest.mark.parametrize("chunk", [256, 7])
+def test_shift_norm_curve_generic_p_matches_rolled_scan(rng, p, J, max_shift, chunk):
+    arr = rng.standard_normal(2**J)
+    curve = mo.shift_norm_curve(arr, [p], max_shift=max_shift, chunk=chunk)[p]
+    np.testing.assert_allclose(curve, _rolled_scan(arr, p, max_shift), rtol=1e-12, atol=1e-15)
+
+
+def test_shift_norm_curve_generic_p_complex_default_range(rng):
+    arr = rng.standard_normal(32) + 1j * rng.standard_normal(32)
+    curves = mo.shift_norm_curve(arr, [1.5, 4])
+    for p in (1.5, 4):
+        np.testing.assert_allclose(curves[p], _rolled_scan(arr, p, 32), rtol=1e-12, atol=1e-15)

@@ -74,6 +74,19 @@ def test_lp_norm_rejects_small_p():
         lp_norm(g, 0.5)
 
 
+def test_grid_function_leaves_caller_array_writeable(rng):
+    a = rng.standard_normal(8)
+    g = GridFunction(3, a, "real")
+    assert a.flags.writeable
+    assert not g.samples.flags.writeable
+    kept = g.samples.copy()
+    a[:] = 0.0
+    np.testing.assert_array_equal(g.samples, kept)
+    row = rng.standard_normal((2, 8))[1]  # a view into a caller's batch
+    GridFunction(3, row, "real")
+    assert row.flags.writeable
+
+
 def test_translate_identity_and_period(rng):
     g = GridFunction(6, rng.standard_normal(64), "real")
     np.testing.assert_array_equal(translate(g, 0).samples, g.samples)
