@@ -267,6 +267,11 @@ def _audit_telescoping(cases, p_values, J, seed):
     return [mg.telescope_check(GridFunction(J, arr[i], "real"), 0, J - 1) for i in range(cases)]
 
 
+def _is_int(v) -> bool:
+    """A JSON integer (true/false are not numbers here)."""
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 def _moment_p(p) -> bool:
     return 1 < p < math.inf
 
@@ -275,14 +280,15 @@ def _norm_p(p) -> bool:
     return p >= 1
 
 
-#: runnable audit suites: name -> (runner, admissible exponent p); every
-#: name here is also a key of SUITES
+#: runnable audit suites: name -> (runner, admissible exponent p, least
+#: resolution J); every name here is also a key of SUITES.  The contraction
+#: generators reach frequency 63, which renders alias-free from J = 7.
 _AUDIT_SUITES = {
-    "rio": (_audit_rio, _moment_p),
-    "doob": (_audit_doob, _moment_p),
-    "dyadic_approx": (_audit_dyadic_approx, _norm_p),
-    "contraction": (_audit_contraction, _norm_p),
-    "telescoping": (_audit_telescoping, None),
+    "rio": (_audit_rio, _moment_p, 1),
+    "doob": (_audit_doob, _moment_p, 1),
+    "dyadic_approx": (_audit_dyadic_approx, _norm_p, 1),
+    "contraction": (_audit_contraction, _norm_p, 7),
+    "telescoping": (_audit_telescoping, None, 1),
 }
 
 
@@ -305,12 +311,39 @@ def _run_audit(config: ExperimentConfig) -> bool:
     suite = p.get("suite")
     if suite not in _AUDIT_SUITES:
         raise ConfigError(f"unknown audit suite {suite!r}")
-    runner, admissible = _AUDIT_SUITES[suite]
-    cases = int(p.get("cases", 100))
+    runner, admissible, min_resolution = _AUDIT_SUITES[suite]
+    if config.resolution < min_resolution:
+        raise ConfigError(f"audit {suite} needs resolution >= {min_resolution}, got {config.resolution}")
+    cases = p.get("cases", 100)
+    if not _is_int(cases) or cases < 0:
+        raise ConfigError(f"audit cases must be a nonnegative integer, got {cases!r}")
     p_values = _audit_p_values(p.get("p", [1.5, 2, 3, 4, 8]), admissible)
     reports = runner(cases, p_values, config.resolution, config.seed)
     _, ok = _emit_reports(config, f"audit_{suite}", reports)
     return ok
+
+
+def _checkpoints_for(params: dict, length: int, default: list | None = None) -> list:
+    """The config's checkpoints for a series of ``length`` terms; by default
+    ``default``, else the powers 2^4, ..., 2^j <= length."""
+    if default is None:
+        default = [2**j for j in range(4, length.bit_length())]
+        if "checkpoints" not in params and not default:
+            raise ConfigError(f"no default checkpoints for a series of length {length} < 16")
+    cps = params.get("checkpoints", default)
+    if not isinstance(cps, list) or not cps or any(not _is_int(c) or c < 1 for c in cps):
+        raise ConfigError(f"checkpoints must be a non-empty list of positive integers, got {cps!r}")
+    if max(cps) > length:
+        raise ConfigError(f"checkpoints exceed the series length {length}")
+    return cps
+
+
+def _sample_size(params: dict) -> int:
+    """The oscillation sample size: an integer >= 100, 200 by default."""
+    size = params.get("sample_size", 200)
+    if not _is_int(size) or size < 100:
+        raise ConfigError(f"sample_size must be an integer >= 100, got {size!r}")
+    return size
 
 
 def _run_dilated(config: ExperimentConfig) -> bool:
@@ -325,8 +358,8 @@ def _run_dilated(config: ExperimentConfig) -> bool:
         freqs = tuple(freqs_from_rule(p.get("freqs", f"pow:2:{K - 1}")))[:K]
         coeffs = _coeffs_from(p.get("coeffs", "geom:0.5"), len(freqs))
         spec = SeriesSpec(coeffs[: len(freqs)], freqs, gen)
-    checkpoints = p.get("checkpoints", [2**j for j in range(4, 13)])
-    diag = oscillation_diagnostic(spec, checkpoints, int(p.get("sample_size", 200)), config.seed)
+    checkpoints = _checkpoints_for(p, spec.length)
+    diag = oscillation_diagnostic(spec, checkpoints, _sample_size(p), config.seed)
     _write(config, "dilated_oscillation", diag.to_csv() + f"# verdict={diag.verdict} slope={diag.fitted_slope!r}\n")
     return True
 
@@ -368,11 +401,11 @@ def _run_ergodic(config: ExperimentConfig) -> bool:
     else:
         f = _generator_from(p, "f")
         coeffs = _coeffs_from(p.get("coeffs", "geom:0.5"), int(p.get("K", 256)))
-    checkpoints = p.get("checkpoints", [2**j for j in range(4, int(math.log2(len(coeffs))) + 1)])
+    checkpoints = _checkpoints_for(p, len(coeffs))
     if "tail" in p:
         t = p["tail"]
         tail = TailModel(t["kind"], t.get("amplitude", 1.0), t["exponent"], t.get("log_exponent", 0.0))
-    diag, decay = ergodic_series_run(f, coeffs, checkpoints, int(p.get("sample_size", 200)), config.seed, tail)
+    diag, decay = ergodic_series_run(f, coeffs, checkpoints, _sample_size(p), config.seed, tail)
     _write(config, "ergodic_decay", decay.to_csv())
     _write(config, "ergodic_oscillation", diag.to_csv() + f"# verdict={diag.verdict}\n")
     return True
@@ -384,6 +417,8 @@ def _run_riesz(config: ExperimentConfig) -> bool:
     action = p.get("action", "coeff")
     N = int(p.get("N", spec.depth - 1))
     J = int(p.get("J", config.resolution))
+    if not 0 <= N < spec.depth:
+        raise ConfigError(f"riesz N={N} outside the spec depth {spec.depth}")
     if action == "coeff":
         ks = p.get("k", [spec.lambdas[0]])
         ks = ks if isinstance(ks, list) else [ks]
@@ -395,6 +430,8 @@ def _run_riesz(config: ExperimentConfig) -> bool:
         _write(config, "riesz_coeff", "\n".join(lines) + "\n")
         return True
     if action == "sample":
+        if sum(spec.lambdas[: N + 1]) >= 2 ** (J - 1):
+            raise ConfigError(f"riesz partial product at depth {N} aliases at J={J}")
         xs = sample_mu(spec, N, J, int(p.get("count", 1000)), config.seed)
         body = "x\n" + "\n".join(repr(float(x)) for x in xs) + "\n"
         _write(config, "riesz_sample", body)
@@ -402,7 +439,8 @@ def _run_riesz(config: ExperimentConfig) -> bool:
     if action == "series":
         fam = _generator_from(p, "fn")
         coeffs = _coeffs_from(p.get("coeffs", "geom:0.5"), N + 1)
-        diag = riesz_series_run(spec, lambda n: fam, coeffs, p.get("checkpoints", [1, 2, 4]), int(p.get("sample_size", 500)), config.seed)
+        checkpoints = _checkpoints_for(p, N + 1, default=[1, 2, 4])
+        diag = riesz_series_run(spec, lambda n: fam, coeffs, checkpoints, int(p.get("sample_size", 500)), config.seed)
         _write(config, "riesz_series", diag.to_csv() + f"# verdict={diag.verdict} label={diag.label}\n")
         return True
     raise ConfigError(f"unknown riesz action {action!r}")

@@ -199,12 +199,31 @@ def _doubling_orbit_fracs(bitmat: np.ndarray) -> np.ndarray:
     return out
 
 
-def _frac_of_multiple(x_int: int, n: int, bits: int) -> float:
-    """frac(n * X / 2^bits) as float64, exact reduction first."""
-    v = (n * x_int) % (1 << bits)
-    if bits <= 53:
-        return v / float(1 << bits)
-    return float(v >> (bits - 53)) / float(1 << 53)
+def _fracs_of_multiples(ints: list, freqs, bits: int) -> np.ndarray:
+    """(len(ints), len(freqs)) float64 matrix of frac(n_k * X_i / 2^bits).
+
+    Each residue v_k = n_k X mod 2^bits is carried per point from the
+    previous term: v_k = (r v_(k-1)) & mask when r = n_k / n_(k-1) is an
+    integer, else v_k = (v_(k-1) + (n_k - n_(k-1)) X) & mask, which is
+    exact for any order and sign of the frequencies.  The top 53 bits of
+    v_k then give the float64 value (exact for bits <= 53).
+    """
+    mask = (1 << bits) - 1
+    out = np.empty((len(ints), len(freqs)), dtype=np.float64)
+    shift = max(bits - 53, 0)
+    scale = float(1 << (bits - shift))
+    vs = [0] * len(ints)
+    prev = 0
+    for k, n in enumerate(freqs):
+        if prev != 0 and n % prev == 0:
+            r = n // prev
+            vs = [(r * v) & mask for v in vs]
+        else:
+            d = n - prev
+            vs = [(v + d * x) & mask for v, x in zip(vs, ints)]
+        out[:, k] = np.array([v >> shift for v in vs], dtype=np.float64) / scale
+        prev = n
+    return out
 
 
 def _is_pow2(n: int) -> bool:
@@ -218,7 +237,9 @@ def series_values_at_points(
 
     Fast path when every frequency (series and generator) is a power of
     two: one sin table over the doubling orbit plus an FFT correlation.
-    The general path reduces n_k * X mod 2^bits exactly per term.
+    The general path reduces n_k * X mod 2^bits exactly, carrying the
+    residue from term to term by a multiply (n_(k-1) | n_k) or an add
+    recurrence (see _fracs_of_multiples).
     """
     if K > spec.length:
         raise ValueError("K exceeds spec length")
@@ -253,14 +274,12 @@ def series_values_at_points(
             "general-path generator modes above 2^20 lose phase precision; "
             "use dyadic frequencies or a truncated generator"
         )
-    bits = bitmat.shape[1]
-    samples = len(ints)
-    out = np.zeros((samples, K), dtype=np.complex128)
+    ys = _fracs_of_multiples(ints, freqs, bitmat.shape[1])
+    out = np.zeros((len(ints), K), dtype=np.complex128)
     ms = np.array(gen_ms)
     cs = np.array([gen.coeffs[m] for m in gen_ms])
-    for k, n in enumerate(freqs):
-        ys = np.array([_frac_of_multiple(x, n, bits) for x in ints])
-        out[:, k] = coeffs[k] * (np.exp(2j * np.pi * np.outer(ys, ms)) @ cs)
+    for k in range(K):
+        out[:, k] = coeffs[k] * (np.exp(2j * np.pi * np.outer(ys[:, k], ms)) @ cs)
     if gen.is_real_valued() and np.all(coeffs.imag == 0):
         return out.real
     return out

@@ -89,15 +89,26 @@ def riesz_partial_density(spec: RieszProductSpec, N: int, J: int) -> GridFunctio
     Requires sum_{n<=N} lambda_n < 2^(J-1) so that the product spectrum
     sits strictly inside the grid band: the grid mean then reads the
     frequency-0 coefficient exactly and no coefficient wraps.
+
+    Each level's phase at the grid point k/2^J is taken from the exact
+    integer phase, theta = (2 pi / 2^J) * ((lambda mod 2^J) * k mod 2^J),
+    and the factor is the real form 1 + Re(c e^(i theta)) =
+    1 + c.real cos(theta) - c.imag sin(theta) (sin skipped for real c).
     """
     if not 0 <= N < spec.depth:
         raise ValueError(f"N={N} outside the spec depth {spec.depth}")
     if sum(spec.lambdas[: N + 1]) >= 2 ** (J - 1):
         raise ValueError(f"partial product at depth {N} aliases at J={J}")
-    x = np.arange(2**J) / 2**J
-    dens = np.ones(2**J)
+    n_grid = 2**J
+    ks = np.arange(n_grid, dtype=np.int64)
+    step = 2.0 * np.pi / n_grid
+    dens = np.ones(n_grid)
     for lam, c in zip(spec.lambdas[: N + 1], spec.cs[: N + 1]):
-        dens *= 1.0 + (c * np.exp(2j * np.pi * lam * x)).real
+        theta = step * (((lam % n_grid) * ks) & (n_grid - 1))
+        factor = c.real * np.cos(theta)
+        if c.imag != 0.0:
+            factor -= c.imag * np.sin(theta)
+        dens *= 1.0 + factor
     dens = np.maximum(dens, 0.0)  # clip -0.0 roundoff at zeros
     return GridFunction(J, dens, "real")
 
@@ -194,8 +205,10 @@ def riesz_series_run(
     """Oscillation diagnostic for sum_n a_n (f_n(lambda_n x) - E_mu f_n)
     at points sampled from the depth-N partial density.
 
-    The means are the exact depth-N coefficients paired with the f_n
-    modes, so the terms are exactly centered for the sampled measure.
+    The means are the exact depth-N coefficients at -m lambda_n paired
+    with the modes m of f_n, each looked up by the greedy dissociate
+    representation, so the terms are exactly centered for the sampled
+    measure.
     The sup-modulus hypothesis sup_n omega_inf(t, f_n) |log t|^(1/2+eps)
     is evaluated on the grid; a violation does not stop the run, it
     relabels it out-of-hypothesis.
@@ -212,7 +225,6 @@ def riesz_series_run(
     xs = sample_mu(spec, N, J, sample_count, seed)
     n_grid = 2**J
     ks = np.round(xs * n_grid).astype(np.int64)
-    dens_coeffs = partial_density_coeffs(spec, N)
 
     # the hypothesis sup_n omega(t, f_n) <= C |log t|^-(1/2+eps) is
     # checked per distinct generator, on the octaves where the finite
@@ -234,9 +246,7 @@ def riesz_series_run(
     for n in range(N + 1):
         fn = _fn_at(fn_family, n)
         lam = spec.lambdas[n]
-        mean = sum(
-            c * dens_coeffs.get(-m * lam, 0.0j) for m, c in fn.coeffs.items()
-        )
+        mean = sum(c * riesz_fourier_coeff(spec, N, -m * lam) for m, c in fn.coeffs.items())
         vals = np.zeros(sample_count, dtype=np.complex128)
         for m, c in fn.coeffs.items():
             # exact phase on the grid: (m lam k) mod 2^J in integers

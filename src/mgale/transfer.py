@@ -41,12 +41,24 @@ __all__ = [
     "transfer_apply",
     "transfer_decay",
     "transfer_pointwise_check",
+    "transfer_power",
 ]
+
+
+def transfer_power(f: FourierFunction, k: int) -> FourierFunction:
+    """L^k f in coefficient form: (L^k f)^(m) = f^(2^k m), so the modes
+    with 2-adic valuation v_2(m) >= k survive as m >> k."""
+    if k < 0:
+        raise ValueError("k must be >= 0")
+    if k == 0:
+        return f
+    low = (1 << k) - 1
+    return FourierFunction({m >> k: c for m, c in f.coeffs.items() if m & low == 0})
 
 
 def transfer_apply(f: FourierFunction) -> FourierFunction:
     """Coefficient form: keep the even frequencies, halved."""
-    return FourierFunction({m // 2: c for m, c in f.coeffs.items() if m % 2 == 0})
+    return transfer_power(f, 1)
 
 
 def transfer_pointwise(f_fine: GridFunction) -> GridFunction:
@@ -119,20 +131,25 @@ class TransferDecay:
 def transfer_decay(f: FourierFunction, N: int, tail: TailModel | None = None) -> TransferDecay:
     """Exact decay ||L^n f||_2 = (sum_m |f^(2^n m)|^2)^(1/2), n = 0..N.
 
+    By Parseval and (L^n f)^(m) = f^(2^n m), ||L^n f||_2^2 is the sum of
+    |c_m|^2 over the modes m of f with 2-adic valuation v_2(m) >= n.  One
+    valuation pass v = v_2(m), clipped at N + 1, a bincount weighted by
+    |c_m|^2 and a reverse cumulative sum give every norm at once; the
+    norms vanish past N exactly when the N + 1 bin is empty.
+
     Requires zero mean.  The criterion sums use the declared tail model
     past N (infinite when it diverges under weight 1/sqrt(n)); with no
     model the norms must vanish identically beyond N, which happens
-    exactly when 2^N exceeds every frequency of f.
+    exactly when 2^N exceeds every frequency of f.  The condensed sum
+    is extended by sum_{2^l > N} 2^(l/2) u(2^l) under the model.
     """
     if not f.has_zero_mean():
         raise ValueError("f must have zero mean")
-    norms = []
-    cur = f
-    for n in range(N + 1):
-        norms.append(l2_norm_exact(cur))
-        cur = transfer_apply(cur)
-    norms = np.array(norms)
-    vanished = l2_norm_exact(cur) == 0.0
+    vals = np.array([min((m & -m).bit_length() - 1, N + 1) for m in f.coeffs], dtype=np.int64)
+    weights = np.abs(np.array(list(f.coeffs.values()), dtype=np.complex128)) ** 2
+    energy = np.bincount(vals, weights=weights, minlength=N + 2)[::-1].cumsum()[::-1]
+    norms = np.sqrt(energy[: N + 1])
+    vanished = energy[N + 1] == 0.0
     if tail is None and not vanished:
         raise ValueError("norms have not vanished by N; pass an explicit tail model")
     crit = float(sum(norms[1:] / np.sqrt(np.arange(1, N + 1))))
@@ -145,7 +162,7 @@ def transfer_decay(f: FourierFunction, N: int, tail: TailModel | None = None) ->
         if not tail.series_converges(weight_exponent=0.5):
             return TransferDecay(norms, math.inf, math.inf)
         crit += tail.tail_sum(N + 1, weight_exponent=0.5)
-        cond += tail.tail_sum(N + 1, weight_exponent=0.5)  # condensation-equivalent tail
+        cond += tail.condensed_tail_sum(ell, weight_exponent=0.5)
     return TransferDecay(norms, crit, cond)
 
 
@@ -160,13 +177,11 @@ def lnorm_vs_modulus(f: FourierFunction, N: int, J: int) -> np.ndarray:
         raise ValueError("need J >= N + 2 for a meaningful comparison")
     prof = modulus_profile(render(f, J), 2)
     out = np.empty(N)
-    cur = transfer_apply(f)
     for n in range(1, N + 1):
         om = prof.values[n]
         if om == 0:
             raise ValueError("modulus vanishes; f is constant on the grid")
-        out[n - 1] = l2_norm_exact(cur) / om
-        cur = transfer_apply(cur)
+        out[n - 1] = l2_norm_exact(transfer_power(f, n)) / om
     return out
 
 
@@ -254,13 +269,7 @@ def decreasing_criteria(
     ell = 0
     while True:
         power = 2**ell - 1
-        cur = []
-        for z in Z:
-            g = z
-            for _ in range(power):
-                g = transfer_apply(g)
-            cur.append(g)
-        inner = sum(norm_p(g) ** pp for g in cur)
+        inner = sum(norm_p(transfer_power(z, power)) ** pp for z in Z)
         if inner == 0.0:
             break
         s2 += 2.0 ** (ell * (1 - 1 / p)) * inner ** (1 / pp)

@@ -191,3 +191,66 @@ def test_dilated_and_ergodic_kinds(tmp_path):
     }
     assert cli.main(["run", str(write_config(tmp_path, raw2))]) == 0
     assert (tmp_path / "ergodic_decay.csv").exists()
+
+
+def run_raw(tmp_path, raw) -> int:
+    raw.setdefault("output", {"path": str(tmp_path / "out")})
+    return cli.main(["run", str(write_config(tmp_path, raw))])
+
+
+@pytest.mark.parametrize("J, rc", [(5, 2), (6, 2), (7, 0)])
+def test_audit_contraction_resolution_is_config_error(tmp_path, J, rc):
+    # the random generators reach frequency 63: alias-free from J = 7
+    raw = {"kind": "audit", "parameters": {"suite": "contraction", "cases": 3}, "resolution": J}
+    assert run_raw(tmp_path, raw) == rc
+    assert not (tmp_path / "out" / "audit_FAILED.txt").exists()
+
+
+@pytest.mark.parametrize("cases", [-1, "x", 2.5, True])
+def test_audit_bad_cases_is_config_error(tmp_path, cases):
+    raw = {"kind": "audit", "parameters": {"suite": "rio", "cases": cases}, "resolution": 6}
+    assert run_raw(tmp_path, raw) == 2
+    assert not (tmp_path / "out" / "audit_FAILED.txt").exists()
+
+
+def test_dilated_default_checkpoints_follow_the_spec_length(tmp_path):
+    raw = {"kind": "dilated", "parameters": {"K": 64, "sample_size": 100}, "seed": 1}
+    assert run_raw(tmp_path, raw) == 0
+    rows = body_of(tmp_path / "out" / "dilated_oscillation.csv").splitlines()
+    assert [r.split(",")[0] for r in rows[1:4]] == ["16", "32", "64"]
+
+
+@pytest.mark.parametrize("params", [
+    {"K": 64, "checkpoints": [16, 128]},
+    {"K": 8},
+    {"K": 64, "checkpoints": [0, 16]},
+    {"K": 64, "checkpoints": "16"},
+])
+def test_dilated_checkpoints_past_the_spec_are_config_error(tmp_path, params):
+    raw = {"kind": "dilated", "parameters": dict(params, sample_size=100)}
+    assert run_raw(tmp_path, raw) == 2
+    assert not (tmp_path / "out" / "dilated_FAILED.txt").exists()
+
+
+def test_riesz_sample_aliasing_is_config_error(tmp_path):
+    # sum of 3^n, n <= 5, is 364 >= 2^(J-1) = 256 at J = 9
+    params = {"action": "sample", "lambdas": [3**n for n in range(6)], "cs": [0.5] * 6, "count": 10}
+    raw = {"kind": "riesz", "parameters": dict(params, J=9)}
+    assert run_raw(tmp_path, raw) == 2
+    assert not (tmp_path / "out" / "riesz_FAILED.txt").exists()
+    raw = {"kind": "riesz", "parameters": dict(params, J=10)}
+    assert run_raw(tmp_path, raw) == 0
+
+
+@pytest.mark.parametrize("kind, params", [
+    ("dilated", {"K": 64, "sample_size": 50}),
+    ("dilated", {"K": 64, "sample_size": "x"}),
+    ("ergodic", {"K": 64, "sample_size": 99}),
+    ("ergodic", {"K": 8}),
+    ("riesz", {"action": "series", "lambdas": [1, 3, 9, 27, 81], "cs": [0.5] * 5, "N": 3, "checkpoints": [1, 8]}),
+    ("riesz", {"action": "series", "lambdas": [1, 3, 9], "cs": [0.5] * 3}),
+    ("riesz", {"action": "coeff", "lambdas": [1, 3, 9], "cs": [0.5] * 3, "N": 3}),
+])
+def test_series_kind_parameters_are_config_errors(tmp_path, kind, params):
+    assert run_raw(tmp_path, {"kind": kind, "parameters": params}) == 2
+    assert not (tmp_path / "out" / f"{kind}_FAILED.txt").exists()

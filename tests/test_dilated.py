@@ -10,6 +10,15 @@ from mgale.tails import TailModel
 from mgale.torus import FourierFunction, lp_norm, render, sine_series
 
 
+def _frac_of_multiple(x_int: int, n: int, bits: int) -> float:
+    """frac(n * X / 2^bits) as float64, exact reduction first: the
+    per-term reference formulation of the general exact-point path."""
+    v = (n * x_int) % (1 << bits)
+    if bits <= 53:
+        return v / float(1 << bits)
+    return float(v >> (bits - 53)) / float(1 << 53)
+
+
 def sin_spec(coeffs, freqs):
     return dl.SeriesSpec(tuple(coeffs), tuple(freqs), sine_series({1: 1.0}))
 
@@ -101,17 +110,47 @@ def test_fast_path_matches_general_path():
     spec2 = dl.SeriesSpec((0.9, -0.4, 0.2), (1, 3, 4), gen2)
     # same first and last frequencies: compare those two columns via ints
     gen_eval = lambda y: np.sin(2 * np.pi * y) - 0.3 * np.sin(4 * np.pi * y) + 0.2 * np.sin(16 * np.pi * y)
-    xs = np.array([dl._frac_of_multiple(v, 1, 90) for v in ints])
+    xs = np.array([_frac_of_multiple(v, 1, 90) for v in ints])
     np.testing.assert_allclose(fast[:, 0], 0.9 * gen_eval(xs), atol=1e-12)
     gen_path = dl.series_values_at_points(spec2, 3, bitmat, ints)
     np.testing.assert_allclose(gen_path[:, 0], 0.9 * gen_eval(xs), atol=1e-12)
+
+
+@pytest.mark.parametrize("freqs", [
+    [3**k for k in range(200)],                # multiply recurrence throughout
+    list(range(1, 150)),                       # consecutive: add recurrence
+    [5, 3, -7, 12, 0, 9, 2**70 + 1, 3, -3],    # non-monotone, signs, zero
+    [2, 6, 7, 14, 28, 29, 58, 3**40, 3**41],   # mixed multiply and add steps
+])
+@pytest.mark.parametrize("bits", [40, 53, 54, 400])
+def test_general_path_fracs_bit_identical(freqs, bits):
+    _, ints = dl.sample_dyadic_points(23, bits, seed=bits)
+    fast = dl._fracs_of_multiples(ints, freqs, bits)
+    ref = np.array([[_frac_of_multiple(x, n, bits) for n in freqs] for x in ints])
+    np.testing.assert_array_equal(fast, ref)
+
+
+def test_general_path_values_match_per_term_reference():
+    gen = FourierFunction({1: 0.4 - 0.2j, -1: 0.4 + 0.2j, 5: 0.1j, -5: -0.1j, 7: 0.05})
+    freqs = tuple(3**k for k in range(40)) + tuple(3**39 + k for k in range(1, 9))
+    spec = dl.SeriesSpec(tuple(1.0 / (k + 1) for k in range(len(freqs))), freqs, gen)
+    bits = (freqs[-1] * 7).bit_length() + 64
+    bitmat, ints = dl.sample_dyadic_points(31, bits, seed=6)
+    got = dl.series_values_at_points(spec, len(freqs), bitmat, ints)
+    ms = np.array(gen.frequencies)
+    cs = np.array([gen.coeffs[m] for m in gen.frequencies])
+    ref = np.empty((len(ints), len(freqs)), dtype=np.complex128)
+    for k, n in enumerate(freqs):
+        ys = np.array([_frac_of_multiple(x, n, bits) for x in ints])
+        ref[:, k] = spec.coeffs[k] * (np.exp(2j * np.pi * np.outer(ys, ms)) @ cs)
+    np.testing.assert_array_equal(got, ref)
 
 
 def test_doubling_orbit_exactness():
     bitmat, ints = dl.sample_dyadic_points(5, 120, seed=2)
     fr = dl._doubling_orbit_fracs(bitmat)
     for m in (0, 7, 60):
-        direct = np.array([dl._frac_of_multiple(v, 2**m, 120) for v in ints])
+        direct = np.array([_frac_of_multiple(v, 2**m, 120) for v in ints])
         assert np.abs(fr[:, m] - direct).max() < 1e-15
 
 

@@ -158,3 +158,40 @@ def test_coefficients_property(seed, ratio, depth):
         assert complex(rz.riesz_fourier_coeff(spec, depth - 1, s)) == pytest.approx(v, rel=1e-12)
     # and the total mass at frequency zero is one
     assert table[0] == pytest.approx(1.0)
+
+
+# ------------------------------------------------------ kernel equivalence
+
+@pytest.mark.parametrize("cs", [
+    (0.6, 0.5, 0.8, 0.3, 0.9),
+    (0.5 + 0.3j, -0.4j, 0.7, 0.2 - 0.6j, 1.0),
+])
+def test_partial_density_matches_float_phase_product(cs):
+    spec = rz.RieszProductSpec((1, 3, 15, 45, 405), cs)
+    J = 12
+    x = np.arange(2**J) / 2**J
+    ref = np.ones(2**J)
+    for lam, c in zip(spec.lambdas, spec.cs):
+        ref *= 1.0 + (c * np.exp(2j * np.pi * lam * x)).real
+    got = rz.riesz_partial_density(spec, 4, J).samples
+    assert np.abs(got - np.maximum(ref, 0.0)).max() <= 1e-10 * ref.max()
+
+
+def test_series_run_means_match_expansion(monkeypatch):
+    # the greedy lookups at -m lambda_n equal the expansion's entries, and a
+    # run whose lookups are served from the expansion reports the same
+    spec = rz.RieszProductSpec(tuple(3**k for k in range(7)), (0.6, 0.5 + 0.2j, 0.7, -0.4, 0.3j, 0.8, 0.5))
+    N = 5
+    table = rz.partial_density_coeffs(spec, N)
+    fam = lambda n: FourierFunction({1: 0.5, -1: 0.5, 2: 0.25j, -2: -0.25j, 4: 0.1})
+    for n in range(N + 1):
+        for m in fam(n).coeffs:
+            k = -m * spec.lambdas[n]
+            assert complex(rz.riesz_fourier_coeff(spec, N, k)) == pytest.approx(table.get(k, 0j), rel=1e-14, abs=1e-300)
+    a = [1.0 / (n + 1) for n in range(N + 1)]
+    fast = rz.riesz_series_run(spec, fam, a, [1, 2, 3], 400, seed=5)
+    monkeypatch.setattr(rz, "riesz_fourier_coeff", lambda spec, N, k: table.get(k, 0j))
+    slow = rz.riesz_series_run(spec, fam, a, [1, 2, 3], 400, seed=5)
+    np.testing.assert_allclose(fast.median, slow.median, rtol=1e-12)
+    np.testing.assert_allclose(fast.q90, slow.q90, rtol=1e-12)
+    assert (fast.verdict, fast.label) == (slow.verdict, slow.label)

@@ -1,7 +1,9 @@
 import math
+import time
 
 import numpy as np
 import pytest
+from scipy.special import zeta
 
 from conftest import random_trig_poly
 from mgale import transfer as tr
@@ -166,3 +168,74 @@ def test_ergodic_series_run_gaposhkin_dynamical():
     )
     assert diag.verdict == "diverging"
     assert dec.criterion_value == math.inf
+
+
+# ------------------------------------------- kernel equivalence and tails
+
+def _halve(f: FourierFunction) -> FourierFunction:
+    """One application of L by the original formulation: keep the even
+    frequencies, halved."""
+    return FourierFunction({m // 2: c for m, c in f.coeffs.items() if m % 2 == 0})
+
+
+def _valuation_rich(rng, real: bool) -> FourierFunction:
+    """Zero-mean f whose modes (both signs) have 2-adic valuations 0..12."""
+    coeffs = {}
+    for v in range(13):
+        for odd in rng.choice(np.arange(1, 40, 2), size=3, replace=False):
+            m = int(odd) << v
+            c = complex(rng.standard_normal(), rng.standard_normal())
+            coeffs[m] = c
+            coeffs[-m] = c.conjugate() if real else complex(rng.standard_normal(), rng.standard_normal())
+    return FourierFunction(coeffs)
+
+
+@pytest.mark.parametrize("real", [True, False])
+@pytest.mark.parametrize("N", [0, 5, 12, 13, 20])
+def test_decay_matches_iterated_transfer(rng, real, N):
+    # N below, at (12) and past the top valuation of the modes
+    f = _valuation_rich(rng, real)
+    norms, cur = [], f
+    for _ in range(N + 1):
+        norms.append(tr.l2_norm_exact(cur))
+        cur = _halve(cur)
+    vanished = tr.l2_norm_exact(cur) == 0.0
+    assert vanished == (N >= 12)
+    if not vanished:
+        with pytest.raises(ValueError):
+            tr.transfer_decay(f, N)
+        tail = TailModel("geometric", 1.0, 0.5)
+        dec = tr.transfer_decay(f, N, tail)
+        np.testing.assert_allclose(dec.norms, norms, rtol=1e-13, atol=0.0)
+        return
+    dec = tr.transfer_decay(f, N)
+    np.testing.assert_allclose(dec.norms, norms, rtol=1e-13, atol=0.0)
+    assert np.all(dec.norms[13:] == 0.0)
+    crit = sum(norms[n] / math.sqrt(n) for n in range(1, N + 1))
+    assert dec.criterion_value == pytest.approx(crit, rel=1e-13)
+
+
+@pytest.mark.parametrize("real", [True, False])
+def test_transfer_power_matches_repeated_apply(rng, real):
+    f = _valuation_rich(rng, real)
+    applied, halved = f, f
+    for k in range(15):
+        assert tr.transfer_power(f, k).coeffs == applied.coeffs == halved.coeffs
+        applied, halved = tr.transfer_apply(applied), _halve(halved)
+    with pytest.raises(ValueError):
+        tr.transfer_power(f, -1)
+
+
+def test_decay_condensed_tail_is_condensed():
+    # sum_{2^l <= N} 2^(l/2) ||L^(2^l) f|| + sum_{2^l > N} 2^(l/2) u(2^l)
+    # under u(n) = n^-2: the second sum is 2^(-3/2 l0) / (1 - 2^(-3/2))
+    f = sine_series({2**k: 2.0**-k for k in range(1, 12)})
+    N = 3
+    tail = TailModel("power", 1.0, 2.0)
+    start = time.perf_counter()
+    dec = tr.transfer_decay(f, N, tail)
+    assert time.perf_counter() - start < 5.0
+    head = dec.norms[1] + math.sqrt(2.0) * dec.norms[2]
+    assert dec.condensed_value == pytest.approx(head + 2.0**-3 / (1.0 - 2.0**-1.5), rel=1e-14)
+    crit = sum(dec.norms[n] / math.sqrt(n) for n in range(1, N + 1))
+    assert dec.criterion_value == pytest.approx(crit + float(zeta(2.5, N + 1)), rel=1e-14)
