@@ -24,8 +24,8 @@ timestamp is confined to the header precisely so report bodies diff
 clean).
 
 Exit codes: 0 success, 1 at least one universal-inequality audit
-failed (partial results are flushed with a failure marker), 2 config
-error.
+failed or the run raised (partial results are flushed with a failure
+marker recording the error, its type and traceback), 2 config error.
 """
 
 from __future__ import annotations
@@ -36,8 +36,10 @@ import json
 import math
 import sys
 import time
+import traceback
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -63,6 +65,8 @@ from .modulus import dyadic_approx_audit_all
 from .riesz import RieszProductSpec, riesz_fourier_coeff, riesz_series_run, sample_mu
 from .symbolic import (
     CylinderFunction,
+    _digit_ladder,
+    _digit_points,
     potential_variation_check,
     equilibrium_weights,
     averaging_decay_audit,
@@ -78,38 +82,6 @@ __all__ = ["ExperimentConfig", "ConfigError", "list_suites", "run", "main"]
 
 class ConfigError(ValueError):
     """Invalid experiment configuration (exit code 2)."""
-
-
-KINDS = ("audit", "dilated", "davenport", "ergodic", "riesz", "symbolic")
-
-#: audit/diagnostic catalog: name -> (module anchor, one-line description)
-SUITES = {
-    "telescoping": ("martingale", "detail energies sum to the centered L2 energy"),
-    "rio": ("martingale", "moment bound with constant max(1, sqrt(p-1))"),
-    "doob": ("martingale", "maximal inequality with constant p/(p-1)"),
-    "detail-criteria-maximal": ("martingale", "two-sided detail criteria, maximal constant K_p"),
-    "bounded-moments": ("martingale", "sup-norm criteria moment chain 2 K_p (D1+D2)"),
-    "condensation": ("martingale", "dyadic condensation equivalence of series"),
-    "paley-zygmund": ("martingale", "anti-concentration lower bound"),
-    "dyadic_approx": ("modulus", "factor-2 block-average approximation bound"),
-    "modulus-criterion": ("modulus", "summability of omega_p(2^-n)/n^(1/p)"),
-    "contraction": ("dilated", "dilation averaging bound 2^n/m"),
-    "contraction-refined": ("dilated", "refined bound sqrt(l 2^n)/m at p=2"),
-    "lacunary-criteria": ("dilated", "lacunary dilated-series criteria"),
-    "gaposhkin-sharpness": ("dilated", "near-critical modulus example and trends"),
-    "oscillation": ("dilated", "window oscillation diagnostics of partial sums"),
-    "davenport-gram": ("davenport", "closed-form Gram entries vs grid quadrature"),
-    "riesz-frame": ("davenport", "finite-section frame bounds from Gram eigenvalues"),
-    "transfer-two-forms": ("transfer", "coefficient vs pointwise transfer operator"),
-    "transfer-duality": ("transfer", "adjoint identity of the transfer operator"),
-    "transfer-decay": ("transfer", "L^n decay and its weighted summability"),
-    "riesz-coefficient": ("riesz", "product-expansion coefficients vs quadrature"),
-    "riesz-density": ("riesz", "partial densities: positivity and unit mass"),
-    "symbolic-normalization": ("symbolic", "potential normalization identities"),
-    "symbolic-equilibrium": ("symbolic", "fixed-point weights vs torus cylinder integrals"),
-    "potential-variation": ("symbolic", "log-potential variation decay constants"),
-    "averaging-decay": ("symbolic", "averaged sup-norm decay slope audit"),
-}
 
 
 @dataclass(frozen=True)
@@ -152,9 +124,10 @@ def validate_config(raw: dict) -> ExperimentConfig:
     return ExperimentConfig(kind, params, out_path, out_format, seed, resolution, raw)
 
 
-def list_suites() -> list[tuple[str, str, str]]:
-    """(name, module, description) for every audit/diagnostic suite."""
-    return [(name, mod, desc) for name, (mod, desc) in sorted(SUITES.items())]
+def list_suites() -> list[tuple[str, str, str, bool]]:
+    """(name, module, description, runnable) for every audit/diagnostic
+    suite; a runnable name runs as the audit kind's ``suite``."""
+    return [(name, s.module, s.description, s.runner is not None) for name, s in sorted(SUITES.items())]
 
 
 # --------------------------------------------------------------------------
@@ -211,19 +184,49 @@ def _generator_from(params: dict, key: str = "generator") -> FourierFunction:
     raise ConfigError(f"unrecognized generator {g!r}")
 
 
+def _is_int(v) -> bool:
+    """A JSON integer (true/false are not numbers here)."""
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_number(v) -> bool:
+    """A finite JSON number."""
+    return _is_int(v) or (isinstance(v, float) and math.isfinite(v))
+
+
 def _coeffs_from(rule, K: int) -> tuple:
+    """The first K coefficients of a rule: a list of at least K numbers,
+    "geom:r" (r^k), "invsqrt" (k^-1/2) or "invpow:s" (k^-s), k = 1..K."""
     if isinstance(rule, list):
-        return tuple(rule)
+        if len(rule) >= K and all(_is_number(a) for a in rule):
+            return tuple(rule[:K])
+        raise ConfigError(f"coefficient list must hold at least {K} numbers, got {rule!r}")
     if isinstance(rule, str):
         name, _, arg = rule.partition(":")
         ks = np.arange(1, K + 1, dtype=np.float64)
-        if name == "geom":
-            return tuple(float(arg) ** k for k in ks)
-        if name == "invsqrt":
+        if name == "invsqrt" and not arg:
             return tuple(1.0 / np.sqrt(ks))
-        if name == "invpow":
-            return tuple(ks ** -float(arg))
-    raise ConfigError(f"unrecognized coefficient rule {rule!r}")
+        if name in ("geom", "invpow"):
+            try:
+                x = float(arg)
+            except ValueError:
+                x = math.nan
+            if math.isfinite(x):
+                return tuple(x**k for k in ks) if name == "geom" else tuple(ks**-x)
+    raise ConfigError(f"unrecognized coefficient rule {rule!r}; use a list, \"geom:r\", \"invsqrt\" or \"invpow:s\"")
+
+
+def _tail_from(raw) -> TailModel:
+    """A declared tail {"kind", "exponent", "amplitude" = 1, "log_exponent" = 0}."""
+    if not isinstance(raw, dict) or "exponent" not in raw:
+        raise ConfigError(f"tail must be an object with a kind and an exponent, got {raw!r}")
+    values = (raw.get("amplitude", 1.0), raw["exponent"], raw.get("log_exponent", 0.0))
+    if not all(_is_number(v) for v in values):
+        raise ConfigError(f"tail amplitude, exponent and log_exponent must be numbers, got {raw!r}")
+    try:
+        return TailModel(raw.get("kind"), *values)
+    except ValueError as exc:
+        raise ConfigError(f"bad tail {raw!r}: {exc}") from None
 
 
 # the batch audits are looked up on ``mg`` at call time, so a patched or
@@ -267,11 +270,6 @@ def _audit_telescoping(cases, p_values, J, seed):
     return [mg.telescope_check(GridFunction(J, arr[i], "real"), 0, J - 1) for i in range(cases)]
 
 
-def _is_int(v) -> bool:
-    """A JSON integer (true/false are not numbers here)."""
-    return isinstance(v, int) and not isinstance(v, bool)
-
-
 def _moment_p(p) -> bool:
     return 1 < p < math.inf
 
@@ -280,15 +278,47 @@ def _norm_p(p) -> bool:
     return p >= 1
 
 
-#: runnable audit suites: name -> (runner, admissible exponent p, least
-#: resolution J); every name here is also a key of SUITES.  The contraction
-#: generators reach frequency 63, which renders alias-free from J = 7.
-_AUDIT_SUITES = {
-    "rio": (_audit_rio, _moment_p, 1),
-    "doob": (_audit_doob, _moment_p, 1),
-    "dyadic_approx": (_audit_dyadic_approx, _norm_p, 1),
-    "contraction": (_audit_contraction, _norm_p, 7),
-    "telescoping": (_audit_telescoping, None, 1),
+@dataclass(frozen=True)
+class _Suite:
+    """A catalog entry.  A runnable suite (one the audit kind runs) carries
+    its runner, the rule its exponents p must pass (None: p is unused)
+    and its least resolution J."""
+
+    module: str
+    description: str
+    runner: Callable | None = None
+    p_rule: Callable | None = None
+    min_resolution: int = 1
+
+
+#: the audit/diagnostic catalog.  The contraction generators reach
+#: frequency 63, which renders alias-free from J = 7.
+SUITES = {
+    "telescoping": _Suite("martingale", "detail energies sum to the centered L2 energy", _audit_telescoping),
+    "rio": _Suite("martingale", "moment bound with constant max(1, sqrt(p-1))", _audit_rio, _moment_p),
+    "doob": _Suite("martingale", "maximal inequality with constant p/(p-1)", _audit_doob, _moment_p),
+    "detail-criteria-maximal": _Suite("martingale", "two-sided detail criteria, maximal constant K_p"),
+    "bounded-moments": _Suite("martingale", "sup-norm criteria moment chain 2 K_p (D1+D2)"),
+    "condensation": _Suite("martingale", "dyadic condensation equivalence of series"),
+    "paley-zygmund": _Suite("martingale", "anti-concentration lower bound"),
+    "dyadic_approx": _Suite("modulus", "factor-2 block-average approximation bound", _audit_dyadic_approx, _norm_p),
+    "modulus-criterion": _Suite("modulus", "summability of omega_p(2^-n)/n^(1/p)"),
+    "contraction": _Suite("dilated", "dilation averaging bound 2^n/m", _audit_contraction, _norm_p, 7),
+    "contraction-refined": _Suite("dilated", "refined bound sqrt(l 2^n)/m at p=2"),
+    "lacunary-criteria": _Suite("dilated", "lacunary dilated-series criteria"),
+    "gaposhkin-sharpness": _Suite("dilated", "near-critical modulus example and trends"),
+    "oscillation": _Suite("dilated", "window oscillation diagnostics of partial sums"),
+    "davenport-gram": _Suite("davenport", "closed-form Gram entries vs grid quadrature"),
+    "riesz-frame": _Suite("davenport", "finite-section frame bounds from Gram eigenvalues"),
+    "transfer-two-forms": _Suite("transfer", "coefficient vs pointwise transfer operator"),
+    "transfer-duality": _Suite("transfer", "adjoint identity of the transfer operator"),
+    "transfer-decay": _Suite("transfer", "L^n decay and its weighted summability"),
+    "riesz-coefficient": _Suite("riesz", "product-expansion coefficients vs quadrature"),
+    "riesz-density": _Suite("riesz", "partial densities: positivity and unit mass"),
+    "symbolic-normalization": _Suite("symbolic", "potential normalization identities"),
+    "symbolic-equilibrium": _Suite("symbolic", "fixed-point weights vs torus cylinder integrals"),
+    "potential-variation": _Suite("symbolic", "log-potential variation decay constants"),
+    "averaging-decay": _Suite("symbolic", "averaged sup-norm decay slope audit"),
 }
 
 
@@ -308,18 +338,19 @@ def _audit_p_values(raw, admissible) -> list:
 
 def _run_audit(config: ExperimentConfig) -> bool:
     p = config.parameters
-    suite = p.get("suite")
-    if suite not in _AUDIT_SUITES:
-        raise ConfigError(f"unknown audit suite {suite!r}")
-    runner, admissible, min_resolution = _AUDIT_SUITES[suite]
-    if config.resolution < min_resolution:
-        raise ConfigError(f"audit {suite} needs resolution >= {min_resolution}, got {config.resolution}")
+    name = p.get("suite")
+    suite = SUITES.get(name) if isinstance(name, str) else None
+    if suite is None or suite.runner is None:
+        runnable = sorted(n for n, s in SUITES.items() if s.runner is not None)
+        raise ConfigError(f"unknown audit suite {name!r}; the audit kind runs {runnable}")
+    if config.resolution < suite.min_resolution:
+        raise ConfigError(f"audit {name} needs resolution >= {suite.min_resolution}, got {config.resolution}")
     cases = p.get("cases", 100)
     if not _is_int(cases) or cases < 0:
         raise ConfigError(f"audit cases must be a nonnegative integer, got {cases!r}")
-    p_values = _audit_p_values(p.get("p", [1.5, 2, 3, 4, 8]), admissible)
-    reports = runner(cases, p_values, config.resolution, config.seed)
-    _, ok = _emit_reports(config, f"audit_{suite}", reports)
+    p_values = _audit_p_values(p.get("p", [1.5, 2, 3, 4, 8]), suite.p_rule)
+    reports = suite.runner(cases, p_values, config.resolution, config.seed)
+    _, ok = _emit_reports(config, f"audit_{name}", reports)
     return ok
 
 
@@ -356,8 +387,7 @@ def _run_dilated(config: ExperimentConfig) -> bool:
         K = int(p.get("K", 64))
         gen = _generator_from(p)
         freqs = tuple(freqs_from_rule(p.get("freqs", f"pow:2:{K - 1}")))[:K]
-        coeffs = _coeffs_from(p.get("coeffs", "geom:0.5"), len(freqs))
-        spec = SeriesSpec(coeffs[: len(freqs)], freqs, gen)
+        spec = SeriesSpec(_coeffs_from(p.get("coeffs", "geom:0.5"), len(freqs)), freqs, gen)
     checkpoints = _checkpoints_for(p, spec.length)
     diag = oscillation_diagnostic(spec, checkpoints, _sample_size(p), config.seed)
     _write(config, "dilated_oscillation", diag.to_csv() + f"# verdict={diag.verdict} slope={diag.fitted_slope!r}\n")
@@ -400,11 +430,11 @@ def _run_ergodic(config: ExperimentConfig) -> bool:
         tail = TailModel("power_log", 1.0, 0.5, float(m))
     else:
         f = _generator_from(p, "f")
-        coeffs = _coeffs_from(p.get("coeffs", "geom:0.5"), int(p.get("K", 256)))
+        rule = p.get("coeffs", "geom:0.5")
+        coeffs = _coeffs_from(rule, int(p.get("K", len(rule) if isinstance(rule, list) else 256)))
     checkpoints = _checkpoints_for(p, len(coeffs))
     if "tail" in p:
-        t = p["tail"]
-        tail = TailModel(t["kind"], t.get("amplitude", 1.0), t["exponent"], t.get("log_exponent", 0.0))
+        tail = _tail_from(p["tail"])
     diag, decay = ergodic_series_run(f, coeffs, checkpoints, _sample_size(p), config.seed, tail)
     _write(config, "ergodic_decay", decay.to_csv())
     _write(config, "ergodic_oscillation", diag.to_csv() + f"# verdict={diag.verdict}\n")
@@ -456,18 +486,13 @@ def _run_symbolic(config: ExperimentConfig) -> bool:
     weights = equilibrium_weights(space, pots)
     alpha = float(p.get("alpha", 1.0))
     reports = [potential_variation_check(space, pots, alpha, float(p.get("A", 8.0)))]
-    # default audit family: depth-truncated oscillations above each level
-    lam_ladder = list(lambdas)
-    while len(lam_ladder) <= depth:
-        lam_ladder.append(3 * lam_ladder[-1])
-    fns = []
-    for n in range(1, min(5, depth - 2) + 1):
-        shape = space.sizes[n:depth]
-        vals = np.empty(shape)
-        for idx in np.ndindex(*shape):
-            x = 0.5 / lam_ladder[depth] + sum(idx[i] / lam_ladder[n + 1 + i] for i in range(len(idx)))
-            vals[idx] = math.cos(2 * math.pi * lam_ladder[n] * x)
-        fns.append(CylinderFunction(n + 1, vals))
+    # default audit family: depth-truncated oscillations above each level,
+    # cos(2 pi lambda_n x) at the cylinder midpoints of coordinates n+1..depth
+    ladder = _digit_ladder(lambdas, depth)
+    fns = [
+        CylinderFunction(n + 1, np.cos(2 * math.pi * ladder[n] * _digit_points(ladder, n + 1, depth, 0.5 / ladder[depth])))
+        for n in range(1, min(5, depth - 2) + 1)
+    ]
     rep, _ = averaging_decay_audit(space, pots, fns, alpha, float(p.get("B", 8.0)), weights=weights)
     reports.append(rep)
     # cylinder cross-check against the torus density: the deepest
@@ -497,6 +522,8 @@ _HANDLERS = {
     "symbolic": _run_symbolic,
 }
 
+KINDS = tuple(_HANDLERS)
+
 
 def run(config: ExperimentConfig) -> int:
     """Execute one experiment; returns the process exit code."""
@@ -507,7 +534,9 @@ def run(config: ExperimentConfig) -> int:
     except Exception as exc:  # flush a marker so partial output is labeled
         config.out_path.mkdir(parents=True, exist_ok=True)
         marker = config.out_path / f"{config.kind}_FAILED.txt"
-        marker.write_text(_header(config) + f"error: {exc}\n")
+        marker.write_text(
+            _header(config) + f"error: {exc}\ntype: {type(exc).__name__}\n" + traceback.format_exc()
+        )
         return 1
     return 0 if ok else 1
 
@@ -575,8 +604,8 @@ def main(argv=None) -> int:
             config = validate_config(raw)
             return run(config)
         if args.command == "suites":
-            for name, mod, desc in list_suites():
-                print(f"{name:24s} {mod:10s} {desc}")
+            for name, mod, desc, runnable in list_suites():
+                print(f"{name:24s} {mod:10s} {'run' if runnable else '':4s} {desc}")
             return 0
         if args.command == "davenport":
             raw = {

@@ -51,7 +51,6 @@ class DavenportSpec:
 
     lam: float
     truncation: int
-    kind: str = "direct-sum"
 
     def __post_init__(self):
         if self.lam <= 0:

@@ -388,12 +388,29 @@ def oscillation_diagnostic(
     if checkpoints[-1] > spec.length:
         raise ValueError("checkpoints exceed the spec length")
     K = min(2 * checkpoints[-1], spec.length)
+    sums = _sampled_partial_sums(spec, K, sample_size, seed)
+    amps = np.array([abs(a) for a in spec.coeffs[:K]])
+    return _window_oscillation(sums, amps, checkpoints, seed, label)
+
+
+def _sampled_partial_sums(spec: SeriesSpec, K: int, sample_size: int, seed: int) -> np.ndarray:
+    """(sample_size, K) partial sums S_1..S_K at seeded exact dyadic points
+    with 64 bits to spare past n_K times the top generator mode."""
     max_gen = max((abs(m) for m in spec.generator.coeffs), default=1)
     bits = (spec.freqs[K - 1] * max_gen).bit_length() + 64
     bitmat, ints = sample_dyadic_points(sample_size, bits, seed)
-    terms = series_values_at_points(spec, K, bitmat, ints)
-    sums = np.cumsum(terms, axis=1)
-    amps = np.array([abs(a) for a in spec.coeffs[:K]])
+    return np.cumsum(series_values_at_points(spec, K, bitmat, ints), axis=1)
+
+
+def _window_oscillation(sums, amps, checkpoints, seed: int, label: str) -> OscillationDiagnostic:
+    """The diagnostic of sampled partial sums, sums[:, k - 1] = S_k(x).
+
+    For each checkpoint N', osc(N') = max_{N'<=p,q<=min(2N',K)} |S_p - S_q|
+    (K the number of columns) is aggregated to its median and 0.9
+    quantile over the sample, and the verdict weighs the medians against
+    the window l2 scales sqrt(sum_{window} |a_k|^2) of ``amps``.
+    """
+    K = sums.shape[1]
     med, q90, scales = [], [], []
     for cp in checkpoints:
         hi = min(2 * cp, K)
@@ -409,7 +426,7 @@ def oscillation_diagnostic(
         scales.append(float(np.sqrt((amps[cp - 1 : hi] ** 2).sum())))
     verdict, slope = oscillation_verdict(checkpoints, med, scales)
     return OscillationDiagnostic(
-        tuple(checkpoints), np.array(med), np.array(q90), verdict, slope, sample_size, seed, label
+        tuple(checkpoints), np.array(med), np.array(q90), verdict, slope, sums.shape[0], seed, label
     )
 
 
@@ -694,12 +711,7 @@ def divergence_probe(
     tail_growth = (amps[: checkpoints[-1]] ** 2).sum() / max((amps[: checkpoints[0]] ** 2).sum(), 1e-300)
     if tail_growth < 1.5:
         raise ValueError("sum |a_k|^2 must keep growing over the checkpoint range")
-    K = checkpoints[-1]
-    max_gen = max((abs(mm) for mm in spec.generator.coeffs), default=1)
-    bits = (spec.freqs[K - 1] * max_gen).bit_length() + 64
-    bitmat, ints = sample_dyadic_points(sample_size, bits, seed)
-    terms = series_values_at_points(spec, K, bitmat, ints)
-    sums = np.cumsum(terms, axis=1)
+    sums = _sampled_partial_sums(spec, checkpoints[-1], sample_size, seed)
     running_max = np.maximum.accumulate(np.abs(sums), axis=1)
     lam = 0.5
     d = riesz_lower**2

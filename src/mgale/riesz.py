@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dilated import OscillationDiagnostic, oscillation_verdict
+from .dilated import OscillationDiagnostic, _window_oscillation
 from .torus import FourierFunction, GridFunction
 
 __all__ = [
@@ -257,23 +257,5 @@ def riesz_series_run(
             hyp_ok = False
     if np.abs(terms.imag).max() < 1e-13 * max(np.abs(terms).max(), 1.0):
         terms = terms.real
-    sums = np.cumsum(terms, axis=1)
-    amps = np.abs(np.array(coeffs))
-    med, q90, scales = [], [], []
-    for cp in checkpoints:
-        hi = min(2 * cp, N + 1)
-        window = sums[:, cp - 1 : hi]
-        if np.isrealobj(window):
-            osc = window.max(axis=1) - window.min(axis=1)
-        else:
-            center = window.mean(axis=1, keepdims=True)
-            osc = 2.0 * np.abs(window - center).max(axis=1)
-        med.append(float(np.median(osc)))
-        q90.append(float(np.quantile(osc, 0.9)))
-        scales.append(float(np.sqrt((amps[cp - 1 : hi] ** 2).sum())))
-    verdict, slope = oscillation_verdict(checkpoints, med, scales)
     label = "riesz-series" + ("" if hyp_ok else "[out-of-hypothesis]")
-    return OscillationDiagnostic(
-        tuple(checkpoints), np.array(med), np.array(q90), verdict, slope,
-        sample_count, seed, label=label,
-    )
+    return _window_oscillation(np.cumsum(terms, axis=1), np.abs(np.array(coeffs)), checkpoints, seed, label)

@@ -159,15 +159,6 @@ class CylinderFunction:
         return np.broadcast_to(self.values.reshape(shape), space.sizes)
 
 
-def cylinder_from_callable(space: SymbolicSpace, start: int, end: int, fn) -> CylinderFunction:
-    """Tabulate fn(digit tuple) over coordinates start..end."""
-    shape = space.sizes[start - 1 : end]
-    vals = np.empty(shape, dtype=np.complex128)
-    for idx in np.ndindex(*shape):
-        vals[idx] = fn(idx)
-    return CylinderFunction(start, vals)
-
-
 @dataclass(frozen=True)
 class PotentialSeq:
     """g_n, n = 1..len, with g_n depending on coordinates n..n+d_n-1."""
@@ -329,12 +320,6 @@ def mu_integral(space: SymbolicSpace, weights: np.ndarray, f: CylinderFunction):
     return float(val.real) if np.isrealobj(box) else complex(val)
 
 
-def cylinder_weight(weights: np.ndarray, digits) -> float:
-    """Mass of the cylinder fixed by the leading digits."""
-    w = weights[tuple(digits)]
-    return float(w.sum())
-
-
 def cylinder_sandwich(
     space: SymbolicSpace, pots: PotentialSeq, weights: np.ndarray, n: int
 ) -> tuple[float, float]:
@@ -468,43 +453,60 @@ def decreasing_criterion_symbolic(a, alpha: float, C: float = 1.0) -> float:
 # Riesz-product embedding
 # --------------------------------------------------------------------------
 
-def riesz_potentials(
-    spec: RieszProductSpec, depth: int, eval_at: str = "midpoint"
-) -> tuple[SymbolicSpace, PotentialSeq]:
+def _digit_ladder(lambdas, depth: int) -> list:
+    """lambda_0..lambda_depth: the given frequencies, extended uniformly
+    (ratio 3) past their end."""
+    ladder = list(lambdas)
+    while len(ladder) <= depth:
+        ladder.append(3 * ladder[-1])
+    return ladder
+
+
+def _digit_points(ladder, first: int, depth: int, offset: float = 0.0) -> np.ndarray:
+    """x = offset + sum_{c=first..depth} d_c / lambda_c over the digit box
+    of coordinates first..depth, d_c in range(lambda_c / lambda_(c-1)).
+
+    The digit terms are added coordinate by coordinate from the first
+    and the offset last, the order of the scalar sum
+    ``offset + sum(d_c / lambda_c ...)``, so every cell is bit-identical
+    to it.
+    """
+    ndim = depth - first + 1
+    x = 0.0
+    for axis, c in enumerate(range(first, depth + 1)):
+        shape = [1] * ndim
+        shape[axis] = ladder[c] // ladder[c - 1]
+        x = x + (np.arange(shape[axis]) / ladder[c]).reshape(shape)
+    return offset + x
+
+
+def riesz_potentials(spec: RieszProductSpec, depth: int) -> tuple[SymbolicSpace, PotentialSeq]:
     """Full-shift space and normalized potentials realizing the Riesz
     product under the digit expansion x = sum_n x_n / lambda_n.
 
     Requires lambda_0 = 1 so the expansion covers [0, 1).  Potential
     g_{n+1} evaluates 1 + Re c_n e^{2 pi i lambda_n x} at the cylinder
-    midpoint (or left endpoint), scaled by the alphabet size; the digit
-    sum over the leading coordinate cancels the oscillating factor
-    exactly, so normalization survives the truncation exactly.
+    midpoint, scaled by the alphabet size; the digit sum over the
+    leading coordinate cancels the oscillating factor exactly, so
+    normalization survives the truncation exactly.
     """
     if spec.lambdas[0] != 1:
         raise ValueError("the digit expansion needs lambda_0 = 1")
     if depth < spec.depth:
         raise ValueError("depth must cover every nontrivial potential")
-    if eval_at not in ("midpoint", "left"):
-        raise ValueError("eval_at must be midpoint or left")
-    lambdas = list(spec.lambdas)
-    # extend the frequency ladder uniformly (ratio 3) past the spec
-    while len(lambdas) <= depth:
-        lambdas.append(3 * lambdas[-1])
-    sizes = tuple(lambdas[j] // lambdas[j - 1] for j in range(1, depth + 1))
+    ladder = _digit_ladder(spec.lambdas, depth)
+    sizes = tuple(ladder[j] // ladder[j - 1] for j in range(1, depth + 1))
     space = SymbolicSpace.full_shift(sizes)
-    offset = 0.5 / lambdas[depth] if eval_at == "midpoint" else 0.0
+    offset = 0.5 / ladder[depth]
     pots = []
     for j in range(1, depth + 1):
         ell = sizes[j - 1]
         if j - 1 < len(spec.cs) and spec.cs[j - 1] != 0:
             c = spec.cs[j - 1]
-            lam = lambdas[j - 1]
-            shape = sizes[j - 1 : depth]
-            vals = np.empty(shape)
             # x restricted to digits j..depth plus the midpoint offset
-            for idx in np.ndindex(*shape):
-                x = offset + sum(idx[i] / lambdas[j + i] for i in range(len(idx)))
-                vals[idx] = (1.0 + (c * np.exp(2j * np.pi * lam * x)).real) / ell
+            e = np.exp(2j * np.pi * ladder[j - 1] * _digit_points(ladder, j, depth, offset))
+            # Re(c e) written out: rounds like the scalar product (no FMA)
+            vals = (1.0 + (c.real * e.real - c.imag * e.imag)) / ell
             pots.append(CylinderFunction(j, vals))
         else:
             pots.append(CylinderFunction(j, np.full((ell,), 1.0 / ell)))
@@ -514,29 +516,22 @@ def riesz_potentials(
 def riesz_cylinder_integrals(spec: RieszProductSpec, N: int, digits_depth: int) -> np.ndarray:
     """Exact integral of P_N over every depth-n cylinder image.
 
-    The cylinder of digits (w_1..w_n) maps to [a, a + 1/lambda_n) with
-    a = sum w_j / lambda_j; the integral is evaluated in closed form
-    from the coefficient expansion of P_N.
+    The cylinder of digits (w_1..w_n) maps to [a, a + w) with
+    a = sum w_j / lambda_j and w = 1/lambda_n; the integral is evaluated
+    in closed form from the coefficient expansion of P_N,
+
+        w c_0 + sum_{s != 0} Re c_s (e^{2 pi i s (a + w)} - e^{2 pi i s a}) / (2 pi i s),
+
+    as one product of the cells x frequencies phase tables with the
+    vector c_s / (2 pi i s).
     """
     if spec.lambdas[0] != 1:
         raise ValueError("the digit expansion needs lambda_0 = 1")
-    lambdas = list(spec.lambdas)
-    while len(lambdas) <= digits_depth:
-        lambdas.append(3 * lambdas[-1])
-    sizes = tuple(lambdas[j] // lambdas[j - 1] for j in range(1, digits_depth + 1))
+    ladder = _digit_ladder(spec.lambdas, digits_depth)
+    width = 1.0 / ladder[digits_depth]
+    a = _digit_points(ladder, 1, digits_depth)
     coeffs = partial_density_coeffs(spec, N)
-    out = np.empty(sizes)
-    width = 1.0 / lambdas[digits_depth]
-    for idx in np.ndindex(*sizes):
-        a = sum(idx[i] / lambdas[i + 1] for i in range(len(idx)))
-        total = 0.0
-        for s, v in coeffs.items():
-            if s == 0:
-                total += v.real * width
-            else:
-                total += (
-                    v * (np.exp(2j * np.pi * s * (a + width)) - np.exp(2j * np.pi * s * a))
-                    / (2j * np.pi * s)
-                ).real
-        out[idx] = total
-    return out
+    s = np.array([k for k in coeffs if k != 0], dtype=np.float64)
+    v = np.array([coeffs[k] for k in coeffs if k != 0], dtype=np.complex128)
+    phases = np.exp(2j * np.pi * np.multiply.outer(a + width, s)) - np.exp(2j * np.pi * np.multiply.outer(a, s))
+    return coeffs.get(0, 0.0).real * width + (phases @ (v / (2j * np.pi * s))).real

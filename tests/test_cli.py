@@ -19,27 +19,33 @@ def body_of(path: Path) -> str:
     return "\n".join(lines[1:])
 
 
-def test_suites_catalog(tmp_path):
+def test_suites_catalog(tmp_path, capsys):
     suites = cli.list_suites()
     assert len(suites) >= 15
-    names = {name for name, _, _ in suites}
+    names = {name for name, _, _, _ in suites}
     assert "dyadic_approx" in names
     assert "detail-criteria-maximal" in names
     assert "rio" in names
-    # every audit suite the runner accepts is in the catalog under the
-    # name that runs it
-    for suite in cli._AUDIT_SUITES:
-        assert suite in names
+    runnable = {name for name, _, _, run in suites if run}
+    assert runnable == {"rio", "doob", "telescoping", "dyadic_approx", "contraction"}
+    # `mgale suites` marks exactly the runnable names
+    assert cli.main(["suites"]) == 0
+    rows = [row.split() for row in capsys.readouterr().out.splitlines()]
+    assert {row[0] for row in rows} == names
+    assert {row[0] for row in rows if row[2] == "run"} == runnable
+    # every catalogued name the audit kind accepts runs; the others, and
+    # names outside the catalog, are config errors
+    for suite in sorted(names) + ["telescoping-parseval"]:
         raw = {
             "kind": "audit",
             "parameters": {"suite": suite, "cases": 2},
             "output": {"path": str(tmp_path / suite)},
             "resolution": 8,
         }
-        assert cli.main(["run", str(write_config(tmp_path, raw))]) == 0
-        assert (tmp_path / suite / f"audit_{suite}.csv").exists()
-    raw["parameters"]["suite"] = "telescoping-parseval"
-    assert cli.main(["run", str(write_config(tmp_path, raw))]) == 2
+        rc = cli.main(["run", str(write_config(tmp_path, raw))])
+        assert rc == (0 if suite in runnable else 2), suite
+        assert (tmp_path / suite / f"audit_{suite}.csv").exists() == (suite in runnable)
+        assert not (tmp_path / suite / "audit_FAILED.txt").exists()
 
 
 @pytest.mark.parametrize("suite, p_values", [
@@ -250,7 +256,51 @@ def test_riesz_sample_aliasing_is_config_error(tmp_path):
     ("riesz", {"action": "series", "lambdas": [1, 3, 9, 27, 81], "cs": [0.5] * 5, "N": 3, "checkpoints": [1, 8]}),
     ("riesz", {"action": "series", "lambdas": [1, 3, 9], "cs": [0.5] * 3}),
     ("riesz", {"action": "coeff", "lambdas": [1, 3, 9], "cs": [0.5] * 3, "N": 3}),
+    # tails: an unknown kind, no exponent, a non-number, a negative amplitude
+    ("ergodic", {"K": 64, "tail": {"kind": "cubic", "exponent": 2.0}}),
+    ("ergodic", {"K": 64, "tail": {"kind": "power"}}),
+    ("ergodic", {"K": 64, "tail": {"kind": "power", "exponent": "2"}}),
+    ("ergodic", {"K": 64, "tail": {"kind": "power", "exponent": 2.0, "amplitude": -1.0}}),
+    ("ergodic", {"K": 64, "tail": "power"}),
+    # coefficient rules: a ratio missing or unreadable, an unknown rule,
+    # a stray argument, a list too short or holding a non-number
+    ("dilated", {"K": 64, "coeffs": "geom"}),
+    ("dilated", {"K": 64, "coeffs": "geom:x"}),
+    ("dilated", {"K": 64, "coeffs": "invpow"}),
+    ("dilated", {"K": 64, "coeffs": "invsqrt:2"}),
+    ("dilated", {"K": 64, "coeffs": "harmonic"}),
+    ("dilated", {"K": 64, "coeffs": 0.5}),
+    ("dilated", {"K": 64, "coeffs": [1.0] * 63}),
+    ("ergodic", {"K": 64, "coeffs": "geom"}),
+    ("ergodic", {"K": 64, "coeffs": "invpow:nan"}),
+    ("ergodic", {"coeffs": [1.0, "a"] * 32}),
+    ("riesz", {"action": "series", "lambdas": [1, 3, 9, 27], "cs": [0.5] * 4, "coeffs": "geom"}),
+    ("riesz", {"action": "series", "lambdas": [1, 3, 9, 27], "cs": [0.5] * 4, "coeffs": [0.5, 0.25]}),
 ])
 def test_series_kind_parameters_are_config_errors(tmp_path, kind, params):
     assert run_raw(tmp_path, {"kind": kind, "parameters": params}) == 2
     assert not (tmp_path / "out" / f"{kind}_FAILED.txt").exists()
+
+
+@pytest.mark.parametrize("kind, params", [
+    ("ergodic", {"coeffs": [0.5**k for k in range(1, 65)], "tail": {"kind": "power", "exponent": 2.0}}),
+    ("ergodic", {"K": 64, "coeffs": "invpow:1.5", "tail": {"kind": "geometric", "exponent": 0.5}}),
+    ("dilated", {"K": 64, "coeffs": [1.0 / k for k in range(1, 100)]}),
+    ("riesz", {"action": "series", "lambdas": [1, 3, 9, 27], "cs": [0.5] * 4, "coeffs": [0.5, 0.25, 0.125, 0.0625]}),
+])
+def test_series_kind_well_formed_parameters_run(tmp_path, kind, params):
+    params = dict(params, sample_size=100)
+    assert run_raw(tmp_path, {"kind": kind, "parameters": params}) == 0
+
+
+def test_failure_marker_records_type_and_traceback(tmp_path, monkeypatch):
+    def broken_handler(config):
+        raise RuntimeError("boom")
+
+    monkeypatch.setitem(cli._HANDLERS, "dilated", broken_handler)
+    assert run_raw(tmp_path, {"kind": "dilated", "parameters": {}}) == 1
+    lines = (tmp_path / "out" / "dilated_FAILED.txt").read_text().splitlines()
+    assert lines[0].startswith("# mgale-report kind=dilated")
+    assert lines[1:4] == ["error: boom", "type: RuntimeError", "Traceback (most recent call last):"]
+    assert any("in broken_handler" in line for line in lines)
+    assert lines[-1] == "RuntimeError: boom"

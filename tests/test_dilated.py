@@ -349,3 +349,88 @@ def test_maximal_function_refinement_stability():
     n14 = lp_norm(dl.maximal_function(spec, 63, 14), 2)
     assert math.isfinite(n14) and n14 > 0
     assert abs(n12 - n14) / n14 < 0.05
+
+
+# ------------------------------------------- window oscillation equivalence
+# oscillation_diagnostic and divergence_probe as they were written before
+# the sampling prologue and the window aggregation became shared helpers.
+
+def _sampled_sums_ref(spec, K, sample_size, seed):
+    max_gen = max((abs(m) for m in spec.generator.coeffs), default=1)
+    bits = (spec.freqs[K - 1] * max_gen).bit_length() + 64
+    bitmat, ints = dl.sample_dyadic_points(sample_size, bits, seed)
+    return np.cumsum(dl.series_values_at_points(spec, K, bitmat, ints), axis=1)
+
+
+def _oscillation_ref(spec, checkpoints, sample_size, seed):
+    checkpoints = sorted(int(c) for c in checkpoints)
+    K = min(2 * checkpoints[-1], spec.length)
+    sums = _sampled_sums_ref(spec, K, sample_size, seed)
+    amps = np.array([abs(a) for a in spec.coeffs[:K]])
+    med, q90, scales = [], [], []
+    for cp in checkpoints:
+        hi = min(2 * cp, K)
+        window = sums[:, cp - 1 : hi]
+        if np.isrealobj(window):
+            osc = window.max(axis=1) - window.min(axis=1)
+        else:
+            center = window.mean(axis=1, keepdims=True)
+            osc = 2.0 * np.abs(window - center).max(axis=1)
+        med.append(float(np.median(osc)))
+        q90.append(float(np.quantile(osc, 0.9)))
+        scales.append(float(np.sqrt((amps[cp - 1 : hi] ** 2).sum())))
+    verdict, slope = dl.oscillation_verdict(checkpoints, med, scales)
+    return np.array(med), np.array(q90), verdict, slope
+
+
+def _probe_ref(spec, p, riesz_lower, checkpoints, seed, sample_size=200):
+    checkpoints = sorted(int(c) for c in checkpoints)
+    amps = np.array([abs(a) for a in spec.coeffs])
+    sums = _sampled_sums_ref(spec, checkpoints[-1], sample_size, seed)
+    running_max = np.maximum.accumulate(np.abs(sums), axis=1)
+    lam, d, q = 0.5, riesz_lower**2, p / 2.0
+    probs, floors = [], []
+    for cp in checkpoints:
+        z = running_max[:, cp - 1] ** 2
+        probs.append(float((z >= lam * d * float((amps[:cp] ** 2).sum())).mean()))
+        ez = float(z.mean())
+        znorm = float((z**q).mean() ** (1 / q))
+        floors.append(((1 - lam) * ez / znorm) ** (q / (q - 1)) if znorm > 0 else 0.0)
+    return np.array(probs), np.array(floors)
+
+
+def _complex_spec(K):
+    gen = FourierFunction({1: 0.5 - 0.5j, -1: 0.2j, 3: 0.25})
+    return dl.SeriesSpec(tuple((1 + 1j) / k for k in range(1, K + 1)), tuple(range(1, K + 1)), gen)
+
+
+@pytest.mark.parametrize("spec, checkpoints, sample_size, seed", [
+    (sin_spec([0.0] * 64, [2**k for k in range(64)]), [4, 8, 16], 128, 3),
+    (sin_spec([2.0**-k for k in range(1, 257)], [2**k for k in range(1, 257)]), [4, 8, 16, 32, 64, 128], 150, 5),
+    (sin_spec([0.5, 0.25], [2, 4]), [1], 100, 1),
+    (dl.gaposhkin_example(1, 512), [16, 32, 64, 128, 256], 200, 7),
+    (sin_spec([1 / math.sqrt(k) for k in range(1, 97)], [3**k for k in range(1, 97)]), [4, 16, 48], 100, 5),
+    (_complex_spec(64), [4, 8, 16, 32], 100, 3),
+])
+def test_oscillation_matches_reference(spec, checkpoints, sample_size, seed):
+    diag = dl.oscillation_diagnostic(spec, checkpoints, sample_size, seed, label="x")
+    med, q90, verdict, slope = _oscillation_ref(spec, checkpoints, sample_size, seed)
+    np.testing.assert_array_equal(diag.median, med)
+    np.testing.assert_array_equal(diag.q90, q90)
+    assert (diag.verdict, diag.fitted_slope) == (verdict, slope)
+    assert (diag.checkpoints, diag.sample_size, diag.seed, diag.label) == (tuple(sorted(checkpoints)), sample_size, seed, "x")
+
+
+def test_divergence_probe_matches_reference():
+    from mgale.davenport import davenport_fourier, gram_matrix, riesz_constants
+
+    K = 256
+    spec = dl.SeriesSpec(
+        tuple(1 / math.sqrt(k) for k in range(1, K + 1)), tuple(2**k for k in range(1, K + 1)), davenport_fourier(0.75, 256)
+    )
+    lo, _ = riesz_constants(gram_matrix([2**k for k in range(1, 17)], 0.75))
+    cps = [8, 16, 32, 64, 128]
+    diag = dl.divergence_probe(spec, 4.0, lo, cps, seed=12)
+    probs, floors = _probe_ref(spec, 4.0, lo, cps, seed=12)
+    np.testing.assert_array_equal(diag.median, probs)
+    np.testing.assert_array_equal(diag.q90, floors)

@@ -5,6 +5,7 @@ import pytest
 from scipy.stats import chi2 as chi2_dist
 
 from mgale import riesz as rz
+from mgale.dilated import oscillation_verdict
 from mgale.torus import FourierFunction, sine_series
 
 
@@ -195,3 +196,61 @@ def test_series_run_means_match_expansion(monkeypatch):
     np.testing.assert_allclose(fast.median, slow.median, rtol=1e-12)
     np.testing.assert_allclose(fast.q90, slow.q90, rtol=1e-12)
     assert (fast.verdict, fast.label) == (slow.verdict, slow.label)
+
+
+def _series_run_ref(spec, fn_family, coeffs, checkpoints, sample_count, seed):
+    """riesz_series_run's terms and window aggregation as written before the
+    aggregation became a shared helper (hypothesis check left out)."""
+    coeffs = tuple(complex(a) for a in coeffs)
+    checkpoints = sorted(int(c) for c in checkpoints)
+    N = len(coeffs) - 1
+    J = max(12, int(math.ceil(math.log2(sum(spec.lambdas[: N + 1])))) + 2)
+    xs = rz.sample_mu(spec, N, J, sample_count, seed)
+    n_grid = 2**J
+    ks = np.round(xs * n_grid).astype(np.int64)
+    terms = np.zeros((sample_count, N + 1), dtype=np.complex128)
+    for n in range(N + 1):
+        fn = fn_family(n)
+        lam = spec.lambdas[n]
+        mean = sum(c * rz.riesz_fourier_coeff(spec, N, -m * lam) for m, c in fn.coeffs.items())
+        vals = np.zeros(sample_count, dtype=np.complex128)
+        for m, c in fn.coeffs.items():
+            ph = (int(m) * lam % n_grid) * ks % n_grid
+            vals += c * np.exp(2j * np.pi * ph / n_grid)
+        terms[:, n] = coeffs[n] * (vals - mean)
+    if np.abs(terms.imag).max() < 1e-13 * max(np.abs(terms).max(), 1.0):
+        terms = terms.real
+    sums = np.cumsum(terms, axis=1)
+    amps = np.abs(np.array(coeffs))
+    med, q90, scales = [], [], []
+    for cp in checkpoints:
+        hi = min(2 * cp, N + 1)
+        window = sums[:, cp - 1 : hi]
+        if np.isrealobj(window):
+            osc = window.max(axis=1) - window.min(axis=1)
+        else:
+            center = window.mean(axis=1, keepdims=True)
+            osc = 2.0 * np.abs(window - center).max(axis=1)
+        med.append(float(np.median(osc)))
+        q90.append(float(np.quantile(osc, 0.9)))
+        scales.append(float(np.sqrt((amps[cp - 1 : hi] ** 2).sum())))
+    verdict, slope = oscillation_verdict(checkpoints, med, scales)
+    return np.array(med), np.array(q90), verdict, slope
+
+
+@pytest.mark.parametrize("spec, fam, a, checkpoints, count, seed", [
+    (rz.RieszProductSpec(tuple(3**k for k in range(13)), tuple([0.6] * 13)),
+     lambda n: FourierFunction({1: 1.0}), [2.0**-n for n in range(13)], [1, 2, 4, 6], 1500, 3),
+    (std_spec(6), lambda n: FourierFunction({1: 1.0}), [0.0] * 4, [1, 2], 500, 3),
+    (std_spec(6), lambda n: sine_series({m: 1.0 / m for m in range(1, 65)}), [0.5] * 4, [1, 2], 300, 3),
+    (rz.RieszProductSpec(tuple(3**k for k in range(7)), (0.6, 0.5 + 0.2j, 0.7, -0.4, 0.3j, 0.8, 0.5)),
+     lambda n: FourierFunction({1: 0.5, -1: 0.5, 2: 0.25j, -2: -0.25j, 4: 0.1}),
+     [1.0 / (n + 1) for n in range(6)], [1, 2, 3], 400, 5),
+])
+def test_series_run_matches_reference(spec, fam, a, checkpoints, count, seed):
+    diag = rz.riesz_series_run(spec, fam, a, checkpoints, count, seed)
+    med, q90, verdict, slope = _series_run_ref(spec, fam, a, checkpoints, count, seed)
+    np.testing.assert_array_equal(diag.median, med)
+    np.testing.assert_array_equal(diag.q90, q90)
+    assert (diag.verdict, diag.fitted_slope) == (verdict, slope)
+    assert (diag.checkpoints, diag.sample_size, diag.seed) == (tuple(checkpoints), count, seed)

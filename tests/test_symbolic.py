@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from mgale import symbolic as sy
-from mgale.riesz import RieszProductSpec
+from mgale.riesz import RieszProductSpec, partial_density_coeffs
 
 
 def riesz_setup(depth=8, c=0.8, levels=None):
@@ -322,3 +322,118 @@ def test_equilibrium_product_identity_property(seed, c):
     space, pots = sy.riesz_potentials(spec, depth)
     w = sy.equilibrium_weights(space, pots)
     np.testing.assert_allclose(w, sy._g_box(space, pots, depth), atol=1e-13)
+
+
+# ------------------------------------------------------ kernel equivalence
+# The per-cell ndindex loops that tabulated digit points before the
+# broadcast helper, kept here as references.
+
+def _ladder_ref(lambdas, depth):
+    ladder = list(lambdas)
+    while len(ladder) <= depth:
+        ladder.append(3 * ladder[-1])
+    return ladder
+
+
+def _riesz_potentials_ref(spec, depth):
+    lambdas = _ladder_ref(spec.lambdas, depth)
+    sizes = tuple(lambdas[j] // lambdas[j - 1] for j in range(1, depth + 1))
+    offset = 0.5 / lambdas[depth]
+    out = []
+    for j in range(1, depth + 1):
+        ell = sizes[j - 1]
+        if j - 1 < len(spec.cs) and spec.cs[j - 1] != 0:
+            c, lam, shape = spec.cs[j - 1], lambdas[j - 1], sizes[j - 1 : depth]
+            vals = np.empty(shape)
+            for idx in np.ndindex(*shape):
+                x = offset + sum(idx[i] / lambdas[j + i] for i in range(len(idx)))
+                vals[idx] = (1.0 + (c * np.exp(2j * np.pi * lam * x)).real) / ell
+            out.append(vals)
+        else:
+            out.append(np.full((ell,), 1.0 / ell))
+    return out
+
+
+def _cylinder_integrals_ref(spec, N, digits_depth):
+    lambdas = _ladder_ref(spec.lambdas, digits_depth)
+    sizes = tuple(lambdas[j] // lambdas[j - 1] for j in range(1, digits_depth + 1))
+    coeffs = partial_density_coeffs(spec, N)
+    out = np.empty(sizes)
+    width = 1.0 / lambdas[digits_depth]
+    for idx in np.ndindex(*sizes):
+        a = sum(idx[i] / lambdas[i + 1] for i in range(len(idx)))
+        total = 0.0
+        for s, v in coeffs.items():
+            if s == 0:
+                total += v.real * width
+            else:
+                total += (
+                    v * (np.exp(2j * np.pi * s * (a + width)) - np.exp(2j * np.pi * s * a))
+                    / (2j * np.pi * s)
+                ).real
+        out[idx] = total
+    return out
+
+
+EQUIVALENCE_SPECS = [
+    # ratio-3 ladder; the same cut short so the ladder extends past it
+    (tuple(3**k for k in range(6)), (0.8,) * 6, 8),
+    ((1, 3, 9, 27), (0.6, 0.0, 0.9, 0.3), 7),
+    # mixed ratios and complex amplitudes
+    ((1, 3, 15, 45), (0.5 + 0.3j, -0.4j, 0.7, 0.2 - 0.6j), 6),
+    ((1, 4, 16), (0.6, 0.0, 1.0), 5),
+]
+
+
+@pytest.mark.parametrize("lambdas, cs, depth", EQUIVALENCE_SPECS)
+def test_riesz_potentials_match_ndindex_loop(lambdas, cs, depth):
+    spec = RieszProductSpec(lambdas, cs)
+    space, pots = sy.riesz_potentials(spec, depth)
+    ref = _riesz_potentials_ref(spec, depth)
+    assert len(pots) == len(ref) == depth
+    for g, r in zip(pots.potentials, ref):
+        assert g.values.shape == r.shape
+        np.testing.assert_array_equal(g.values, r)
+    assert space.sizes == tuple(r.shape[0] for r in ref)
+
+
+@pytest.mark.parametrize("lambdas, cs, depth", EQUIVALENCE_SPECS)
+def test_cylinder_integrals_match_ndindex_loop(lambdas, cs, depth):
+    spec = RieszProductSpec(lambdas, cs)
+    for N in range(spec.depth):
+        for digits_depth in (1, 3, min(5, depth - 1)):
+            got = sy.riesz_cylinder_integrals(spec, N, digits_depth)
+            ref = _cylinder_integrals_ref(spec, N, digits_depth)
+            assert got.shape == ref.shape
+            assert np.abs(got - ref).max() <= 1e-14
+
+
+@pytest.mark.parametrize("params", [
+    {},  # the default family: 3^k, depth 8
+    {"lambdas": [1, 3, 9, 27], "cs": [0.7] * 4, "depth": 7},
+    {"lambdas": [1, 5, 15, 45, 135], "cs": [0.5] * 5, "depth": 6},
+])
+def test_cli_symbolic_family_matches_ndindex_loop(tmp_path, monkeypatch, params):
+    from mgale import cli
+
+    seen = []
+
+    def spy(space, pots, fns, *args, **kwargs):
+        seen.append(fns)
+        return sy.averaging_decay_audit(space, pots, fns, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "averaging_decay_audit", spy)
+    raw = {"kind": "symbolic", "parameters": params, "output": {"path": str(tmp_path)}}
+    cli.run(cli.validate_config(raw))
+    depth = params.get("depth", 8)
+    lad = _ladder_ref(params.get("lambdas", [3**k for k in range(8)]), depth)
+    (fns,) = seen
+    assert len(fns) == min(5, depth - 2)
+    for n, f in enumerate(fns, start=1):
+        shape = tuple(lad[c] // lad[c - 1] for c in range(n + 1, depth + 1))
+        vals = np.empty(shape)
+        for idx in np.ndindex(*shape):
+            x = 0.5 / lad[depth] + sum(idx[i] / lad[n + 1 + i] for i in range(len(idx)))
+            vals[idx] = math.cos(2 * math.pi * lad[n] * x)
+        assert f.start == n + 1
+        np.testing.assert_array_equal(f.values, vals)
