@@ -176,12 +176,15 @@ def _generator_from(params: dict, key: str = "generator") -> FourierFunction:
     g = params.get(key, "sin")
     if g == "sin":
         return sine_series({1: 1.0})
-    if isinstance(g, str) and g.startswith("davenport:"):
-        _, lam, M = g.split(":")
-        return davenport_fourier(float(lam), int(M))
-    if isinstance(g, dict):
-        return FourierFunction({int(m): complex(c[0], c[1]) if isinstance(c, list) else complex(c) for m, c in g.items()})
-    raise ConfigError(f"unrecognized generator {g!r}")
+    try:
+        if isinstance(g, str) and g.startswith("davenport:"):
+            _, lam, M = g.split(":")
+            return davenport_fourier(float(lam), int(M))
+        if isinstance(g, dict):
+            return FourierFunction({int(m): complex(*c) if isinstance(c, list) else complex(c) for m, c in g.items()})
+    except (TypeError, ValueError):
+        pass
+    raise ConfigError(f"unrecognized generator {g!r}; use \"sin\", \"davenport:lambda:M\" or a mode object")
 
 
 def _is_int(v) -> bool:
@@ -192,6 +195,21 @@ def _is_int(v) -> bool:
 def _is_number(v) -> bool:
     """A finite JSON number."""
     return _is_int(v) or (isinstance(v, float) and math.isfinite(v))
+
+
+def _int_param(params: dict, key: str, default: int, least: int = 1) -> int:
+    """An integer parameter >= least, ``default`` when absent."""
+    v = params.get(key, default)
+    if not _is_int(v) or v < least:
+        raise ConfigError(f"{key} must be an integer >= {least}, got {v!r}")
+    return v
+
+
+def _freqs_from(rule) -> list:
+    try:
+        return freqs_from_rule(rule)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
 
 
 def _coeffs_from(rule, K: int) -> tuple:
@@ -369,35 +387,34 @@ def _checkpoints_for(params: dict, length: int, default: list | None = None) -> 
     return cps
 
 
-def _sample_size(params: dict) -> int:
-    """The oscillation sample size: an integer >= 100, 200 by default."""
-    size = params.get("sample_size", 200)
-    if not _is_int(size) or size < 100:
-        raise ConfigError(f"sample_size must be an integer >= 100, got {size!r}")
-    return size
-
-
 def _run_dilated(config: ExperimentConfig) -> bool:
     p = config.parameters
     if "gaposhkin_m" in p:
-        spec = gaposhkin_example(int(p["gaposhkin_m"]), int(p.get("K", 4096)))
+        spec = gaposhkin_example(_int_param(p, "gaposhkin_m", 1, 0), _int_param(p, "K", 4096, 2))
     elif "spec" in p:
         spec = SeriesSpec.from_json(json.dumps(p["spec"]))
     else:
-        K = int(p.get("K", 64))
+        K = _int_param(p, "K", 64)
         gen = _generator_from(p)
-        freqs = tuple(freqs_from_rule(p.get("freqs", f"pow:2:{K - 1}")))[:K]
-        spec = SeriesSpec(_coeffs_from(p.get("coeffs", "geom:0.5"), len(freqs)), freqs, gen)
+        freqs = tuple(_freqs_from(p.get("freqs", f"pow:2:{K - 1}")))[:K]
+        coeffs = _coeffs_from(p.get("coeffs", "geom:0.5"), len(freqs))
+        try:
+            spec = SeriesSpec(coeffs, freqs, gen)
+        except ValueError as exc:
+            raise ConfigError(f"bad dilated series: {exc}") from None
     checkpoints = _checkpoints_for(p, spec.length)
-    diag = oscillation_diagnostic(spec, checkpoints, _sample_size(p), config.seed)
+    diag = oscillation_diagnostic(spec, checkpoints, _int_param(p, "sample_size", 200, 100), config.seed)
     _write(config, "dilated_oscillation", diag.to_csv() + f"# verdict={diag.verdict} slope={diag.fitted_slope!r}\n")
     return True
 
 
 def _run_davenport(config: ExperimentConfig) -> bool:
     p = config.parameters
-    lam = float(p.get("lambda", 0.75))
-    freqs = freqs_from_rule(p.get("freqs", "pow:2:16"))
+    lam = p.get("lambda", 0.75)
+    if not _is_number(lam) or lam <= 0.5:
+        raise ConfigError(f"davenport lambda must be a number > 1/2 (finite Gram entries), got {lam!r}")
+    lam = float(lam)
+    freqs = _freqs_from(p.get("freqs", "pow:2:16"))
     gm = gram_matrix(freqs, lam)
     _write(config, "davenport_gram", gm.to_csv())
     lines = [f"lambda,{lam!r}", f"min_eig,{gm.eigen_bounds[0]!r}", f"max_eig,{gm.eigen_bounds[1]!r}"]
@@ -408,12 +425,12 @@ def _run_davenport(config: ExperimentConfig) -> bool:
     if p.get("quadrature_check", False):
         # the grid must leave alias-free room for the largest dilate
         J = max(config.resolution, 16, max(freqs).bit_length() + 2)
-        quad = gram_quadrature(freqs, lam, M=int(p.get("M", 4096)), J=J)
+        quad = gram_quadrature(freqs, lam, M=_int_param(p, "M", 4096), J=J)
         err = float(np.abs(gm.entries - quad).max())
         lines.append(f"quadrature_max_err,{err!r}")
         ok = err <= 1e-6
     if "smoothness_p" in p:
-        est = smoothness_estimate(DavenportSpec(lam, int(p.get("M", 4096))), p["smoothness_p"], max(config.resolution, 14))
+        est = smoothness_estimate(DavenportSpec(lam, _int_param(p, "M", 4096)), p["smoothness_p"], max(config.resolution, 14))
         lines.append(f"smoothness_exponent,{est!r}")
     _write(config, "davenport_summary", "\n".join(lines) + "\n")
     return ok
@@ -423,19 +440,19 @@ def _run_ergodic(config: ExperimentConfig) -> bool:
     p = config.parameters
     tail = None
     if "gaposhkin_m" in p:
-        m = int(p["gaposhkin_m"])
-        base = gaposhkin_example(m, int(p.get("K", 4096)))
+        m = _int_param(p, "gaposhkin_m", 1, 0)
+        base = gaposhkin_example(m, _int_param(p, "K", 4096, 2))
         f, coeffs = base.generator, base.coeffs
         # the known decay shape of this construction, unless overridden
         tail = TailModel("power_log", 1.0, 0.5, float(m))
     else:
         f = _generator_from(p, "f")
         rule = p.get("coeffs", "geom:0.5")
-        coeffs = _coeffs_from(rule, int(p.get("K", len(rule) if isinstance(rule, list) else 256)))
+        coeffs = _coeffs_from(rule, _int_param(p, "K", len(rule) if isinstance(rule, list) else 256))
     checkpoints = _checkpoints_for(p, len(coeffs))
     if "tail" in p:
         tail = _tail_from(p["tail"])
-    diag, decay = ergodic_series_run(f, coeffs, checkpoints, _sample_size(p), config.seed, tail)
+    diag, decay = ergodic_series_run(f, coeffs, checkpoints, _int_param(p, "sample_size", 200, 100), config.seed, tail)
     _write(config, "ergodic_decay", decay.to_csv())
     _write(config, "ergodic_oscillation", diag.to_csv() + f"# verdict={diag.verdict}\n")
     return True
@@ -443,26 +460,30 @@ def _run_ergodic(config: ExperimentConfig) -> bool:
 
 def _run_riesz(config: ExperimentConfig) -> bool:
     p = config.parameters
-    spec = RieszProductSpec(tuple(p["lambdas"]), tuple(complex(*c) if isinstance(c, list) else complex(c) for c in p["cs"]))
+    try:
+        spec = RieszProductSpec(tuple(p["lambdas"]), tuple(complex(*c) if isinstance(c, list) else complex(c) for c in p["cs"]))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"bad riesz product: {exc!r}") from None
     action = p.get("action", "coeff")
-    N = int(p.get("N", spec.depth - 1))
-    J = int(p.get("J", config.resolution))
-    if not 0 <= N < spec.depth:
+    N = _int_param(p, "N", spec.depth - 1, 0)
+    J = _int_param(p, "J", config.resolution, 0)
+    if N >= spec.depth:
         raise ConfigError(f"riesz N={N} outside the spec depth {spec.depth}")
     if action == "coeff":
         ks = p.get("k", [spec.lambdas[0]])
         ks = ks if isinstance(ks, list) else [ks]
+        if not all(_is_int(k) for k in ks):
+            raise ConfigError(f"riesz k must be an integer or a list of integers, got {p['k']!r}")
         lines = ["k,re,im"]
         for k in ks:
-            c = riesz_fourier_coeff(spec, N, int(k))
-            c = complex(c)
+            c = complex(riesz_fourier_coeff(spec, N, k))
             lines.append(f"{k},{c.real!r},{c.imag!r}")
         _write(config, "riesz_coeff", "\n".join(lines) + "\n")
         return True
     if action == "sample":
         if sum(spec.lambdas[: N + 1]) >= 2 ** (J - 1):
             raise ConfigError(f"riesz partial product at depth {N} aliases at J={J}")
-        xs = sample_mu(spec, N, J, int(p.get("count", 1000)), config.seed)
+        xs = sample_mu(spec, N, J, _int_param(p, "count", 1000, 0), config.seed)
         body = "x\n" + "\n".join(repr(float(x)) for x in xs) + "\n"
         _write(config, "riesz_sample", body)
         return True
@@ -470,7 +491,7 @@ def _run_riesz(config: ExperimentConfig) -> bool:
         fam = _generator_from(p, "fn")
         coeffs = _coeffs_from(p.get("coeffs", "geom:0.5"), N + 1)
         checkpoints = _checkpoints_for(p, N + 1, default=[1, 2, 4])
-        diag = riesz_series_run(spec, lambda n: fam, coeffs, checkpoints, int(p.get("sample_size", 500)), config.seed)
+        diag = riesz_series_run(spec, lambda n: fam, coeffs, checkpoints, _int_param(p, "sample_size", 500), config.seed)
         _write(config, "riesz_series", diag.to_csv() + f"# verdict={diag.verdict} label={diag.label}\n")
         return True
     raise ConfigError(f"unknown riesz action {action!r}")
@@ -621,7 +642,7 @@ def main(argv=None) -> int:
             }
             return run(validate_config(raw))
         if args.command == "riesz":
-            lambdas = freqs_from_rule(args.lambdas)
+            lambdas = _freqs_from(args.lambdas)
             cs = list(args.cs)
             cs = (cs * len(lambdas))[: len(lambdas)]
             params = {"lambdas": lambdas, "cs": cs, "action": args.action, "count": args.count}

@@ -207,11 +207,12 @@ def riesz_constants(gram: GramMatrix, singular_tol: float = 1e-10) -> tuple[floa
 
 
 def freqs_from_rule(rule) -> list[int]:
-    """Frequency lists from either an explicit list or "pow:q:K"."""
+    """Frequencies from "pow:q:K" (q^0, ..., q^K; integers q >= 2, K >= 0)
+    or a non-empty list of distinct positive integers."""
     if isinstance(rule, str):
-        parts = rule.split(":")
-        if len(parts) != 3 or parts[0] != "pow":
-            raise ValueError(f"unrecognized frequency rule {rule!r}")
-        q, K = int(parts[1]), int(parts[2])
-        return [q**k for k in range(K + 1)]
-    return [int(n) for n in rule]
+        name, *args = rule.split(":")
+        if name == "pow" and len(args) == 2 and all(a.isdecimal() for a in args) and int(args[0]) >= 2:
+            return [int(args[0]) ** k for k in range(int(args[1]) + 1)]
+    elif isinstance(rule, (list, tuple)) and rule and all(type(n) is int and n >= 1 for n in rule) and len(set(rule)) == len(rule):
+        return list(rule)
+    raise ValueError(f"unrecognized frequency rule {rule!r}; use \"pow:q:K\" or a list of distinct positive integers")

@@ -30,8 +30,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .martingale import AuditReport, _block_average, _bound_report
-from .modulus import ModulusProfile
+from .martingale import AuditReport, _bound_report, _haar_means
+from .modulus import ModulusProfile, modulus_profile
 from .tails import TailModel
 from .torus import (
     FourierFunction,
@@ -445,7 +445,8 @@ def contraction_audit(f: FourierFunction, m: int, n: int, p, J: int) -> AuditRep
     if m < 1:
         raise ValueError("m must be >= 1")
     g = render(dilate(f, m), J, strict=True)
-    lhs = _lp_norm_array(_block_average(g.samples, n, J), p)
+    # E(g|F_n) is constant on level-n blocks: its norm is that of the means
+    lhs = _lp_norm_array(_haar_means(g.samples, J)[n], p)
     fn = render(f, J)
     rhs = (2.0**n / m) * _lp_norm_array(fn.samples, p)
     return _bound_report(lhs, rhs, 2.0**n / m, f"contraction[m={m},n={n},p={p}]")
@@ -458,7 +459,7 @@ def contraction_refined_audit(f: FourierFunction, m: int, n: int, J: int) -> Aud
         raise ValueError("f must have zero mean")
     ell = m % 2**n
     g = render(dilate(f, m), J, strict=True)
-    lhs = _lp_norm_array(_block_average(g.samples, n, J), 2)
+    lhs = _lp_norm_array(_haar_means(g.samples, J)[n], 2)
     rhs = math.sqrt(ell * 2.0**n) / m * _lp_norm_array(render(f, J).samples, 2)
     tol = 1e-11 if ell == 0 else 1e-12
     return _bound_report(lhs, rhs, math.sqrt(ell * 2.0**n) / m, f"contraction-refined[m={m},n={n}]", tol=tol)
@@ -519,10 +520,7 @@ def lacunary_criteria(
         raise ValueError("frequencies are not lacunary (ratio <= 1)")
     parts = [spec] if ratio >= 2 else _split_per_octave(spec)
     if profile is None:
-        gen = render(spec.generator, J)
-        from .modulus import modulus_profile
-
-        profile = modulus_profile(gen, p)
+        profile = modulus_profile(render(spec.generator, J), p)
     pp = min(2.0, p)
 
     def omega_octave(n: float) -> float:
@@ -573,16 +571,10 @@ def lacunary_criteria(
             if inner2 > 0:
                 s2 += 2.0 ** (ell * (1 - 1 / p)) * inner2 ** (1 / pp) * fnorm
             ell += 1
-    # infinite-family verdict from the declared tail shape
-    if tail is None:
-        converges1 = True  # finite family exhausted; nothing modeled
-    elif tail.kind == "geometric":
-        converges1 = tail.exponent < 1.0
-    else:
-        s = tail.exponent
-        t = tail.log_exponent if tail.kind == "power_log" else 0.0
-        converges1 = s > 1 - 1 / p or (s == 1 - 1 / p and t > 1.0)
-    passed = bool(converges1)
+    # infinite-family verdict from the declared tail shape: the ell-sums
+    # converge iff sum_n omega(2^-n) n^(-1/p) does (no model: the finite
+    # family is exhausted)
+    passed = tail is None or tail.series_converges(weight_exponent=1.0 / p)
     total = s1 + s2 if passed else math.inf
     return AuditReport(
         total,

@@ -125,43 +125,13 @@ def _p_prime(p: float) -> float:
 # conditional expectation and details (array core + GridFunction wrappers)
 # --------------------------------------------------------------------------
 
-def _block_average(arr: np.ndarray, n: int, J: int) -> np.ndarray:
-    """E(.|F_n) on the last axis of an (..., 2^J) array."""
-    if not 0 <= n <= J:
-        raise ValueError(f"filtration level {n} outside [0, {J}]")
-    if n == J:
-        return arr
-    shape = arr.shape[:-1]
-    blocks = arr.reshape(*shape, 2**n, 2 ** (J - n))
-    means = blocks.mean(axis=-1, keepdims=True)
-    return np.broadcast_to(means, blocks.shape).reshape(*shape, 2**J)
-
-
-def cond_exp(f: GridFunction, n: int) -> GridFunction:
-    """Conditional expectation onto the level-n dyadic algebra.
-
-    Piecewise-constant block average over each I_{n,k}; idempotent and
-    mean preserving; the identity at n = J, the mean at n = 0.
-    """
-    J = f.resolution_log2
-    return GridFunction(J, _block_average(f.samples, n, J), f.value_kind, aliased=f.aliased)
-
-
-def detail(f: GridFunction, n: int) -> GridFunction:
-    """Detail operator D_n f = E(f|F_{n+1}) - E(f|F_n); needs n <= J-1."""
-    J = f.resolution_log2
-    if not 0 <= n <= J - 1:
-        raise ValueError(f"detail level {n} outside [0, {J - 1}]")
-    out = _block_average(f.samples, n + 1, J) - _block_average(f.samples, n, J)
-    return GridFunction(J, out, f.value_kind, aliased=f.aliased)
-
-
 def _haar_means(arr: np.ndarray, J: int) -> list[np.ndarray]:
     """Level means [m_0, ..., m_J] of the last axis; m_n has shape (..., 2^n).
 
     m_n holds the value of E(.|F_n) on each level-n block, built by
     pairwise averaging from m_J = arr (the fast Haar transform), so the
-    whole pyramid costs about two copies of arr.
+    whole pyramid costs about two copies of arr.  The full-grid
+    E(.|F_n) is np.repeat(m_n, 2^(J-n), axis=-1).
     """
     means = [arr]
     for _ in range(J):
@@ -179,12 +149,26 @@ def _haar_details(means: list[np.ndarray]) -> list[np.ndarray]:
     return [means[n + 1] - np.repeat(means[n], 2, axis=-1) for n in range(len(means) - 1)]
 
 
-def _details_stack(arr: np.ndarray, J: int) -> list[np.ndarray]:
-    """All details [D_0 f, ..., D_{J-1} f] of the last axis at full resolution."""
-    return [
-        np.repeat(d, 2 ** (J - n - 1), axis=-1)
-        for n, d in enumerate(_haar_details(_haar_means(arr, J)))
-    ]
+def cond_exp(f: GridFunction, n: int) -> GridFunction:
+    """Conditional expectation onto the level-n dyadic algebra.
+
+    Piecewise-constant block average over each I_{n,k}; idempotent and
+    mean preserving; the identity at n = J, the mean at n = 0.
+    """
+    J = f.resolution_log2
+    if not 0 <= n <= J:
+        raise ValueError(f"filtration level {n} outside [0, {J}]")
+    out = np.repeat(_haar_means(f.samples, J)[n], 2 ** (J - n), axis=-1)
+    return GridFunction(J, out, f.value_kind, aliased=f.aliased)
+
+
+def detail(f: GridFunction, n: int) -> GridFunction:
+    """Detail operator D_n f = E(f|F_{n+1}) - E(f|F_n); needs n <= J-1."""
+    J = f.resolution_log2
+    if not 0 <= n <= J - 1:
+        raise ValueError(f"detail level {n} outside [0, {J - 1}]")
+    out = np.repeat(_haar_details(_haar_means(f.samples, J))[n], 2 ** (J - n - 1), axis=-1)
+    return GridFunction(J, out, f.value_kind, aliased=f.aliased)
 
 
 def _doob_maximal(means: list[np.ndarray]) -> np.ndarray:
@@ -228,9 +212,9 @@ def decompose(f: GridFunction) -> DetailSequence:
     """
     _require_centered(f, "decompose")
     J = f.resolution_log2
-    stack = _details_stack(f.samples, J)
-    details = tuple(GridFunction(J, d, f.value_kind) for d in stack)
-    return DetailSequence(f, details)
+    details = _haar_details(_haar_means(f.samples, J))
+    full = [np.repeat(d, 2 ** (J - n - 1), axis=-1) for n, d in enumerate(details)]
+    return DetailSequence(f, tuple(GridFunction(J, d, f.value_kind) for d in full))
 
 
 def telescope_check(f: GridFunction, N1: int, N2: int, rel_tol: float = 1e-10) -> AuditReport:
@@ -288,10 +272,10 @@ def doob_maximal_audit(
     J = increments[0].resolution_log2
     if levels is None:
         levels = list(range(len(increments)))
-    if sorted(levels) != list(levels) or len(set(levels)) != len(levels):
-        raise ValueError("levels must be strictly increasing")
+    if sorted(levels) != list(levels) or len(set(levels)) != len(levels) or min(levels, default=0) < 0:
+        raise ValueError("levels must be nonnegative and strictly increasing")
     for inc, lv in zip(increments, levels):
-        resid = np.abs(_block_average(inc.samples, min(lv, J), J)).max()
+        resid = np.abs(_haar_means(inc.samples, J)[min(lv, J)]).max()
         scale = max(np.abs(inc.samples).max(), 1.0)
         if resid > difference_tol * scale:
             raise ValueError(
@@ -335,8 +319,8 @@ def detail_criteria(
     J = Z[0].resolution_log2
     N = len(Z)
     levels = [int(levels[n]) if not callable(levels) else int(levels(n)) for n in range(N)]
-    if any(b < a for a, b in zip(levels, levels[1:])):
-        raise ValueError("levels must be nondecreasing")
+    if levels[0] < 0 or any(b < a for a, b in zip(levels, levels[1:])):
+        raise ValueError("levels must be nonnegative and nondecreasing")
     for z in Z:
         if abs(z.mean()) > CENTERING_TOL:
             raise ValueError("every Z_n must be centered")
@@ -345,25 +329,26 @@ def detail_criteria(
         return min(levels[j], J) if j < N else J
 
     pp = _p_prime(p)
-    samples = np.stack([z.samples for z in Z])
-    cond = {m: _block_average(samples, m, J) for m in sorted({lv(j) for j in range(N + 1)} | {J})}
-
-    def detail_norm(slot: int, n: int) -> float:
+    means = _haar_means(np.stack([z.samples for z in Z]), J)
+    # norms[slot][n] = ||E(Z_n|F_lv(slot+1)) - E(Z_n|F_lv(slot))||_p, taken
+    # at resolution 2^hi, where both sides are constant on blocks
+    norms = np.zeros((N + 1, N))
+    for slot in range(N + 1):
         lo, hi = lv(slot), lv(slot + 1)
-        if lo == hi:
-            return 0.0
-        return float(_lp_norm_array(cond[hi][n] - cond[lo][n], p))
+        if lo < hi:
+            norms[slot] = _lp_norm_array(means[hi] - np.repeat(means[lo], 2 ** (hi - lo), axis=-1), p)
+    norms = norms.tolist()
 
     s1 = 0.0
     for k in range(0, N + 1):
-        inner = sum(detail_norm(n + k, n) ** pp for n in range(N) if n + k <= N)
+        inner = sum(norms[n + k][n] ** pp for n in range(N) if n + k <= N)
         s1 += inner ** (1.0 / pp) if inner > 0 else 0.0
     s2 = 0.0
     for k in range(1, N + 1):
-        inner = sum(detail_norm(n, n + k) ** pp for n in range(N - k))
+        inner = sum(norms[n][n + k] ** pp for n in range(N - k))
         s2 += inner ** (1.0 / pp) if inner > 0 else 0.0
 
-    partial = np.cumsum(samples, axis=0)
+    partial = np.cumsum(means[J], axis=0)
     smax = np.abs(partial).max(axis=0)
     lhs = float(_lp_norm_array(smax, p))
     rhs = k_p(p) * (s1 + s2)
@@ -390,13 +375,15 @@ def bounded_deltas(Z: list[GridFunction], levels=None) -> tuple[float, float]:
     def lv(j: int) -> int:
         return min(levels[j] if j < N else J, J)
 
-    samples = np.stack([z.samples for z in Z])
-    cache: dict[int, np.ndarray] = {}
-
-    def cond(m: int) -> np.ndarray:
-        if m not in cache:
-            cache[m] = _block_average(samples, m, J)
-        return cache[m]
+    if any(lv(k) < 0 for k in range(N)):
+        raise ValueError("levels must be nonnegative")
+    means = _haar_means(np.stack([z.samples for z in Z]), J)
+    # per level m and index k: ||Z_k - E(Z_k|F_m)||_inf (m < J) and ||E(Z_k|F_m)||_inf
+    resid = [
+        np.abs(means[J] - np.repeat(means[m], 2 ** (J - m), axis=-1)).max(axis=-1).tolist()
+        for m in range(J)
+    ]
+    sup = [np.abs(means[m]).max(axis=-1).tolist() for m in range(J + 1)]
 
     d1 = 0.0
     for ell in range(0, N + J + 1):
@@ -405,7 +392,7 @@ def bounded_deltas(Z: list[GridFunction], levels=None) -> tuple[float, float]:
             m = lv(ell + k)
             if m >= J:
                 continue
-            inner += float(np.abs(samples[k] - cond(m)[k]).max()) ** 2
+            inner += resid[m][k] ** 2
         if inner == 0.0 and lv(ell) >= J:
             break
         d1 += math.sqrt(inner)
@@ -414,7 +401,7 @@ def bounded_deltas(Z: list[GridFunction], levels=None) -> tuple[float, float]:
         inner = 0.0
         for k in range(ell, N):
             m = lv(k + 1 - ell)
-            inner += float(np.abs(cond(m)[k]).max()) ** 2
+            inner += sup[m][k] ** 2
         d2 += math.sqrt(inner)
     return d1, d2
 

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .martingale import AuditReport, _block_average, _bound_report
+from .martingale import AuditReport, _bound_report, _haar_means
 from .tails import TailModel, fit_tail_model
 from .torus import FourierFunction, GridFunction, _lp_norm_array
 
@@ -158,23 +158,25 @@ def dyadic_approx_audit(f: GridFunction, p, n: int) -> AuditReport:
     J = f.resolution_log2
     if not 0 <= n <= J:
         raise ValueError(f"level {n} outside [0, {J}]")
-    lhs = _lp_norm_array(f.samples - _block_average(f.samples, n, J), p)
+    lhs = _lp_norm_array(f.samples - np.repeat(_haar_means(f.samples, J)[n], 2 ** (J - n)), p)
     curve = shift_norm_curve(f.samples, [p], max_shift=2 ** (J - n))[p]
     rhs = 2.0 * curve.max()
     return _bound_report(lhs, rhs, 2.0, f"dyadic-approx[p={p},n={n}]")
 
 
 def dyadic_approx_audit_all(f: GridFunction, p, levels=None) -> list[AuditReport]:
-    """Factor-2 audits for every requested level from one shift scan."""
+    """Factor-2 audits for every requested level from one shift scan and one Haar pyramid."""
     J = f.resolution_log2
     if levels is None:
         levels = range(J + 1)
-    curve = shift_norm_curve(f.samples, [p])[p]
-    cummax = np.maximum.accumulate(curve)
+    omega = modulus_profile(f, p).values
+    means = _haar_means(f.samples, J)
     reports = []
     for n in levels:
-        lhs = _lp_norm_array(f.samples - _block_average(f.samples, n, J), p)
-        rhs = 2.0 * cummax[2 ** (J - n)]
+        if not 0 <= n <= J:
+            raise ValueError(f"level {n} outside [0, {J}]")
+        lhs = _lp_norm_array(f.samples - np.repeat(means[n], 2 ** (J - n)), p)
+        rhs = 2.0 * omega[n]
         reports.append(_bound_report(lhs, rhs, 2.0, f"dyadic-approx[p={p},n={n}]"))
     return reports
 

@@ -29,7 +29,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dilated import OscillationDiagnostic, _window_oscillation
-from .torus import FourierFunction, GridFunction
+from .modulus import modulus_profile
+from .torus import FourierFunction, GridFunction, render
 
 __all__ = [
     "RieszProductSpec",
@@ -181,15 +182,9 @@ def _fn_at(fn_family, n: int) -> FourierFunction:
 
 
 def grid_inf_modulus(f: FourierFunction, octaves: int, J: int = 12) -> np.ndarray:
-    """omega_inf(2^-n, f) on a 2^J grid for n = 0..octaves (sup shifts)."""
-    from .modulus import shift_norm_curve
-
-    from .torus import render
-
-    samples = render(f, J).samples
-    curve = shift_norm_curve(samples, [math.inf])[math.inf]
-    cm = np.maximum.accumulate(curve)
-    return np.array([cm[2 ** (J - min(n, J))] for n in range(octaves + 1)])
+    """omega_inf(2^-n, f) on a 2^J grid for n = 0..octaves (n > J reads n = J)."""
+    values = modulus_profile(render(f, J), math.inf).values
+    return values[np.minimum(np.arange(octaves + 1), J)]
 
 
 def riesz_series_run(

@@ -27,3 +27,17 @@ def random_grid(rng, J, centered=True) -> GridFunction:
     if centered:
         arr -= arr.mean()
     return GridFunction(J, arr, "real")
+
+
+def block_average(arr, n, J):
+    """E(.|F_n) on the last axis of an (..., 2^J) array as expanded block
+    means: the formulation the library's Haar pyramid replaced, kept as
+    the reference for its equivalence tests."""
+    if not 0 <= n <= J:
+        raise ValueError(f"filtration level {n} outside [0, {J}]")
+    if n == J:
+        return arr
+    shape = arr.shape[:-1]
+    blocks = arr.reshape(*shape, 2**n, 2 ** (J - n))
+    means = blocks.mean(axis=-1, keepdims=True)
+    return np.broadcast_to(means, blocks.shape).reshape(*shape, 2**J)

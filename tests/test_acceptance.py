@@ -24,7 +24,7 @@ from mgale.dilated import (
     gaposhkin_modulus_fit,
     oscillation_diagnostic,
 )
-from mgale.martingale import _block_average, _details_stack, random_grid_functions
+from mgale.martingale import _haar_details, _haar_means, random_grid_functions
 from mgale.riesz import RieszProductSpec, riesz_fourier_coeff, riesz_partial_density
 from mgale.torus import GridFunction, _lp_norm_array, render, sine_series
 from mgale.transfer import l2_norm_exact, transfer_apply, transfer_pointwise_check, duality_audit
@@ -46,8 +46,8 @@ def test_c01_telescoping_parseval():
     worst = 0.0
     for lo in range(0, total, 250):
         arr = random_grid_functions(250, J, rng, "mixed")
-        stack = _details_stack(arr, J)
-        energy = sum(np.square(s).mean(axis=1) for s in stack)
+        details = _haar_details(_haar_means(arr, J))
+        energy = sum(np.square(d).mean(axis=1) for d in details)
         target = np.square(arr).mean(axis=1)
         worst = max(worst, float(np.abs(energy / target - 1.0).max()))
     elapsed = time.time() - t0
@@ -75,8 +75,9 @@ def test_c03_dyadic_approximation_factor_two():
     for i in range(count):
         curves = mo.shift_norm_curve(arr[i], ps, chunk=512)
         cms = {p: np.maximum.accumulate(curves[p]) for p in ps}
+        means = _haar_means(arr[i], J)
         for n in range(J + 1):
-            resid = arr[i] - _block_average(arr[i], n, J)
+            resid = arr[i] - np.repeat(means[n], 2 ** (J - n))
             for p in ps:
                 lhs = _lp_norm_array(resid, p)
                 rhs = 2.0 * cms[p][2 ** (J - n)]

@@ -276,6 +276,23 @@ def test_riesz_sample_aliasing_is_config_error(tmp_path):
     ("ergodic", {"coeffs": [1.0, "a"] * 32}),
     ("riesz", {"action": "series", "lambdas": [1, 3, 9, 27], "cs": [0.5] * 4, "coeffs": "geom"}),
     ("riesz", {"action": "series", "lambdas": [1, 3, 9, 27], "cs": [0.5] * 4, "coeffs": [0.5, 0.25]}),
+    # generators, frequency rules, sizes and Riesz products
+    ("dilated", {"generator": "davenport:0.75"}),
+    ("dilated", {"freqs": "pow:2"}),
+    ("dilated", {"K": "x"}),
+    ("davenport", {"freqs": "pow:2"}),
+    ("davenport", {"lambda": 0.5}),
+    ("riesz", {"lambdas": [1, 2, 4], "cs": [0.5] * 3}),
+    ("riesz", {"lambdas": [1, 3, 9], "cs": [0.5] * 2}),
+    ("riesz", {"action": "coeff", "lambdas": [1, 3, 9], "cs": [0.5] * 3, "k": ["x"]}),
+    ("riesz", {"action": "sample", "lambdas": [1, 3, 9], "cs": [0.5] * 3, "count": -1}),
+    ("dilated", {"K": 16, "freqs": [1, 4, 2] + list(range(5, 18))}),
+    ("dilated", {"generator": {"0": 1.0, "1": 0.5}}),
+    ("davenport", {"lambda": "0.75"}),
+    ("davenport", {"freqs": [1, 2, 2]}),
+    ("riesz", {"cs": [0.5] * 3}),
+    ("riesz", {"lambdas": [1, 3, 9], "cs": [0.5, "x", 0.5]}),
+    ("riesz", {"lambdas": [1, 3, 9], "cs": [0.5] * 3, "N": "x"}),
 ])
 def test_series_kind_parameters_are_config_errors(tmp_path, kind, params):
     assert run_raw(tmp_path, {"kind": kind, "parameters": params}) == 2
@@ -287,6 +304,10 @@ def test_series_kind_parameters_are_config_errors(tmp_path, kind, params):
     ("ergodic", {"K": 64, "coeffs": "invpow:1.5", "tail": {"kind": "geometric", "exponent": 0.5}}),
     ("dilated", {"K": 64, "coeffs": [1.0 / k for k in range(1, 100)]}),
     ("riesz", {"action": "series", "lambdas": [1, 3, 9, 27], "cs": [0.5] * 4, "coeffs": [0.5, 0.25, 0.125, 0.0625]}),
+    ("dilated", {"K": 64, "generator": "davenport:0.75:16"}),
+    ("dilated", {"K": 16, "freqs": list(range(3, 19)), "generator": {"1": [0.0, -0.5], "-1": [0.0, 0.5]}}),
+    ("davenport", {"lambda": 1, "freqs": [3, 1, 2]}),
+    ("riesz", {"action": "sample", "lambdas": [1, 3, 9], "cs": [0.5] * 3, "count": 0}),
 ])
 def test_series_kind_well_formed_parameters_run(tmp_path, kind, params):
     params = dict(params, sample_size=100)

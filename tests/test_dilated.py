@@ -3,11 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from conftest import random_trig_poly
+from conftest import block_average, random_trig_poly
 from mgale import dilated as dl
 from mgale.modulus import ModulusProfile, fourier_modulus_l2, modulus_profile
 from mgale.tails import TailModel
-from mgale.torus import FourierFunction, lp_norm, render, sine_series
+from mgale.torus import FourierFunction, _lp_norm_array, dilate, lp_norm, render, sine_series
 
 
 def _frac_of_multiple(x_int: int, n: int, bits: int) -> float:
@@ -224,6 +224,21 @@ def test_contraction_randomized(rng):
         assert dl.contraction_refined_audit(f, m, n, J).passed
 
 
+@pytest.mark.parametrize("J, real", [(2, True), (6, True), (6, False)])
+def test_contraction_audits_match_block_average_reference(rng, J, real):
+    # the left sides as computed before: the norm of the expanded E(g|F_n)
+    f = sine_series({1: 1.0}) if J == 2 else random_trig_poly(rng, degree=6, real=real)
+    for m in range(1, (2 ** (J - 1) - 1) // f.max_frequency + 1):
+        g = render(dilate(f, m), J, strict=True).samples
+        for n in range(J):
+            atol = 8 * np.finfo(np.float64).eps * np.abs(g).max()
+            for p in (1, 1.5, 2, 4, math.inf):
+                rep = dl.contraction_audit(f, m, n, p, J)
+                assert rep.passed and abs(rep.lhs - _lp_norm_array(block_average(g, n, J), p)) <= atol
+            rep = dl.contraction_refined_audit(f, m, n, J)
+            assert rep.passed and abs(rep.lhs - _lp_norm_array(block_average(g, n, J), 2)) <= atol
+
+
 def test_contraction_rejects_nonzero_mean():
     with pytest.raises(ValueError):
         dl.contraction_audit(FourierFunction({0: 1.0, 1: 1.0}), 2, 1, 2, 8)
@@ -256,6 +271,24 @@ def test_lacunary_criteria_davenport_lambda():
     tail = TailModel("geometric", float(prof.values[-1]), 2.0**-0.25)
     rep = dl.lacunary_criteria(spec, 2, 13, profile=prof, tail=tail)
     assert rep.passed and math.isfinite(rep.lhs)
+
+
+@pytest.mark.parametrize("p, tail, converges", [
+    # 2/3 + 1/3 == 1 in floating point (1 - 1/3 != 2/3): the critical
+    # exponent, where log exponent 2 > 1 converges by the integral test
+    (3, TailModel("power_log", 1.0, 2 / 3, 2.0), True),
+    (3, TailModel("power_log", 1.0, 2 / 3, 1.0), False),
+    (2, TailModel("power", 0.0, 0.1), True),  # a zero tail converges
+    (2, TailModel("power", 1.0, 0.6), True),
+    (2, TailModel("power", 1.0, 0.5), False),
+    (2, TailModel("geometric", 1.0, 0.9), True),
+])
+def test_lacunary_criteria_verdict_is_the_tail_model_rule(p, tail, converges):
+    spec = sin_spec([1.0 / (k + 1) for k in range(16)], [2**k for k in range(16)])
+    prof = modulus_profile(render(spec.generator, 10), p)
+    rep = dl.lacunary_criteria(spec, p, 10, profile=prof, tail=tail)
+    assert rep.passed == converges == tail.series_converges(weight_exponent=1.0 / p)
+    assert math.isfinite(rep.lhs) == converges
 
 
 def test_split_per_octave():

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_grid, random_trig_poly
+from conftest import block_average, random_grid, random_trig_poly
 from mgale import martingale as mg
 from mgale.martingale import AuditReport
 from mgale.tails import TailModel
@@ -204,7 +204,7 @@ def test_rio_doob_randomized_batches_all_pass():
 # a few ulps of the data.
 
 def _reference_details(arr, J):
-    return [mg._block_average(arr, n + 1, J) - mg._block_average(arr, n, J) for n in range(J)]
+    return [block_average(arr, n + 1, J) - block_average(arr, n, J) for n in range(J)]
 
 
 def _pyramid_input(rng, J, batch, complex_values):
@@ -223,12 +223,11 @@ def test_pyramid_details_match_block_average_differences(rng, J, batch, complex_
     atol = 64 * np.finfo(np.float64).eps * np.abs(arr).max()
     ref = _reference_details(arr, J)
     coarse = mg._haar_details(mg._haar_means(arr, J))
-    full = mg._details_stack(arr, J)
-    assert len(coarse) == len(full) == J
+    assert len(coarse) == J
     for n in range(J):
         assert coarse[n].shape == arr.shape[:-1] + (2 ** (n + 1),)
-        np.testing.assert_allclose(full[n], ref[n], rtol=0, atol=atol)
-        np.testing.assert_array_equal(np.repeat(coarse[n], 2 ** (J - n - 1), axis=-1), full[n])
+        full = np.repeat(coarse[n], 2 ** (J - n - 1), axis=-1)
+        np.testing.assert_allclose(full, ref[n], rtol=0, atol=atol)
         for p in (1.5, 2, 3, math.inf):
             np.testing.assert_allclose(
                 mg._lp_norm_array(coarse[n], p), mg._lp_norm_array(ref[n], p), rtol=1e-13, atol=atol
@@ -286,6 +285,148 @@ def test_batch_audits_match_per_case_reference(batch, reference):
     assert all(r.passed and r.seed == 11 for r in reports)
     np.testing.assert_allclose([r.lhs for r in reports], [l for l, _, _ in ref], rtol=1e-13)
     np.testing.assert_allclose([r.rhs for r in reports], [h for _, h, _ in ref], rtol=1e-13)
+
+
+# ------------------------------------ rerouted functions vs block averages
+# cond_exp, detail, decompose, doob_maximal_audit, detail_criteria and
+# bounded_deltas read E(.|F_n) off the Haar pyramid; their old bodies on
+# full-resolution block averages are the references.  The pyramid sums
+# in a different order, so values agree to a few ulps of the data.
+
+#: a level map with repeats and levels past J (for J = 0, 1, 6)
+LEVEL_MAPS = [None, [0, 0, 2, 2, 9]]
+
+
+def _ulps(arr):
+    return 8 * np.finfo(np.float64).eps * max(float(np.abs(arr).max()), 1e-300)
+
+
+def _grid(arr, J):
+    return GridFunction(J, arr, "complex" if np.iscomplexobj(arr) else "real")
+
+
+def _centered_family(rng, J, count, complex_values):
+    arr = _pyramid_input(rng, J, True, complex_values)[:count]
+    return arr - arr.mean(axis=-1, keepdims=True)
+
+
+@pytest.mark.parametrize("J", [0, 1, 6])
+@pytest.mark.parametrize("complex_values", [False, True])
+def test_cond_exp_detail_decompose_match_block_averages(rng, J, complex_values):
+    arr = _centered_family(rng, J, 1, complex_values)[0]
+    f, atol = _grid(arr, J), _ulps(arr)
+    for n in range(J + 1):
+        np.testing.assert_allclose(mg.cond_exp(f, n).samples, block_average(f.samples, n, J), rtol=0, atol=atol)
+    ref = _reference_details(f.samples, J)
+    details = mg.decompose(f).details
+    assert len(details) == J
+    for n in range(J):
+        np.testing.assert_allclose(mg.detail(f, n).samples, ref[n], rtol=0, atol=atol)
+        assert details[n].value_kind == f.value_kind
+        np.testing.assert_allclose(details[n].samples, ref[n], rtol=0, atol=atol)
+
+
+def _reference_doob_maximal_audit(increments, p, levels, difference_tol=1e-10):
+    """(lhs, rhs), or None where the martingale difference check fails."""
+    J = increments[0].resolution_log2
+    for inc, lv in zip(increments, levels):
+        resid = np.abs(block_average(inc.samples, min(lv, J), J)).max()
+        if resid > difference_tol * max(np.abs(inc.samples).max(), 1.0):
+            return None
+    partial = np.cumsum(np.stack([inc.samples for inc in increments]), axis=0)
+    return mg._lp_norm_array(np.abs(partial).max(axis=0), p), p / (p - 1.0) * mg._lp_norm_array(partial[-1], p)
+
+
+@pytest.mark.parametrize("J", [0, 1, 6])
+@pytest.mark.parametrize("complex_values", [False, True])
+def test_doob_maximal_audit_matches_block_average_check(rng, J, complex_values):
+    arr = _centered_family(rng, J, 1, complex_values)[0]
+    f = _grid(arr, J)
+    # D_n f is a difference for F_n; a zero increment is one past J
+    increments = [d for d in mg.decompose(f).details] + [_grid(np.zeros_like(arr), J)]
+    levels = list(range(J)) + [J + 3]
+    broken = _grid(arr + 0.25, J)  # not centered: fails at level 0 and at every level
+    cases = [
+        (increments, levels),
+        (increments, [lv + 1 for lv in levels]),  # D_n is not a difference for F_(n+1)
+        (increments[:-1] + [broken], levels),
+        ([broken] + increments[1:], levels),
+    ]
+    for incs, lvs in cases:
+        ref = _reference_doob_maximal_audit(incs, 2.5, lvs)
+        if ref is None:
+            with pytest.raises(ValueError):
+                mg.doob_maximal_audit(incs, 2.5, levels=lvs)
+            continue
+        rep = mg.doob_maximal_audit(incs, 2.5, levels=lvs)
+        assert rep.passed
+        assert (rep.lhs, rep.rhs) == (float(ref[0]), float(ref[1]))
+    with pytest.raises(ValueError):
+        mg.doob_maximal_audit(increments[:1], 2.0, levels=[-1])
+
+
+def _reference_detail_criteria(Z, levels, p):
+    J, N = Z[0].resolution_log2, len(Z)
+
+    def lv(j):
+        return min(levels[j], J) if j < N else J
+
+    pp = min(2.0, p)
+    samples = np.stack([z.samples for z in Z])
+    cond = {m: block_average(samples, m, J) for m in range(J + 1)}
+
+    def norm(slot, n):
+        lo, hi = lv(slot), lv(slot + 1)
+        return 0.0 if lo == hi else float(mg._lp_norm_array(cond[hi][n] - cond[lo][n], p))
+
+    s1 = sum(sum(norm(n + k, n) ** pp for n in range(N) if n + k <= N) ** (1 / pp) for k in range(N + 1))
+    s2 = sum(sum(norm(n, n + k) ** pp for n in range(N - k)) ** (1 / pp) for k in range(1, N + 1))
+    lhs = float(mg._lp_norm_array(np.abs(np.cumsum(samples, axis=0)).max(axis=0), p))
+    return s1, s2, lhs
+
+
+def _reference_bounded_deltas(Z, levels):
+    J, N = Z[0].resolution_log2, len(Z)
+
+    def lv(j):
+        return min(levels[j] if j < N else J, J)
+
+    samples = np.stack([z.samples for z in Z])
+    cond = {m: block_average(samples, m, J) for m in range(J + 1)}
+    d1 = 0.0
+    for ell in range(N + J + 1):
+        inner = sum(float(np.abs(samples[k] - cond[lv(ell + k)][k]).max()) ** 2 for k in range(N) if lv(ell + k) < J)
+        if inner == 0.0 and lv(ell) >= J:
+            break
+        d1 += math.sqrt(inner)
+    d2 = sum(
+        math.sqrt(sum(float(np.abs(cond[lv(k + 1 - ell)][k]).max()) ** 2 for k in range(ell, N)))
+        for ell in range(N)
+    )
+    return d1, d2
+
+
+@pytest.mark.parametrize("J", [0, 1, 6])
+@pytest.mark.parametrize("complex_values", [False, True])
+@pytest.mark.parametrize("levels", LEVEL_MAPS)
+def test_detail_criteria_and_bounded_deltas_match_block_averages(rng, J, complex_values, levels):
+    arr = _centered_family(rng, J, 5, complex_values)
+    Z = [_grid(a, J) for a in arr]
+    atol = _ulps(arr)
+    lv_map = list(range(len(Z))) if levels is None else levels
+    for p in (1.5, 2, 3):
+        res = mg.detail_criteria(Z, lv_map, p)
+        s1, s2, lhs = _reference_detail_criteria(Z, lv_map, p)
+        np.testing.assert_allclose([res.higher_sum, res.lower_sum], [s1, s2], rtol=0, atol=atol)
+        assert res.audit.lhs == lhs and res.audit.passed
+    np.testing.assert_allclose(
+        mg.bounded_deltas(Z, levels), _reference_bounded_deltas(Z, lv_map), rtol=0, atol=atol
+    )
+    for bad in ([-1] + lv_map[1:], lambda n: n - 1):
+        with pytest.raises(ValueError):
+            mg.detail_criteria(Z, bad, 2.0)
+    with pytest.raises(ValueError):
+        mg.bounded_deltas(Z, [0, 0, -1, 2, 9])
 
 
 # ----------------------------------------------------- detail criteria

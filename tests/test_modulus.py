@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import random_trig_poly
+from conftest import block_average, random_trig_poly
 from mgale import modulus as mo
 from mgale.martingale import cond_exp
 from mgale.tails import TailModel, fit_tail_model
@@ -70,6 +70,41 @@ def test_dyadic_approx_randomized(rng):
         for p in (1.5, 2, 4, math.inf):
             for rep in mo.dyadic_approx_audit_all(g, p, levels=range(0, 11, 2)):
                 assert rep.passed, rep.context
+
+
+def _reference_dyadic_approx_all(f, p, levels):
+    """(lhs, rhs) per level from expanded block averages and the running
+    maximum of the shift curve, as computed before the Haar pyramid."""
+    J = f.resolution_log2
+    cummax = np.maximum.accumulate(mo.shift_norm_curve(f.samples, [p])[p])
+    return [
+        (_lp_norm_array(f.samples - block_average(f.samples, n, J), p), 2.0 * cummax[2 ** (J - n)])
+        for n in levels
+    ]
+
+
+@pytest.mark.parametrize("J", [0, 1, 6])
+@pytest.mark.parametrize("complex_values", [False, True])
+def test_dyadic_approx_matches_block_average_reference(rng, J, complex_values):
+    arr = rng.standard_normal(2**J)
+    if complex_values:
+        arr = arr + 1j * rng.standard_normal(2**J)
+    f = GridFunction(J, arr, "complex" if complex_values else "real")
+    atol = 8 * np.finfo(np.float64).eps * np.abs(arr).max()
+    for p in (1, 1.5, 2, 4, math.inf):
+        for levels in (None, [J, 0, J // 2, J // 2]):
+            reports = mo.dyadic_approx_audit_all(f, p, levels)
+            ref = _reference_dyadic_approx_all(f, p, range(J + 1) if levels is None else levels)
+            assert len(reports) == len(ref)
+            for rep, (lhs, rhs) in zip(reports, ref):
+                assert rep.passed and rep.rhs == rhs
+                assert abs(rep.lhs - lhs) <= atol
+        for n, (lhs, _) in enumerate(_reference_dyadic_approx_all(f, p, range(J + 1))):
+            rep = mo.dyadic_approx_audit(f, p, n)
+            assert rep.passed and abs(rep.lhs - lhs) <= atol
+        for bad in (-1, J + 1):
+            with pytest.raises(ValueError):
+                mo.dyadic_approx_audit_all(f, p, [0, bad])
 
 
 def test_dyadic_approx_never_fails_on_noise(rng):

@@ -6,7 +6,8 @@ from scipy.stats import chi2 as chi2_dist
 
 from mgale import riesz as rz
 from mgale.dilated import oscillation_verdict
-from mgale.torus import FourierFunction, sine_series
+from mgale.modulus import shift_norm_curve
+from mgale.torus import FourierFunction, render, sine_series
 
 
 def std_spec(depth=9, c=0.6):
@@ -131,6 +132,16 @@ def test_series_run_sawtooth_out_of_hypothesis():
     saw = sine_series({m: 1.0 / m for m in range(1, 65)})
     diag = rz.riesz_series_run(spec, lambda n: saw, [0.5] * 4, [1, 2], 300, seed=3)
     assert diag.label.endswith("[out-of-hypothesis]")
+
+
+@pytest.mark.parametrize("octaves", [4, 12, 15])
+def test_grid_inf_modulus_matches_shift_curve_read_off(octaves):
+    # octaves past J repeat the finest grid value
+    f = sine_series({1: 1.0, 5: 0.3, 17: -0.2})
+    J = 12
+    cm = np.maximum.accumulate(shift_norm_curve(render(f, J).samples, [math.inf])[math.inf])
+    ref = np.array([cm[2 ** (J - min(n, J))] for n in range(octaves + 1)])
+    np.testing.assert_array_equal(rz.grid_inf_modulus(f, octaves, J), ref)
 
 
 def test_series_run_validation():
