@@ -2,8 +2,7 @@
 
 ``mgale run config.json`` executes one experiment described by a JSON
 config and writes CSV/JSON reports; ``mgale suites`` lists the audit
-catalog.  Convenience subcommands (``davenport``, ``riesz``,
-``symbolic``) build the equivalent config from flags and run it.
+catalog.
 
 Config schema (version 1):
 
@@ -16,6 +15,9 @@ Config schema (version 1):
       "seed": 7,
       "resolution": 12
     }
+
+``validate_config`` parses every key through its object's schema
+(``_CONFIG``, ``_OUTPUT``, ``SCHEMAS[kind]``); handlers read typed values.
 
 Reports start with one header line carrying the config hash, seed,
 library version and a timestamp; everything after that line is
@@ -101,29 +103,6 @@ class ExperimentConfig:
         ).hexdigest()[:16]
 
 
-def validate_config(raw: dict) -> ExperimentConfig:
-    if not isinstance(raw, dict):
-        raise ConfigError("config must be a JSON object")
-    if raw.get("version", 1) != 1:
-        raise ConfigError("unsupported config version")
-    kind = raw.get("kind")
-    if kind not in KINDS:
-        raise ConfigError(f"kind must be one of {KINDS}, got {kind!r}")
-    params = raw.get("parameters", {})
-    if not isinstance(params, dict):
-        raise ConfigError("parameters must be an object")
-    output = raw.get("output", {})
-    out_path = Path(output.get("path", "."))
-    out_format = output.get("format", "csv")
-    if out_format not in ("csv", "json"):
-        raise ConfigError("output.format must be csv or json")
-    seed = int(raw.get("seed", 0))
-    resolution = int(raw.get("resolution", 12))
-    if not 0 <= resolution <= 24:
-        raise ConfigError("resolution out of range [0, 24]")
-    return ExperimentConfig(kind, params, out_path, out_format, seed, resolution, raw)
-
-
 def list_suites() -> list[tuple[str, str, str, bool]]:
     """(name, module, description, runnable) for every audit/diagnostic
     suite; a runnable name runs as the audit kind's ``suite``."""
@@ -169,22 +148,11 @@ def _emit_reports(config: ExperimentConfig, name: str, reports) -> tuple[Path, b
 
 
 # --------------------------------------------------------------------------
-# kind handlers
+# parameter parsing: each schema maps key -> (parser, default); a default
+# of None means absent (the handler derives it from other keys)
 # --------------------------------------------------------------------------
 
-def _generator_from(params: dict, key: str = "generator") -> FourierFunction:
-    g = params.get(key, "sin")
-    if g == "sin":
-        return sine_series({1: 1.0})
-    try:
-        if isinstance(g, str) and g.startswith("davenport:"):
-            _, lam, M = g.split(":")
-            return davenport_fourier(float(lam), int(M))
-        if isinstance(g, dict):
-            return FourierFunction({int(m): complex(*c) if isinstance(c, list) else complex(c) for m, c in g.items()})
-    except (TypeError, ValueError):
-        pass
-    raise ConfigError(f"unrecognized generator {g!r}; use \"sin\", \"davenport:lambda:M\" or a mode object")
+_REQUIRED = object()  # a schema default: the key must be given
 
 
 def _is_int(v) -> bool:
@@ -197,54 +165,121 @@ def _is_number(v) -> bool:
     return _is_int(v) or (isinstance(v, float) and math.isfinite(v))
 
 
-def _int_param(params: dict, key: str, default: int, least: int = 1) -> int:
-    """An integer parameter >= least, ``default`` when absent."""
-    v = params.get(key, default)
-    if not _is_int(v) or v < least:
-        raise ConfigError(f"{key} must be an integer >= {least}, got {v!r}")
-    return v
+def _check(test, want: str, convert=lambda v: v):
+    """A parser passing the values ``test`` accepts through ``convert``."""
+    def parse(v):
+        if not test(v):
+            raise ConfigError(f"must be {want}, got {v!r}")
+        return convert(v)
+    return parse
 
 
-def _freqs_from(rule) -> list:
-    try:
-        return freqs_from_rule(rule)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+def _int(least: int, most: float = math.inf):
+    return _check(lambda v: _is_int(v) and least <= v <= most, f"an integer in [{least}, {most}]")
 
 
-def _coeffs_from(rule, K: int) -> tuple:
-    """The first K coefficients of a rule: a list of at least K numbers,
-    "geom:r" (r^k), "invsqrt" (k^-1/2) or "invpow:s" (k^-s), k = 1..K."""
-    if isinstance(rule, list):
-        if len(rule) >= K and all(_is_number(a) for a in rule):
-            return tuple(rule[:K])
-        raise ConfigError(f"coefficient list must hold at least {K} numbers, got {rule!r}")
-    if isinstance(rule, str):
-        name, _, arg = rule.partition(":")
-        ks = np.arange(1, K + 1, dtype=np.float64)
-        if name == "invsqrt" and not arg:
-            return tuple(1.0 / np.sqrt(ks))
-        if name in ("geom", "invpow"):
-            try:
-                x = float(arg)
-            except ValueError:
-                x = math.nan
-            if math.isfinite(x):
-                return tuple(x**k for k in ks) if name == "geom" else tuple(ks**-x)
-    raise ConfigError(f"unrecognized coefficient rule {rule!r}; use a list, \"geom:r\", \"invsqrt\" or \"invpow:s\"")
+def _choice(*options):
+    return _check(lambda v: isinstance(v, str) and v in options, f"one of {list(options)}")
 
 
-def _tail_from(raw) -> TailModel:
-    """A declared tail {"kind", "exponent", "amplitude" = 1, "log_exponent" = 0}."""
-    if not isinstance(raw, dict) or "exponent" not in raw:
-        raise ConfigError(f"tail must be an object with a kind and an exponent, got {raw!r}")
-    values = (raw.get("amplitude", 1.0), raw["exponent"], raw.get("log_exponent", 0.0))
-    if not all(_is_number(v) for v in values):
-        raise ConfigError(f"tail amplitude, exponent and log_exponent must be numbers, got {raw!r}")
-    try:
-        return TailModel(raw.get("kind"), *values)
-    except ValueError as exc:
-        raise ConfigError(f"bad tail {raw!r}: {exc}") from None
+def _list(item):
+    """A non-empty list of values ``item`` parses."""
+    outer = _check(lambda v: isinstance(v, list) and v != [], "a non-empty list")
+    return lambda v: [item(x) for x in outer(v)]
+
+
+def _parse(schema: dict, raw, where: str) -> dict:
+    """The typed value of each ``schema`` key in the object ``raw`` (absent: its parsed default or None)."""
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{where} must be an object, got {raw!r}")
+    unknown = sorted(set(raw) - set(schema))
+    if unknown:
+        raise ConfigError(f"unknown {where} key(s) {unknown}; {where} takes {sorted(schema)}")
+    typed = dict.fromkeys(schema)
+    for key, (parse, default) in schema.items():
+        if key not in raw and default is _REQUIRED:
+            raise ConfigError(f"{where} needs {key!r}")
+        if key in raw or default is not None:
+            try:  # each of these is a parser rejecting a malformed value
+                typed[key] = parse(raw.get(key, default))
+            except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
+                raise ConfigError(f"{where}.{key}: {exc}") from None
+    return typed
+
+
+_NUMBER = _check(_is_number, "a finite number")
+_FLOAT = _check(_is_number, "a finite number", float)
+_STRING = _check(lambda v: isinstance(v, str), "a string")
+_COMPLEX = _check(lambda v: _is_number(v) or (isinstance(v, list) and len(v) == 2 and all(map(_is_number, v))),
+                  "a number or a [re, im] pair", lambda v: complex(*v) if isinstance(v, list) else complex(v))
+_CHECKPOINTS = _list(_int(1))
+_EXPONENT = _check(lambda v: v == "inf" or _is_int(v) or (isinstance(v, float) and not math.isnan(v)),
+                   "a number or \"inf\"", lambda v: math.inf if v == "inf" else v)
+
+
+def _generator(g) -> FourierFunction:
+    """"sin", "davenport:lambda:M" (lambda > 0, M >= 1) or a mode object {"m": c}."""
+    if g == "sin":
+        return sine_series({1: 1.0})
+    if isinstance(g, dict):
+        return FourierFunction({int(m): _COMPLEX(c) for m, c in g.items()})
+    if isinstance(g, str) and g.startswith("davenport:"):
+        _, lam, M = g.split(":")
+        if math.isfinite(float(lam)) and float(lam) > 0 and int(M) >= 1:
+            return davenport_fourier(float(lam), int(M))
+    raise ConfigError(f"must be \"sin\", \"davenport:lambda:M\" or a mode object, got {g!r}")
+
+
+def _coeffs(rule):
+    """A non-empty list of numbers (as a tuple), or "geom:r" (r^k), "invsqrt" (k^-1/2)
+    or "invpow:s" (k^-s) as a function of the term count K, k = 1..K."""
+    if isinstance(rule, list) and rule and all(_is_number(a) for a in rule):
+        return tuple(rule)
+    name, _, arg = rule.partition(":") if isinstance(rule, str) else ("", "", "")
+    if name == "invsqrt" and not arg:
+        return lambda K: tuple(1.0 / np.sqrt(np.arange(1.0, K + 1)))
+    x = float(arg) if name in ("geom", "invpow") else math.nan
+    if math.isfinite(x) and name == "geom":
+        return lambda K: tuple(x**k for k in np.arange(1.0, K + 1))
+    if math.isfinite(x):
+        return lambda K: tuple(np.arange(1.0, K + 1) ** -x)
+    raise ConfigError(f"must be a list of numbers, \"geom:r\", \"invsqrt\" or \"invpow:s\", got {rule!r}")
+
+
+def _coeffs_for(rule, K: int) -> tuple:
+    """The first K coefficients of a parsed rule; a list must hold K."""
+    if callable(rule):
+        return rule(K)
+    if len(rule) < K:
+        raise ConfigError(f"coefficient list must hold at least {K} numbers, got {len(rule)}")
+    return rule[:K]
+
+
+_TAIL = {
+    "kind": (_STRING, _REQUIRED),
+    "exponent": (_NUMBER, _REQUIRED),
+    "amplitude": (_NUMBER, 1.0),
+    "log_exponent": (_NUMBER, 0.0),
+}
+
+
+def _checkpoints_for(cps, length: int) -> list:
+    """Parsed checkpoints for ``length`` terms; by default 2^4, ..., 2^j <= length."""
+    if cps is None:
+        cps = [2**j for j in range(4, length.bit_length())]
+        if not cps:
+            raise ConfigError(f"no default checkpoints for a series of length {length} < 16")
+    if max(cps) > length:
+        raise ConfigError(f"checkpoints exceed the series length {length}")
+    return cps
+
+
+def _gaposhkin(p: dict) -> SeriesSpec:
+    """The sharpness example of ``gaposhkin_m`` with K (default 4096) terms."""
+    K = 4096 if p["K"] is None else p["K"]
+    if K < 2:
+        raise ConfigError(f"gaposhkin_m needs K >= 2, got {K}")
+    return gaposhkin_example(p["gaposhkin_m"], K)
 
 
 # the batch audits are looked up on ``mg`` at call time, so a patched or
@@ -340,81 +375,79 @@ SUITES = {
 }
 
 
-def _audit_p_values(raw, admissible) -> list:
-    """The config's exponent list with "inf" read as math.inf; a value the
-    suite cannot take is a ConfigError, not an audit failure."""
-    if not isinstance(raw, list) or not raw:
-        raise ConfigError(f"audit p must be a non-empty list, got {raw!r}")
-    values = [math.inf if v == "inf" else v for v in raw]
-    for v in values:
-        if isinstance(v, bool) or not isinstance(v, (int, float)) or math.isnan(v):
-            raise ConfigError(f"audit p values must be numbers or \"inf\", got {v!r}")
-        if admissible is not None and not admissible(v):
-            raise ConfigError(f"audit p={v!r} outside the range this suite admits")
-    return values
+# --------------------------------------------------------------------------
+# kind handlers, each under its parameter schema
+# --------------------------------------------------------------------------
+
+SCHEMAS: dict = {}  # kind -> {key: (parser, default)}
+_HANDLERS: dict = {}  # kind -> handler, looked up at run time
 
 
+def _kind(name: str, schema: dict):
+    """Register the decorated handler of kind ``name`` and its schema."""
+    def register(handler):
+        SCHEMAS[name], _HANDLERS[name] = schema, handler
+        return handler
+    return register
+
+
+@_kind("audit", {
+    "suite": (_choice(*sorted(n for n, s in SUITES.items() if s.runner is not None)), _REQUIRED),
+    "cases": (_int(0), 100),
+    "p": (_list(_EXPONENT), [1.5, 2, 3, 4, 8]),
+})
 def _run_audit(config: ExperimentConfig) -> bool:
     p = config.parameters
-    name = p.get("suite")
-    suite = SUITES.get(name) if isinstance(name, str) else None
-    if suite is None or suite.runner is None:
-        runnable = sorted(n for n, s in SUITES.items() if s.runner is not None)
-        raise ConfigError(f"unknown audit suite {name!r}; the audit kind runs {runnable}")
+    name = p["suite"]
+    suite = SUITES[name]
     if config.resolution < suite.min_resolution:
         raise ConfigError(f"audit {name} needs resolution >= {suite.min_resolution}, got {config.resolution}")
-    cases = p.get("cases", 100)
-    if not _is_int(cases) or cases < 0:
-        raise ConfigError(f"audit cases must be a nonnegative integer, got {cases!r}")
-    p_values = _audit_p_values(p.get("p", [1.5, 2, 3, 4, 8]), suite.p_rule)
-    reports = suite.runner(cases, p_values, config.resolution, config.seed)
+    if suite.p_rule is not None and not all(map(suite.p_rule, p["p"])):
+        raise ConfigError(f"audit p={p['p']!r} outside the range suite {name} admits")
+    reports = suite.runner(p["cases"], p["p"], config.resolution, config.seed)
     _, ok = _emit_reports(config, f"audit_{name}", reports)
     return ok
 
 
-def _checkpoints_for(params: dict, length: int, default: list | None = None) -> list:
-    """The config's checkpoints for a series of ``length`` terms; by default
-    ``default``, else the powers 2^4, ..., 2^j <= length."""
-    if default is None:
-        default = [2**j for j in range(4, length.bit_length())]
-        if "checkpoints" not in params and not default:
-            raise ConfigError(f"no default checkpoints for a series of length {length} < 16")
-    cps = params.get("checkpoints", default)
-    if not isinstance(cps, list) or not cps or any(not _is_int(c) or c < 1 for c in cps):
-        raise ConfigError(f"checkpoints must be a non-empty list of positive integers, got {cps!r}")
-    if max(cps) > length:
-        raise ConfigError(f"checkpoints exceed the series length {length}")
-    return cps
-
-
+@_kind("dilated", {
+    "gaposhkin_m": (_int(0), None),
+    "spec": (lambda v: SeriesSpec.from_json(json.dumps(v)), None),
+    "K": (_int(1), None),
+    "generator": (_generator, "sin"),
+    "freqs": (freqs_from_rule, None),
+    "coeffs": (_coeffs, "geom:0.5"),
+    "checkpoints": (_CHECKPOINTS, None),
+    "sample_size": (_int(100), 200),
+})
 def _run_dilated(config: ExperimentConfig) -> bool:
     p = config.parameters
-    if "gaposhkin_m" in p:
-        spec = gaposhkin_example(_int_param(p, "gaposhkin_m", 1, 0), _int_param(p, "K", 4096, 2))
-    elif "spec" in p:
-        spec = SeriesSpec.from_json(json.dumps(p["spec"]))
+    if p["gaposhkin_m"] is not None:
+        spec = _gaposhkin(p)
+    elif p["spec"] is not None:
+        spec = p["spec"]
     else:
-        K = _int_param(p, "K", 64)
-        gen = _generator_from(p)
-        freqs = tuple(_freqs_from(p.get("freqs", f"pow:2:{K - 1}")))[:K]
-        coeffs = _coeffs_from(p.get("coeffs", "geom:0.5"), len(freqs))
+        K = 64 if p["K"] is None else p["K"]
+        freqs = tuple([2**k for k in range(K)] if p["freqs"] is None else p["freqs"])[:K]
         try:
-            spec = SeriesSpec(coeffs, freqs, gen)
+            spec = SeriesSpec(_coeffs_for(p["coeffs"], len(freqs)), freqs, p["generator"])
         except ValueError as exc:
             raise ConfigError(f"bad dilated series: {exc}") from None
-    checkpoints = _checkpoints_for(p, spec.length)
-    diag = oscillation_diagnostic(spec, checkpoints, _int_param(p, "sample_size", 200, 100), config.seed)
+    checkpoints = _checkpoints_for(p["checkpoints"], spec.length)
+    diag = oscillation_diagnostic(spec, checkpoints, p["sample_size"], config.seed)
     _write(config, "dilated_oscillation", diag.to_csv() + f"# verdict={diag.verdict} slope={diag.fitted_slope!r}\n")
     return True
 
 
+@_kind("davenport", {
+    "lambda": (_check(lambda v: _is_number(v) and v > 0.5, "a number > 1/2 (finite Gram entries)", float), 0.75),
+    "freqs": (freqs_from_rule, "pow:2:16"),
+    "quadrature_check": (_check(lambda v: isinstance(v, bool), "true or false"), False),
+    "M": (_int(1), 4096),
+    "smoothness_p": (_check(lambda v: (_is_int(v) or isinstance(v, float)) and v >= 1, "a number >= 1"), None),
+})
 def _run_davenport(config: ExperimentConfig) -> bool:
     p = config.parameters
-    lam = p.get("lambda", 0.75)
-    if not _is_number(lam) or lam <= 0.5:
-        raise ConfigError(f"davenport lambda must be a number > 1/2 (finite Gram entries), got {lam!r}")
-    lam = float(lam)
-    freqs = _freqs_from(p.get("freqs", "pow:2:16"))
+    lam, freqs = p["lambda"], p["freqs"]
     gm = gram_matrix(freqs, lam)
     _write(config, "davenport_gram", gm.to_csv())
     lines = [f"lambda,{lam!r}", f"min_eig,{gm.eigen_bounds[0]!r}", f"max_eig,{gm.eigen_bounds[1]!r}"]
@@ -422,91 +455,114 @@ def _run_davenport(config: ExperimentConfig) -> bool:
     if gm.eigen_bounds[0] > 1e-10:
         lo, hi = riesz_constants(gm)
         lines += [f"riesz_lower,{lo!r}", f"riesz_upper,{hi!r}"]
-    if p.get("quadrature_check", False):
+    if p["quadrature_check"]:
         # the grid must leave alias-free room for the largest dilate
         J = max(config.resolution, 16, max(freqs).bit_length() + 2)
-        quad = gram_quadrature(freqs, lam, M=_int_param(p, "M", 4096), J=J)
+        quad = gram_quadrature(freqs, lam, M=p["M"], J=J)
         err = float(np.abs(gm.entries - quad).max())
         lines.append(f"quadrature_max_err,{err!r}")
         ok = err <= 1e-6
-    if "smoothness_p" in p:
-        est = smoothness_estimate(DavenportSpec(lam, _int_param(p, "M", 4096)), p["smoothness_p"], max(config.resolution, 14))
+    if p["smoothness_p"] is not None:
+        est = smoothness_estimate(DavenportSpec(lam, p["M"]), p["smoothness_p"], max(config.resolution, 14))
         lines.append(f"smoothness_exponent,{est!r}")
     _write(config, "davenport_summary", "\n".join(lines) + "\n")
     return ok
 
 
+@_kind("ergodic", {
+    "gaposhkin_m": (_int(0), None),
+    "K": (_int(1), None),
+    "f": (_generator, "sin"),
+    "coeffs": (_coeffs, "geom:0.5"),
+    "checkpoints": (_CHECKPOINTS, None),
+    "tail": (lambda v: TailModel(**_parse(_TAIL, v, "tail")), None),
+    "sample_size": (_int(100), 200),
+})
 def _run_ergodic(config: ExperimentConfig) -> bool:
     p = config.parameters
-    tail = None
-    if "gaposhkin_m" in p:
-        m = _int_param(p, "gaposhkin_m", 1, 0)
-        base = gaposhkin_example(m, _int_param(p, "K", 4096, 2))
+    tail = p["tail"]
+    if p["gaposhkin_m"] is not None:
+        base = _gaposhkin(p)
         f, coeffs = base.generator, base.coeffs
-        # the known decay shape of this construction, unless overridden
-        tail = TailModel("power_log", 1.0, 0.5, float(m))
+        if tail is None:  # the known decay shape of this construction
+            tail = TailModel("power_log", 1.0, 0.5, p["gaposhkin_m"])
     else:
-        f = _generator_from(p, "f")
-        rule = p.get("coeffs", "geom:0.5")
-        coeffs = _coeffs_from(rule, _int_param(p, "K", len(rule) if isinstance(rule, list) else 256))
-    checkpoints = _checkpoints_for(p, len(coeffs))
-    if "tail" in p:
-        tail = _tail_from(p["tail"])
-    diag, decay = ergodic_series_run(f, coeffs, checkpoints, _int_param(p, "sample_size", 200, 100), config.seed, tail)
+        f, rule = p["f"], p["coeffs"]
+        K = p["K"] if p["K"] is not None else (len(rule) if isinstance(rule, tuple) else 256)
+        coeffs = _coeffs_for(rule, K)
+    checkpoints = _checkpoints_for(p["checkpoints"], len(coeffs))
+    diag, decay = ergodic_series_run(f, coeffs, checkpoints, p["sample_size"], config.seed, tail)
     _write(config, "ergodic_decay", decay.to_csv())
     _write(config, "ergodic_oscillation", diag.to_csv() + f"# verdict={diag.verdict}\n")
     return True
 
 
+@_kind("riesz", {
+    "lambdas": (freqs_from_rule, _REQUIRED),
+    "cs": (_list(_COMPLEX), _REQUIRED),
+    "action": (_choice("coeff", "sample", "series"), "coeff"),
+    "N": (_int(0), None),
+    "J": (_int(0), None),
+    "k": (lambda v: _list(_check(_is_int, "an integer"))(v if isinstance(v, list) else [v]), None),
+    "count": (_int(0), 1000),
+    "fn": (_generator, "sin"),
+    "coeffs": (_coeffs, "geom:0.5"),
+    "checkpoints": (_CHECKPOINTS, [1, 2, 4]),
+    "sample_size": (_int(1), 500),
+})
 def _run_riesz(config: ExperimentConfig) -> bool:
     p = config.parameters
     try:
-        spec = RieszProductSpec(tuple(p["lambdas"]), tuple(complex(*c) if isinstance(c, list) else complex(c) for c in p["cs"]))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"bad riesz product: {exc!r}") from None
-    action = p.get("action", "coeff")
-    N = _int_param(p, "N", spec.depth - 1, 0)
-    J = _int_param(p, "J", config.resolution, 0)
+        spec = RieszProductSpec(p["lambdas"], p["cs"])
+    except ValueError as exc:
+        raise ConfigError(f"bad riesz product: {exc}") from None
+    N = spec.depth - 1 if p["N"] is None else p["N"]
+    J = config.resolution if p["J"] is None else p["J"]
     if N >= spec.depth:
         raise ConfigError(f"riesz N={N} outside the spec depth {spec.depth}")
-    if action == "coeff":
-        ks = p.get("k", [spec.lambdas[0]])
-        ks = ks if isinstance(ks, list) else [ks]
-        if not all(_is_int(k) for k in ks):
-            raise ConfigError(f"riesz k must be an integer or a list of integers, got {p['k']!r}")
+    if p["action"] == "coeff":
         lines = ["k,re,im"]
-        for k in ks:
+        for k in [spec.lambdas[0]] if p["k"] is None else p["k"]:
             c = complex(riesz_fourier_coeff(spec, N, k))
             lines.append(f"{k},{c.real!r},{c.imag!r}")
         _write(config, "riesz_coeff", "\n".join(lines) + "\n")
         return True
-    if action == "sample":
+    if p["action"] == "sample":
         if sum(spec.lambdas[: N + 1]) >= 2 ** (J - 1):
             raise ConfigError(f"riesz partial product at depth {N} aliases at J={J}")
-        xs = sample_mu(spec, N, J, _int_param(p, "count", 1000, 0), config.seed)
+        xs = sample_mu(spec, N, J, p["count"], config.seed)
         body = "x\n" + "\n".join(repr(float(x)) for x in xs) + "\n"
         _write(config, "riesz_sample", body)
         return True
-    if action == "series":
-        fam = _generator_from(p, "fn")
-        coeffs = _coeffs_from(p.get("coeffs", "geom:0.5"), N + 1)
-        checkpoints = _checkpoints_for(p, N + 1, default=[1, 2, 4])
-        diag = riesz_series_run(spec, lambda n: fam, coeffs, checkpoints, _int_param(p, "sample_size", 500), config.seed)
-        _write(config, "riesz_series", diag.to_csv() + f"# verdict={diag.verdict} label={diag.label}\n")
-        return True
-    raise ConfigError(f"unknown riesz action {action!r}")
+    coeffs = _coeffs_for(p["coeffs"], N + 1)
+    checkpoints = _checkpoints_for(p["checkpoints"], N + 1)
+    diag = riesz_series_run(spec, lambda n: p["fn"], coeffs, checkpoints, p["sample_size"], config.seed)
+    _write(config, "riesz_series", diag.to_csv() + f"# verdict={diag.verdict} label={diag.label}\n")
+    return True
 
 
+@_kind("symbolic", {
+    "lambdas": (freqs_from_rule, "pow:3:7"),
+    "cs": (_list(_COMPLEX), None),
+    "depth": (_int(1), 8),
+    "alpha": (_FLOAT, 1.0),
+    "A": (_FLOAT, 8.0),
+    "B": (_FLOAT, 8.0),
+})
 def _run_symbolic(config: ExperimentConfig) -> bool:
     p = config.parameters
-    lambdas = tuple(p.get("lambdas", [3**k for k in range(8)]))
-    cs = tuple(p.get("cs", [0.8] * len(lambdas)))
-    depth = int(p.get("depth", 8))
-    spec = RieszProductSpec(lambdas, cs)
+    lambdas, depth, alpha = p["lambdas"], p["depth"], p["alpha"]
+    cs = (0.8,) * len(lambdas) if p["cs"] is None else p["cs"]
+    try:
+        spec = RieszProductSpec(lambdas, cs)
+    except ValueError as exc:
+        raise ConfigError(f"bad symbolic riesz product: {exc}") from None
+    if lambdas[0] != 1 or depth < len(lambdas):
+        raise ConfigError(f"symbolic needs lambda_0 = 1 and depth >= {len(lambdas)} (one level per lambda), "
+                          f"got lambda_0 = {lambdas[0]} and depth {depth}")
     space, pots = riesz_potentials(spec, depth)
     weights = equilibrium_weights(space, pots)
-    alpha = float(p.get("alpha", 1.0))
-    reports = [potential_variation_check(space, pots, alpha, float(p.get("A", 8.0)))]
+    reports = [potential_variation_check(space, pots, alpha, p["A"])]
     # default audit family: depth-truncated oscillations above each level,
     # cos(2 pi lambda_n x) at the cylinder midpoints of coordinates n+1..depth
     ladder = _digit_ladder(lambdas, depth)
@@ -514,7 +570,7 @@ def _run_symbolic(config: ExperimentConfig) -> bool:
         CylinderFunction(n + 1, np.cos(2 * math.pi * ladder[n] * _digit_points(ladder, n + 1, depth, 0.5 / ladder[depth])))
         for n in range(1, min(5, depth - 2) + 1)
     ]
-    rep, _ = averaging_decay_audit(space, pots, fns, alpha, float(p.get("B", 8.0)), weights=weights)
+    rep, _ = averaging_decay_audit(space, pots, fns, alpha, p["B"], weights=weights)
     reports.append(rep)
     # cylinder cross-check against the torus density: the deepest
     # oscillating level needs >= 4 digit levels of padding below it for
@@ -534,16 +590,26 @@ def _run_symbolic(config: ExperimentConfig) -> bool:
     return ok
 
 
-_HANDLERS = {
-    "audit": _run_audit,
-    "dilated": _run_dilated,
-    "davenport": _run_davenport,
-    "ergodic": _run_ergodic,
-    "riesz": _run_riesz,
-    "symbolic": _run_symbolic,
+_OUTPUT = {
+    "path": (_STRING, "."),
+    "format": (_choice("csv", "json"), "csv"),
 }
 
-KINDS = tuple(_HANDLERS)
+_CONFIG = {
+    "version": (_check(lambda v: _is_int(v) and v == 1, "1"), 1),
+    "kind": (_choice(*_HANDLERS), _REQUIRED),
+    "parameters": (_check(lambda v: isinstance(v, dict), "an object"), {}),
+    "output": (lambda v: _parse(_OUTPUT, v, "output"), {}),
+    "seed": (_int(0), 0),
+    "resolution": (_int(0, 24), 12),
+}
+
+
+def validate_config(raw: dict) -> ExperimentConfig:
+    top = _parse(_CONFIG, raw, "config")
+    kind, out = top["kind"], top["output"]
+    params = _parse(SCHEMAS[kind], top["parameters"], kind)
+    return ExperimentConfig(kind, params, Path(out["path"]), out["format"], top["seed"], top["resolution"], raw)
 
 
 def run(config: ExperimentConfig) -> int:
@@ -578,102 +644,32 @@ def main(argv=None) -> int:
 
     sub.add_parser("suites", help="list audit/diagnostic suites")
 
-    dav_p = sub.add_parser("davenport", help="Gram matrix and frame bounds")
-    dav_p.add_argument("--lambda", dest="lam", type=float, required=True)
-    dav_p.add_argument("--freqs", type=str, default="pow:2:16")
-    dav_p.add_argument("--quadrature-check", action="store_true")
-    dav_p.add_argument("--seed", type=int, default=0)
-    dav_p.add_argument("--out", type=Path, default=Path("."))
-    dav_p.add_argument("--resolution", type=int, default=16)
-
-    riesz_p = sub.add_parser("riesz", help="Riesz product operations")
-    riesz_p.add_argument("action", choices=["coeff", "sample", "series"])
-    riesz_p.add_argument("--lambdas", type=str, default="pow:3:8")
-    riesz_p.add_argument("--cs", type=float, nargs="+", default=[0.6])
-    riesz_p.add_argument("--k", type=int, nargs="*", default=None)
-    riesz_p.add_argument("--count", type=int, default=1000)
-    riesz_p.add_argument("--seed", type=int, default=0)
-    riesz_p.add_argument("--out", type=Path, default=Path("."))
-    riesz_p.add_argument("--resolution", type=int, default=14)
-
-    sym_p = sub.add_parser("symbolic", help="symbolic-space audits")
-    sym_p.add_argument("action", choices=["audit"])
-    sym_p.add_argument("--depth", type=int, default=8)
-    sym_p.add_argument("--alpha", type=float, default=1.0)
-    sym_p.add_argument("--sup-c", type=float, default=0.8)
-    sym_p.add_argument("--seed", type=int, default=0)
-    sym_p.add_argument("--out", type=Path, default=Path("."))
-
     args = parser.parse_args(argv)
+    if args.command == "suites":
+        for name, mod, desc, runnable in list_suites():
+            print(f"{name:24s} {mod:10s} {'run' if runnable else '':4s} {desc}")
+        return 0
     if args.command is None:
         parser.print_help()
         return 2
 
     try:
-        if args.command == "run":
-            try:
-                raw = json.loads(args.config.read_text())
-            except (OSError, json.JSONDecodeError) as exc:
-                print(f"config error: {exc}", file=sys.stderr)
-                return 2
-            if args.seed is not None:
-                raw["seed"] = args.seed
-            if args.out is not None:
-                raw.setdefault("output", {})["path"] = str(args.out)
-            if args.resolution is not None:
-                raw["resolution"] = args.resolution
-            config = validate_config(raw)
-            return run(config)
-        if args.command == "suites":
-            for name, mod, desc, runnable in list_suites():
-                print(f"{name:24s} {mod:10s} {'run' if runnable else '':4s} {desc}")
-            return 0
-        if args.command == "davenport":
-            raw = {
-                "kind": "davenport",
-                "parameters": {
-                    "lambda": args.lam,
-                    "freqs": args.freqs,
-                    "quadrature_check": args.quadrature_check,
-                },
-                "output": {"path": str(args.out), "format": "csv"},
-                "seed": args.seed,
-                "resolution": args.resolution,
-            }
-            return run(validate_config(raw))
-        if args.command == "riesz":
-            lambdas = _freqs_from(args.lambdas)
-            cs = list(args.cs)
-            cs = (cs * len(lambdas))[: len(lambdas)]
-            params = {"lambdas": lambdas, "cs": cs, "action": args.action, "count": args.count}
-            if args.k:
-                params["k"] = args.k
-            raw = {
-                "kind": "riesz",
-                "parameters": params,
-                "output": {"path": str(args.out), "format": "csv"},
-                "seed": args.seed,
-                "resolution": args.resolution,
-            }
-            return run(validate_config(raw))
-        if args.command == "symbolic":
-            lambdas = [3**k for k in range(args.depth)]
-            raw = {
-                "kind": "symbolic",
-                "parameters": {
-                    "lambdas": lambdas,
-                    "cs": [args.sup_c] * len(lambdas),
-                    "depth": args.depth,
-                    "alpha": args.alpha,
-                },
-                "output": {"path": str(args.out), "format": "json"},
-                "seed": args.seed,
-            }
-            return run(validate_config(raw))
+        raw = json.loads(args.config.read_text())
+    except (OSError, json.JSONDecodeError) as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return 2
+    if isinstance(raw, dict):  # the flags override a config object only
+        if args.seed is not None:
+            raw["seed"] = args.seed
+        if args.resolution is not None:
+            raw["resolution"] = args.resolution
+        if args.out is not None and isinstance(raw.setdefault("output", {}), dict):
+            raw["output"]["path"] = str(args.out)
+    try:
+        return run(validate_config(raw))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    return 2
 
 
 if __name__ == "__main__":

@@ -1,4 +1,5 @@
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -83,6 +84,24 @@ def test_audit_inf_p_runs_where_admissible(tmp_path):
     assert "dyadic-approx[p=inf,n=0]" in body and "dyadic-approx[p=1,n=0]" in body
 
 
+RIO = {"kind": "audit", "parameters": {"suite": "rio", "cases": 2}}
+
+# malformed top-level fields of an otherwise good config
+BAD_TOP_LEVEL = [
+    {"seed": "x"},
+    {"resolution": "x"},
+    {"output": [1]},
+    {"seed": -1},
+    {"seed": 1.7},
+    {"resolution": 6.9},
+    {"resolution": True},
+    {"sead": 3},
+    {"version": True},
+    {"output": {"path": "o", "fmt": "csv"}},
+    {"output": {"path": 5}},
+]
+
+
 def test_validate_rejects_bad_configs():
     with pytest.raises(cli.ConfigError):
         cli.validate_config({})
@@ -92,6 +111,22 @@ def test_validate_rejects_bad_configs():
         cli.validate_config({"kind": "audit", "output": {"format": "xml"}})
     with pytest.raises(cli.ConfigError):
         cli.validate_config({"kind": "audit", "resolution": 99})
+    for fields in BAD_TOP_LEVEL:
+        with pytest.raises(cli.ConfigError):
+            cli.validate_config(dict(RIO, **fields))
+
+
+@pytest.mark.parametrize("raw, flags", [
+    pytest.param(dict(RIO, **fields), [], id=json.dumps(fields)) for fields in BAD_TOP_LEVEL
+] + [
+    pytest.param([RIO], ["--seed", "3"], id="list-config-with-seed-flag"),
+    pytest.param(dict(RIO, output="dir"), ["--out", "dir"], id="string-output-with-out-flag"),
+])
+def test_bad_top_level_fields_exit_2_without_reports(tmp_path, monkeypatch, raw, flags):
+    monkeypatch.chdir(tmp_path)
+    path = write_config(tmp_path, raw)
+    assert cli.main(["run", str(path), *flags]) == 2
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["config.json"]
 
 
 def test_run_audit_writes_passing_json(tmp_path):
@@ -131,11 +166,14 @@ def test_missing_config_exits_2(tmp_path):
     assert cli.main(["run", str(bad)]) == 2
 
 
-def test_davenport_subcommand(tmp_path):
-    rc = cli.main([
-        "davenport", "--lambda", "0.75", "--freqs", "pow:2:8",
-        "--out", str(tmp_path), "--quadrature-check",
-    ])
+def test_davenport_quadrature_run(tmp_path):
+    raw = {
+        "kind": "davenport",
+        "parameters": {"lambda": 0.75, "freqs": "pow:2:8", "quadrature_check": True},
+        "output": {"path": str(tmp_path)},
+        "resolution": 16,
+    }
+    rc = cli.main(["run", str(write_config(tmp_path, raw))])
     assert rc == 0
     gram = body_of(tmp_path / "davenport_gram.csv")
     assert gram.splitlines()[0] == "i,j,freq_i,freq_j,entry"
@@ -145,19 +183,31 @@ def test_davenport_subcommand(tmp_path):
     assert err < 1e-6
 
 
-def test_riesz_subcommands(tmp_path):
-    rc = cli.main(["riesz", "coeff", "--lambdas", "pow:3:6", "--cs", "0.6", "--k", "1", "4", "--out", str(tmp_path)])
+def test_riesz_coeff_and_sample_runs(tmp_path):
+    raw = {
+        "kind": "riesz",
+        "parameters": {"action": "coeff", "lambdas": "pow:3:6", "cs": [0.6] * 7, "k": [1, 4]},
+        "output": {"path": str(tmp_path)},
+        "resolution": 14,
+    }
+    rc = cli.main(["run", str(write_config(tmp_path, raw))])
     assert rc == 0
     lines = body_of(tmp_path / "riesz_coeff.csv").splitlines()
     assert lines[0] == "k,re,im"
     assert float(lines[1].split(",")[1]) == pytest.approx(0.3)
-    rc = cli.main(["riesz", "sample", "--lambdas", "pow:3:5", "--cs", "0.5", "--count", "64", "--out", str(tmp_path)])
+    raw["parameters"] = {"action": "sample", "lambdas": "pow:3:5", "cs": [0.5] * 6, "count": 64}
+    rc = cli.main(["run", str(write_config(tmp_path, raw))])
     assert rc == 0
     assert len(body_of(tmp_path / "riesz_sample.csv").splitlines()) == 65
 
 
-def test_symbolic_subcommand_and_failure_exit(tmp_path):
-    rc = cli.main(["symbolic", "audit", "--depth", "6", "--alpha", "1.0", "--out", str(tmp_path / "ok")])
+def test_symbolic_run_and_failure_exit(tmp_path):
+    raw = {
+        "kind": "symbolic",
+        "parameters": {"lambdas": "pow:3:5", "cs": [0.8] * 6, "depth": 6, "alpha": 1.0},
+        "output": {"path": str(tmp_path / "ok"), "format": "json"},
+    }
+    rc = cli.main(["run", str(write_config(tmp_path, raw))])
     assert rc == 0
     reports = json.loads(body_of(tmp_path / "ok" / "symbolic_audit.json"))
     assert all(r["passed"] for r in reports)
@@ -293,6 +343,27 @@ def test_riesz_sample_aliasing_is_config_error(tmp_path):
     ("riesz", {"cs": [0.5] * 3}),
     ("riesz", {"lambdas": [1, 3, 9], "cs": [0.5, "x", 0.5]}),
     ("riesz", {"lambdas": [1, 3, 9], "cs": [0.5] * 3, "N": "x"}),
+    # unknown keys (misspelt or from another kind) and malformed values
+    # the kinds used to ignore or fail on
+    ("audit", {"suite": "rio", "case": 2, "pp": [3]}),
+    ("davenport", {"lamda": 0.75}),
+    ("davenport", {"quadrature_check": "no"}),
+    ("ergodic", {"K": 64, "sample_sise": 100}),
+    ("dilated", {"spec": {"coeffs": [1.0]}}),
+    ("davenport", {"smoothness_p": "x"}),
+    ("davenport", {"sample_size": 100}),
+    # symbolic: too few levels for the default lambdas, lambda_0 != 1, a
+    # ratio below 3, non-numbers and a non-integer depth
+    ("symbolic", {"depth": 6}),
+    ("symbolic", {"lambdas": [3**k for k in range(7)], "depth": 5}),
+    ("symbolic", {"lambdas": [3, 9, 27], "depth": 4}),
+    ("symbolic", {"lambdas": [1, 2, 4]}),
+    ("symbolic", {"depth": "x"}),
+    ("symbolic", {"alpha": "x"}),
+    ("symbolic", {"depth": 4.5}),
+    ("symbolic", {"A": "x"}),
+    ("symbolic", {"cs": [0.5, "x"] * 4}),
+    ("riesz", {"lambdas": "pow:3", "cs": [0.5] * 3}),
 ])
 def test_series_kind_parameters_are_config_errors(tmp_path, kind, params):
     assert run_raw(tmp_path, {"kind": kind, "parameters": params}) == 2
@@ -308,9 +379,12 @@ def test_series_kind_parameters_are_config_errors(tmp_path, kind, params):
     ("dilated", {"K": 16, "freqs": list(range(3, 19)), "generator": {"1": [0.0, -0.5], "-1": [0.0, 0.5]}}),
     ("davenport", {"lambda": 1, "freqs": [3, 1, 2]}),
     ("riesz", {"action": "sample", "lambdas": [1, 3, 9], "cs": [0.5] * 3, "count": 0}),
+    ("riesz", {"action": "coeff", "lambdas": "pow:3:2", "cs": [0.5] * 3, "k": 4}),
+    ("symbolic", {"lambdas": "pow:3:3", "cs": [0.5, [0.0, 0.5], 0.5, 0.5], "depth": 5}),
 ])
 def test_series_kind_well_formed_parameters_run(tmp_path, kind, params):
-    params = dict(params, sample_size=100)
+    if "sample_size" in cli.SCHEMAS[kind]:
+        params = dict(params, sample_size=100)
     assert run_raw(tmp_path, {"kind": kind, "parameters": params}) == 0
 
 
@@ -325,3 +399,41 @@ def test_failure_marker_records_type_and_traceback(tmp_path, monkeypatch):
     assert lines[1:4] == ["error: boom", "type: RuntimeError", "Traceback (most recent call last):"]
     assert any("in broken_handler" in line for line in lines)
     assert lines[-1] == "RuntimeError: boom"
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_readme_json_configs_validate():
+    blocks = re.findall(r"```json\n(.*?)```", README.read_text(), re.S)
+    assert len(blocks) >= 4
+    for block in blocks:
+        cli.validate_config(json.loads(block))
+
+
+def _readme_key_tables() -> dict:
+    """{table name: {key: default cell}} of the README's key tables."""
+    tables, name = {}, None
+    for line in README.read_text().splitlines():
+        heading = re.match(r"#### `(\w+)` keys$", line)
+        if heading:
+            name = heading.group(1)
+            tables[name] = {}
+        row = re.match(r"\| `(\w+)` \| ([^|]+) \|", line)
+        if name and row:
+            tables[name][row.group(1)] = row.group(2).strip()
+    return tables
+
+
+def test_readme_key_tables_follow_the_schemas():
+    tables = _readme_key_tables()
+    schemas = dict(cli.SCHEMAS, config=cli._CONFIG, output=cli._OUTPUT)
+    assert set(tables) == set(schemas)
+    for name, schema in schemas.items():
+        assert set(tables[name]) == set(schema), name
+        for key, (_, default) in schema.items():
+            cell = tables[name][key]
+            if default is cli._REQUIRED:
+                assert cell == "required", (name, key)
+            elif default is not None:
+                assert cell == f"`{json.dumps(default)}`", (name, key)
