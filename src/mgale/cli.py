@@ -1,8 +1,8 @@
 """Batch experiment front door.
 
 ``mgale run config.json`` executes one experiment described by a JSON
-config and writes CSV/JSON reports; ``mgale suites`` lists the audit
-catalog.
+config and writes CSV/JSON reports; ``mgale suites`` lists the suites
+of the ``audit`` kind, one ``name  description`` line each.
 
 Config schema (version 1):
 
@@ -79,7 +79,7 @@ from .tails import TailModel
 from .torus import FourierFunction, GridFunction, sine_series
 from .transfer import ergodic_series_run
 
-__all__ = ["ExperimentConfig", "ConfigError", "list_suites", "run", "main"]
+__all__ = ["ExperimentConfig", "ConfigError", "run", "main"]
 
 
 class ConfigError(ValueError):
@@ -101,12 +101,6 @@ class ExperimentConfig:
         return hashlib.sha256(
             json.dumps(self.raw, sort_keys=True).encode()
         ).hexdigest()[:16]
-
-
-def list_suites() -> list[tuple[str, str, str, bool]]:
-    """(name, module, description, runnable) for every audit/diagnostic
-    suite; a runnable name runs as the audit kind's ``suite``."""
-    return [(name, s.module, s.description, s.runner is not None) for name, s in sorted(SUITES.items())]
 
 
 # --------------------------------------------------------------------------
@@ -333,45 +327,23 @@ def _norm_p(p) -> bool:
 
 @dataclass(frozen=True)
 class _Suite:
-    """A catalog entry.  A runnable suite (one the audit kind runs) carries
-    its runner, the rule its exponents p must pass (None: p is unused)
-    and its least resolution J."""
+    """An audit suite: its runner, the rule its exponents p must pass
+    (None: p is unused) and its least resolution J."""
 
-    module: str
     description: str
-    runner: Callable | None = None
+    runner: Callable
     p_rule: Callable | None = None
     min_resolution: int = 1
 
 
-#: the audit/diagnostic catalog.  The contraction generators reach
+#: the suites the audit kind runs.  The contraction generators reach
 #: frequency 63, which renders alias-free from J = 7.
 SUITES = {
-    "telescoping": _Suite("martingale", "detail energies sum to the centered L2 energy", _audit_telescoping),
-    "rio": _Suite("martingale", "moment bound with constant max(1, sqrt(p-1))", _audit_rio, _moment_p),
-    "doob": _Suite("martingale", "maximal inequality with constant p/(p-1)", _audit_doob, _moment_p),
-    "detail-criteria-maximal": _Suite("martingale", "two-sided detail criteria, maximal constant K_p"),
-    "bounded-moments": _Suite("martingale", "sup-norm criteria moment chain 2 K_p (D1+D2)"),
-    "condensation": _Suite("martingale", "dyadic condensation equivalence of series"),
-    "paley-zygmund": _Suite("martingale", "anti-concentration lower bound"),
-    "dyadic_approx": _Suite("modulus", "factor-2 block-average approximation bound", _audit_dyadic_approx, _norm_p),
-    "modulus-criterion": _Suite("modulus", "summability of omega_p(2^-n)/n^(1/p)"),
-    "contraction": _Suite("dilated", "dilation averaging bound 2^n/m", _audit_contraction, _norm_p, 7),
-    "contraction-refined": _Suite("dilated", "refined bound sqrt(l 2^n)/m at p=2"),
-    "lacunary-criteria": _Suite("dilated", "lacunary dilated-series criteria"),
-    "gaposhkin-sharpness": _Suite("dilated", "near-critical modulus example and trends"),
-    "oscillation": _Suite("dilated", "window oscillation diagnostics of partial sums"),
-    "davenport-gram": _Suite("davenport", "closed-form Gram entries vs grid quadrature"),
-    "riesz-frame": _Suite("davenport", "finite-section frame bounds from Gram eigenvalues"),
-    "transfer-two-forms": _Suite("transfer", "coefficient vs pointwise transfer operator"),
-    "transfer-duality": _Suite("transfer", "adjoint identity of the transfer operator"),
-    "transfer-decay": _Suite("transfer", "L^n decay and its weighted summability"),
-    "riesz-coefficient": _Suite("riesz", "product-expansion coefficients vs quadrature"),
-    "riesz-density": _Suite("riesz", "partial densities: positivity and unit mass"),
-    "symbolic-normalization": _Suite("symbolic", "potential normalization identities"),
-    "symbolic-equilibrium": _Suite("symbolic", "fixed-point weights vs torus cylinder integrals"),
-    "potential-variation": _Suite("symbolic", "log-potential variation decay constants"),
-    "averaging-decay": _Suite("symbolic", "averaged sup-norm decay slope audit"),
+    "telescoping": _Suite("detail energies sum to the centered L2 energy", _audit_telescoping),
+    "rio": _Suite("moment bound with constant max(1, sqrt(p-1))", _audit_rio, _moment_p),
+    "doob": _Suite("maximal inequality with constant p/(p-1)", _audit_doob, _moment_p),
+    "dyadic_approx": _Suite("factor-2 block-average approximation bound", _audit_dyadic_approx, _norm_p),
+    "contraction": _Suite("dilation averaging bound 2^n/m", _audit_contraction, _norm_p, 7),
 }
 
 
@@ -392,7 +364,7 @@ def _kind(name: str, schema: dict):
 
 
 @_kind("audit", {
-    "suite": (_choice(*sorted(n for n, s in SUITES.items() if s.runner is not None)), _REQUIRED),
+    "suite": (_choice(*sorted(SUITES)), _REQUIRED),
     "cases": (_int(0), 100),
     "p": (_list(_EXPONENT), [1.5, 2, 3, 4, 8]),
 })
@@ -448,6 +420,13 @@ def _run_dilated(config: ExperimentConfig) -> bool:
 def _run_davenport(config: ExperimentConfig) -> bool:
     p = config.parameters
     lam, freqs = p["lambda"], p["freqs"]
+    # the quadrature grid must leave alias-free room for the largest dilate
+    quad_J = max(config.resolution, 16, max(freqs).bit_length() + 2)
+    if p["quadrature_check"] and quad_J > 24:
+        raise ConfigError(f"davenport quadrature_check at freqs up to {max(freqs)} needs J={quad_J} > 24")
+    smooth_J = max(config.resolution, 14)
+    if p["smoothness_p"] is not None and p["M"] >= 2 ** (smooth_J - 1):
+        raise ConfigError(f"davenport smoothness_p: M={p['M']} aliases at J={smooth_J} (needs M < 2^{smooth_J - 1})")
     gm = gram_matrix(freqs, lam)
     _write(config, "davenport_gram", gm.to_csv())
     lines = [f"lambda,{lam!r}", f"min_eig,{gm.eigen_bounds[0]!r}", f"max_eig,{gm.eigen_bounds[1]!r}"]
@@ -456,14 +435,12 @@ def _run_davenport(config: ExperimentConfig) -> bool:
         lo, hi = riesz_constants(gm)
         lines += [f"riesz_lower,{lo!r}", f"riesz_upper,{hi!r}"]
     if p["quadrature_check"]:
-        # the grid must leave alias-free room for the largest dilate
-        J = max(config.resolution, 16, max(freqs).bit_length() + 2)
-        quad = gram_quadrature(freqs, lam, M=p["M"], J=J)
+        quad = gram_quadrature(freqs, lam, M=p["M"], J=quad_J)
         err = float(np.abs(gm.entries - quad).max())
         lines.append(f"quadrature_max_err,{err!r}")
         ok = err <= 1e-6
     if p["smoothness_p"] is not None:
-        est = smoothness_estimate(DavenportSpec(lam, p["M"]), p["smoothness_p"], max(config.resolution, 14))
+        est = smoothness_estimate(DavenportSpec(lam, p["M"]), p["smoothness_p"], smooth_J)
         lines.append(f"smoothness_exponent,{est!r}")
     _write(config, "davenport_summary", "\n".join(lines) + "\n")
     return ok
@@ -502,7 +479,7 @@ def _run_ergodic(config: ExperimentConfig) -> bool:
     "cs": (_list(_COMPLEX), _REQUIRED),
     "action": (_choice("coeff", "sample", "series"), "coeff"),
     "N": (_int(0), None),
-    "J": (_int(0), None),
+    "J": (_int(0, 24), None),
     "k": (lambda v: _list(_check(_is_int, "an integer"))(v if isinstance(v, list) else [v]), None),
     "count": (_int(0), 1000),
     "fn": (_generator, "sin"),
@@ -642,12 +619,12 @@ def main(argv=None) -> int:
     run_p.add_argument("--out", type=Path, default=None)
     run_p.add_argument("--resolution", type=int, default=None)
 
-    sub.add_parser("suites", help="list audit/diagnostic suites")
+    sub.add_parser("suites", help="list the audit kind's suites")
 
     args = parser.parse_args(argv)
     if args.command == "suites":
-        for name, mod, desc, runnable in list_suites():
-            print(f"{name:24s} {mod:10s} {'run' if runnable else '':4s} {desc}")
+        for name, suite in SUITES.items():
+            print(f"{name:14s} {suite.description}")
         return 0
     if args.command is None:
         parser.print_help()
