@@ -18,6 +18,9 @@ Config schema (version 1):
 
 ``validate_config`` parses every key through its object's schema
 (``_CONFIG``, ``_OUTPUT``, ``SCHEMAS[kind]``); handlers read typed values.
+Each handler is a generator of ``(file name, body, passed)`` reports, and
+``run`` writes each one, header first, as soon as it is yielded: the
+only code that writes a file.
 
 Reports start with one header line carrying the config hash, seed,
 library version and a timestamp; everything after that line is
@@ -25,9 +28,10 @@ byte-identical across reruns with the same config and seed (the
 timestamp is confined to the header precisely so report bodies diff
 clean).
 
-Exit codes: 0 success, 1 at least one universal-inequality audit
-failed or the run raised (partial results are flushed with a failure
-marker recording the error, its type and traceback), 2 config error.
+Exit codes: 0 success, 1 a report did not pass (a universal-inequality
+audit or the Davenport quadrature check failed) or the run raised (the
+reports already written stay, beside a failure marker recording the
+error, its type and traceback), 2 config error.
 """
 
 from __future__ import annotations
@@ -41,7 +45,7 @@ import time
 import traceback
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -104,7 +108,7 @@ class ExperimentConfig:
 
 
 # --------------------------------------------------------------------------
-# report writing
+# report text
 # --------------------------------------------------------------------------
 
 def _header(config: ExperimentConfig) -> str:
@@ -115,30 +119,15 @@ def _header(config: ExperimentConfig) -> str:
     )
 
 
-def _write(config: ExperimentConfig, name: str, body: str, ext: str = "csv") -> Path:
-    config.out_path.mkdir(parents=True, exist_ok=True)
-    path = config.out_path / f"{name}.{ext}"
-    path.write_text(_header(config) + body)
-    return path
-
-
-def _reports_json(reports) -> str:
-    return "[\n" + ",\n".join(r.to_json() for r in reports) + "\n]\n"
-
-
-def _reports_csv(reports) -> str:
-    lines = ["lhs,rhs,constant,margin,passed,context"]
-    for r in reports:
-        lines.append(f"{r.lhs!r},{r.rhs!r},{r.constant!r},{r.margin!r},{int(r.passed)},{r.context}")
-    return "\n".join(lines) + "\n"
-
-
-def _emit_reports(config: ExperimentConfig, name: str, reports) -> tuple[Path, bool]:
+def _audit_table(config: ExperimentConfig, name: str, reports) -> tuple[str, str, bool]:
+    """The report of audit rows in the configured format, and whether every row passed."""
     if config.out_format == "json":
-        path = _write(config, name, _reports_json(reports), "json")
+        body = "[\n" + ",\n".join(r.to_json() for r in reports) + "\n]\n"
     else:
-        path = _write(config, name, _reports_csv(reports), "csv")
-    return path, all(r.passed for r in reports)
+        body = "lhs,rhs,constant,margin,passed,context\n" + "".join(
+            f"{r.lhs!r},{r.rhs!r},{r.constant!r},{r.margin!r},{int(r.passed)},{r.context}\n" for r in reports
+        )
+    return f"{name}.{config.out_format}", body, all(r.passed for r in reports)
 
 
 # --------------------------------------------------------------------------
@@ -353,6 +342,7 @@ SUITES = {
 
 SCHEMAS: dict = {}  # kind -> {key: (parser, default)}
 _HANDLERS: dict = {}  # kind -> handler, looked up at run time
+_Reports = Iterator[tuple[str, str, bool]]  # (file name, body, passed) per report
 
 
 def _kind(name: str, schema: dict):
@@ -368,7 +358,7 @@ def _kind(name: str, schema: dict):
     "cases": (_int(0), 100),
     "p": (_list(_EXPONENT), [1.5, 2, 3, 4, 8]),
 })
-def _run_audit(config: ExperimentConfig) -> bool:
+def _run_audit(config: ExperimentConfig) -> _Reports:
     p = config.parameters
     name = p["suite"]
     suite = SUITES[name]
@@ -376,9 +366,7 @@ def _run_audit(config: ExperimentConfig) -> bool:
         raise ConfigError(f"audit {name} needs resolution >= {suite.min_resolution}, got {config.resolution}")
     if suite.p_rule is not None and not all(map(suite.p_rule, p["p"])):
         raise ConfigError(f"audit p={p['p']!r} outside the range suite {name} admits")
-    reports = suite.runner(p["cases"], p["p"], config.resolution, config.seed)
-    _, ok = _emit_reports(config, f"audit_{name}", reports)
-    return ok
+    yield _audit_table(config, f"audit_{name}", suite.runner(p["cases"], p["p"], config.resolution, config.seed))
 
 
 @_kind("dilated", {
@@ -391,7 +379,7 @@ def _run_audit(config: ExperimentConfig) -> bool:
     "checkpoints": (_CHECKPOINTS, None),
     "sample_size": (_int(100), 200),
 })
-def _run_dilated(config: ExperimentConfig) -> bool:
+def _run_dilated(config: ExperimentConfig) -> _Reports:
     p = config.parameters
     if p["gaposhkin_m"] is not None:
         spec = _gaposhkin(p)
@@ -406,8 +394,7 @@ def _run_dilated(config: ExperimentConfig) -> bool:
             raise ConfigError(f"bad dilated series: {exc}") from None
     checkpoints = _checkpoints_for(p["checkpoints"], spec.length)
     diag = oscillation_diagnostic(spec, checkpoints, p["sample_size"], config.seed)
-    _write(config, "dilated_oscillation", diag.to_csv() + f"# verdict={diag.verdict} slope={diag.fitted_slope!r}\n")
-    return True
+    yield "dilated_oscillation.csv", diag.to_csv() + f"# verdict={diag.verdict} slope={diag.fitted_slope!r}\n", True
 
 
 @_kind("davenport", {
@@ -417,9 +404,11 @@ def _run_dilated(config: ExperimentConfig) -> bool:
     "M": (_int(1), 4096),
     "smoothness_p": (_check(lambda v: (_is_int(v) or isinstance(v, float)) and v >= 1, "a number >= 1"), None),
 })
-def _run_davenport(config: ExperimentConfig) -> bool:
+def _run_davenport(config: ExperimentConfig) -> _Reports:
     p = config.parameters
     lam, freqs = p["lambda"], p["freqs"]
+    if len(freqs) > 4096:
+        raise ConfigError(f"davenport freqs: {len(freqs)} frequencies > 4096 (a Gram matrix past 2^24 entries)")
     # the quadrature grid must leave alias-free room for the largest dilate
     quad_J = max(config.resolution, 16, max(freqs).bit_length() + 2)
     if p["quadrature_check"] and quad_J > 24:
@@ -428,9 +417,9 @@ def _run_davenport(config: ExperimentConfig) -> bool:
     if p["smoothness_p"] is not None and p["M"] >= 2 ** (smooth_J - 1):
         raise ConfigError(f"davenport smoothness_p: M={p['M']} aliases at J={smooth_J} (needs M < 2^{smooth_J - 1})")
     gm = gram_matrix(freqs, lam)
-    _write(config, "davenport_gram", gm.to_csv())
+    yield "davenport_gram.csv", gm.to_csv(), True
     lines = [f"lambda,{lam!r}", f"min_eig,{gm.eigen_bounds[0]!r}", f"max_eig,{gm.eigen_bounds[1]!r}"]
-    ok = True
+    passed = True
     if gm.eigen_bounds[0] > 1e-10:
         lo, hi = riesz_constants(gm)
         lines += [f"riesz_lower,{lo!r}", f"riesz_upper,{hi!r}"]
@@ -438,12 +427,11 @@ def _run_davenport(config: ExperimentConfig) -> bool:
         quad = gram_quadrature(freqs, lam, M=p["M"], J=quad_J)
         err = float(np.abs(gm.entries - quad).max())
         lines.append(f"quadrature_max_err,{err!r}")
-        ok = err <= 1e-6
+        passed = err <= 1e-6
     if p["smoothness_p"] is not None:
         est = smoothness_estimate(DavenportSpec(lam, p["M"]), p["smoothness_p"], smooth_J)
         lines.append(f"smoothness_exponent,{est!r}")
-    _write(config, "davenport_summary", "\n".join(lines) + "\n")
-    return ok
+    yield "davenport_summary.csv", "\n".join(lines) + "\n", passed
 
 
 @_kind("ergodic", {
@@ -455,7 +443,7 @@ def _run_davenport(config: ExperimentConfig) -> bool:
     "tail": (lambda v: TailModel(**_parse(_TAIL, v, "tail")), None),
     "sample_size": (_int(100), 200),
 })
-def _run_ergodic(config: ExperimentConfig) -> bool:
+def _run_ergodic(config: ExperimentConfig) -> _Reports:
     p = config.parameters
     tail = p["tail"]
     if p["gaposhkin_m"] is not None:
@@ -469,9 +457,8 @@ def _run_ergodic(config: ExperimentConfig) -> bool:
         coeffs = _coeffs_for(rule, K)
     checkpoints = _checkpoints_for(p["checkpoints"], len(coeffs))
     diag, decay = ergodic_series_run(f, coeffs, checkpoints, p["sample_size"], config.seed, tail)
-    _write(config, "ergodic_decay", decay.to_csv())
-    _write(config, "ergodic_oscillation", diag.to_csv() + f"# verdict={diag.verdict}\n")
-    return True
+    yield "ergodic_decay.csv", decay.to_csv(), True
+    yield "ergodic_oscillation.csv", diag.to_csv() + f"# verdict={diag.verdict}\n", True
 
 
 @_kind("riesz", {
@@ -487,7 +474,7 @@ def _run_ergodic(config: ExperimentConfig) -> bool:
     "checkpoints": (_CHECKPOINTS, [1, 2, 4]),
     "sample_size": (_int(1), 500),
 })
-def _run_riesz(config: ExperimentConfig) -> bool:
+def _run_riesz(config: ExperimentConfig) -> _Reports:
     p = config.parameters
     try:
         spec = RieszProductSpec(p["lambdas"], p["cs"])
@@ -502,20 +489,17 @@ def _run_riesz(config: ExperimentConfig) -> bool:
         for k in [spec.lambdas[0]] if p["k"] is None else p["k"]:
             c = complex(riesz_fourier_coeff(spec, N, k))
             lines.append(f"{k},{c.real!r},{c.imag!r}")
-        _write(config, "riesz_coeff", "\n".join(lines) + "\n")
-        return True
-    if p["action"] == "sample":
+        yield "riesz_coeff.csv", "\n".join(lines) + "\n", True
+    elif p["action"] == "sample":
         if sum(spec.lambdas[: N + 1]) >= 2 ** (J - 1):
             raise ConfigError(f"riesz partial product at depth {N} aliases at J={J}")
         xs = sample_mu(spec, N, J, p["count"], config.seed)
-        body = "x\n" + "\n".join(repr(float(x)) for x in xs) + "\n"
-        _write(config, "riesz_sample", body)
-        return True
-    coeffs = _coeffs_for(p["coeffs"], N + 1)
-    checkpoints = _checkpoints_for(p["checkpoints"], N + 1)
-    diag = riesz_series_run(spec, lambda n: p["fn"], coeffs, checkpoints, p["sample_size"], config.seed)
-    _write(config, "riesz_series", diag.to_csv() + f"# verdict={diag.verdict} label={diag.label}\n")
-    return True
+        yield "riesz_sample.csv", "x\n" + "\n".join(repr(float(x)) for x in xs) + "\n", True
+    else:
+        coeffs = _coeffs_for(p["coeffs"], N + 1)
+        checkpoints = _checkpoints_for(p["checkpoints"], N + 1)
+        diag = riesz_series_run(spec, lambda n: p["fn"], coeffs, checkpoints, p["sample_size"], config.seed)
+        yield "riesz_series.csv", diag.to_csv() + f"# verdict={diag.verdict} label={diag.label}\n", True
 
 
 @_kind("symbolic", {
@@ -526,7 +510,7 @@ def _run_riesz(config: ExperimentConfig) -> bool:
     "A": (_FLOAT, 8.0),
     "B": (_FLOAT, 8.0),
 })
-def _run_symbolic(config: ExperimentConfig) -> bool:
+def _run_symbolic(config: ExperimentConfig) -> _Reports:
     p = config.parameters
     lambdas, depth, alpha = p["lambdas"], p["depth"], p["alpha"]
     cs = (0.8,) * len(lambdas) if p["cs"] is None else p["cs"]
@@ -537,12 +521,14 @@ def _run_symbolic(config: ExperimentConfig) -> bool:
     if lambdas[0] != 1 or depth < len(lambdas):
         raise ConfigError(f"symbolic needs lambda_0 = 1 and depth >= {len(lambdas)} (one level per lambda), "
                           f"got lambda_0 = {lambdas[0]} and depth {depth}")
+    ladder = _digit_ladder(lambdas, depth)
+    if ladder[depth] > 2**24:  # the digit box of coordinates 1..depth
+        raise ConfigError(f"symbolic depth {depth}: the digit box has {ladder[depth]} cells > 2^24")
     space, pots = riesz_potentials(spec, depth)
     weights = equilibrium_weights(space, pots)
     reports = [potential_variation_check(space, pots, alpha, p["A"])]
     # default audit family: depth-truncated oscillations above each level,
     # cos(2 pi lambda_n x) at the cylinder midpoints of coordinates n+1..depth
-    ladder = _digit_ladder(lambdas, depth)
     fns = [
         CylinderFunction(n + 1, np.cos(2 * math.pi * ladder[n] * _digit_points(ladder, n + 1, depth, 0.5 / ladder[depth])))
         for n in range(1, min(5, depth - 2) + 1)
@@ -563,8 +549,7 @@ def _run_symbolic(config: ExperimentConfig) -> bool:
     reports.append(
         mg.AuditReport(err, 1e-6, 1.0, 1e-6 - err, err <= 1e-6, f"cylinder-crosscheck[n={n_check}]")
     )
-    _, ok = _emit_reports(config, "symbolic_audit", reports)
-    return ok
+    yield _audit_table(config, "symbolic_audit", reports)
 
 
 _OUTPUT = {
@@ -590,19 +575,23 @@ def validate_config(raw: dict) -> ExperimentConfig:
 
 
 def run(config: ExperimentConfig) -> int:
-    """Execute one experiment; returns the process exit code."""
+    """Execute one experiment, writing each report as its handler yields
+    it; returns the process exit code."""
+    def write(name: str, body: str) -> None:
+        config.out_path.mkdir(parents=True, exist_ok=True)
+        (config.out_path / name).write_text(_header(config) + body)
+
+    failed = False
     try:
-        ok = _HANDLERS[config.kind](config)
+        for name, body, passed in _HANDLERS[config.kind](config):
+            write(name, body)
+            failed = failed or not passed
     except ConfigError:
         raise
-    except Exception as exc:  # flush a marker so partial output is labeled
-        config.out_path.mkdir(parents=True, exist_ok=True)
-        marker = config.out_path / f"{config.kind}_FAILED.txt"
-        marker.write_text(
-            _header(config) + f"error: {exc}\ntype: {type(exc).__name__}\n" + traceback.format_exc()
-        )
+    except Exception as exc:  # a marker beside the reports already written
+        write(f"{config.kind}_FAILED.txt", f"error: {exc}\ntype: {type(exc).__name__}\n" + traceback.format_exc())
         return 1
-    return 0 if ok else 1
+    return 1 if failed else 0
 
 
 # --------------------------------------------------------------------------

@@ -43,6 +43,8 @@ from .torus import (
 )
 
 __all__ = [
+    "DivergenceProbeResult",
+    "LacunaryCriteriaResult",
     "OscillationDiagnostic",
     "SeriesSpec",
     "contraction_audit",
@@ -495,23 +497,33 @@ def _split_per_octave(spec: SeriesSpec) -> list[SeriesSpec]:
     return out
 
 
+@dataclass(frozen=True)
+class LacunaryCriteriaResult:
+    """The two lacunary-criteria sums over the finite family (higher and
+    lower order details), the lacunarity ratio inf n_{k+1}/n_k, and
+    whether both infinite series converge under the declared tail model."""
+
+    higher_sum: float
+    lower_sum: float
+    ratio: float
+    converges: bool
+
+
 def lacunary_criteria(
     spec: SeriesSpec,
     p: float,
     J: int,
     profile: ModulusProfile | None = None,
     tail: TailModel | None = None,
-) -> AuditReport:
+) -> LacunaryCriteriaResult:
     """Evaluate the two lacunary-criteria sums for a dilated series.
 
     With m_k = floor(log2 n_k), the higher-detail sum weighs
     omega_p(n_k / 2^(m_{k + 2^l}), f) and the lower-detail sum the
     contraction bound 2^(m_{k+1-2^l}) / n_k; the modulus values come
     from ``profile`` (computed here at resolution J if omitted), with
-    ``tail`` extending it past the grid.  The report's lhs is the total
-    of both finite sums; passed means both infinite series converge
-    under the declared tail model (the ell-sums are decided from the
-    model, not from the finite prefix).
+    ``tail`` extending it past the grid.  Both sums are finite; converges
+    is decided from the tail model, not from the finite prefix.
     """
     if p <= 1:
         raise ValueError("p must be > 1")
@@ -574,16 +586,8 @@ def lacunary_criteria(
     # infinite-family verdict from the declared tail shape: the ell-sums
     # converge iff sum_n omega(2^-n) n^(-1/p) does (no model: the finite
     # family is exhausted)
-    passed = tail is None or tail.series_converges(weight_exponent=1.0 / p)
-    total = s1 + s2 if passed else math.inf
-    return AuditReport(
-        total,
-        math.inf,
-        0.0,
-        math.inf if passed else 0.0,
-        passed,
-        f"lacunary-criteria[p={p},higher_sum={s1:.6g},lower_sum={s2:.6g},ratio={ratio:.4g}]",
-    )
+    converges = tail is None or tail.series_converges(weight_exponent=1.0 / p)
+    return LacunaryCriteriaResult(s1, s2, ratio, converges)
 
 
 # --------------------------------------------------------------------------
@@ -677,6 +681,21 @@ def gaposhkin_example(m: int, K: int) -> SeriesSpec:
 # anti-concentration probe
 # --------------------------------------------------------------------------
 
+@dataclass(frozen=True)
+class DivergenceProbeResult:
+    """Per checkpoint N, the estimated probability
+    P((S*_N)^2 >= D/2 sum_{k<=N} |a_k|^2) and its Paley-Zygmund floor,
+    with the verdict drawn from them."""
+
+    checkpoints: tuple
+    probability: np.ndarray
+    pz_floor: np.ndarray
+    verdict: str
+    sample_size: int
+    seed: int
+    label: str
+
+
 def divergence_probe(
     spec: SeriesSpec,
     p: float,
@@ -684,15 +703,14 @@ def divergence_probe(
     checkpoints,
     seed: int,
     sample_size: int = 200,
-) -> OscillationDiagnostic:
+) -> DivergenceProbeResult:
     """Monte Carlo non-convergence evidence for non-square-summable a.
 
     Estimates P( (S*_N)^2 >= lam * D * sum_{k<=N} |a_k|^2 ) at lam = 1/2
-    with D = riesz_lower^2, per checkpoint N, and reports it through the
-    q90/median channels of an OscillationDiagnostic (median = estimated
-    probability, q90 = the Paley-Zygmund reference floor computed from
-    the empirical q-norm with q = p/2).  Verdict "diverging" when the
-    probability never drops below half its Paley-Zygmund floor.
+    with D = riesz_lower^2, per checkpoint N, beside the Paley-Zygmund
+    floor computed from the empirical q-norm with q = p/2.  Verdict
+    "diverging" when the probability never drops below half its floor
+    and stays positive.
     """
     if p <= 2:
         raise ValueError("the probe needs p > 2")
@@ -718,13 +736,12 @@ def divergence_probe(
         floors.append(((1 - lam) * ez / znorm) ** (q / (q - 1)) if znorm > 0 else 0.0)
     probs_arr, floors_arr = np.array(probs), np.array(floors)
     ok = bool(np.all(probs_arr >= 0.5 * floors_arr) and np.all(probs_arr > 0))
-    return OscillationDiagnostic(
+    return DivergenceProbeResult(
         tuple(checkpoints),
         probs_arr,
         floors_arr,
         "diverging" if ok else "inconclusive",
-        0.0,
         sample_size,
         seed,
-        label=f"divergence-probe[p={p},D={d:.4g}]",
+        f"divergence-probe[p={p},D={d:.4g}]",
     )

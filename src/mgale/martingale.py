@@ -90,13 +90,6 @@ class AuditReport:
             }
         )
 
-    @staticmethod
-    def from_json(text: str) -> "AuditReport":
-        d = json.loads(text)
-        return AuditReport(
-            d["lhs"], d["rhs"], d["constant"], d["margin"], d["passed"], d["context"], d.get("seed")
-        )
-
 
 def _bound_report(lhs, rhs, constant, context, seed=None, tol=1e-12) -> AuditReport:
     lhs, rhs = float(lhs), float(rhs)

@@ -21,7 +21,6 @@ decided implicitly from a finite profile.
 
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass
 
@@ -57,13 +56,6 @@ class ModulusProfile:
         object.__setattr__(self, "values", v)
         if v.shape != (self.source_resolution + 1,):
             raise ValueError("profile must hold one value per n = 0..J")
-
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        buf.write("n,delta,omega_p\n")
-        for n, v in enumerate(self.values):
-            buf.write(f"{n},{2.0 ** (-n)!r},{float(v)!r}\n")
-        return buf.getvalue()
 
 
 def _circular_corr(g: np.ndarray, h: np.ndarray) -> np.ndarray:

@@ -21,8 +21,6 @@ at the Monte Carlo rate.
 
 from __future__ import annotations
 
-import io
-import json
 import math
 from dataclasses import dataclass
 
@@ -72,16 +70,6 @@ class RieszProductSpec:
     def strictly_contractive(self) -> bool:
         """sup_n |c_n| < 1, the hypothesis of the lacunary-series theorem."""
         return max(abs(c) for c in self.cs) < 1.0
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {"lambdas": list(self.lambdas), "cs": [[c.real, c.imag] for c in self.cs]}
-        )
-
-    @staticmethod
-    def from_json(text: str) -> "RieszProductSpec":
-        d = json.loads(text)
-        return RieszProductSpec(tuple(d["lambdas"]), tuple(complex(re, im) for re, im in d["cs"]))
 
 
 def riesz_partial_density(spec: RieszProductSpec, N: int, J: int) -> GridFunction:

@@ -28,7 +28,6 @@ so the truncated potentials stay exactly normalized.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -95,20 +94,6 @@ class SymbolicSpace:
     @classmethod
     def full_shift(cls, sizes) -> "SymbolicSpace":
         return cls(tuple(sizes), None, 0)
-
-    def to_json(self) -> str:
-        inc = None if self.incidence is None else [a.tolist() for a in self.incidence]
-        return json.dumps({"sizes": list(self.sizes), "incidence": inc, "window": self.window})
-
-    @staticmethod
-    def from_json(text: str) -> "SymbolicSpace":
-        d = json.loads(text)
-        inc = d.get("incidence")
-        return SymbolicSpace(
-            tuple(d["sizes"]),
-            None if inc is None else tuple(np.array(a) for a in inc),
-            int(d.get("window", 0)),
-        )
 
     @property
     def depth(self) -> int:
@@ -207,23 +192,6 @@ class PotentialSeq:
 
     def positivity_floor(self) -> float:
         return min(float(np.nanmin(g.values.real)) for g in self.potentials)
-
-    def to_json(self) -> str:
-        return json.dumps(
-            [
-                {"start": g.start, "shape": list(g.values.shape), "values": g.values.real.ravel().tolist()}
-                for g in self.potentials
-            ]
-        )
-
-    @staticmethod
-    def from_json(text: str) -> "PotentialSeq":
-        items = json.loads(text)
-        pots = tuple(
-            CylinderFunction(it["start"], np.array(it["values"]).reshape(it["shape"]))
-            for it in items
-        )
-        return PotentialSeq(pots)
 
 
 def _g_box(space: SymbolicSpace, pots: PotentialSeq, upto: int) -> np.ndarray:

@@ -366,6 +366,10 @@ def test_riesz_sample_aliasing_is_config_error(tmp_path):
     ("riesz", {"action": "sample", "lambdas": "pow:3:5", "cs": [0.5] * 6, "J": 40}),
     ("davenport", {"freqs": "pow:2:30", "quadrature_check": True}),
     ("davenport", {"freqs": "pow:2:4", "smoothness_p": 2, "M": 20000}),
+    # a digit box past 2^24 cells (3^16) and a Gram matrix past 2^24
+    # entries (4097 frequencies)
+    ("symbolic", {"depth": 16}),
+    ("davenport", {"freqs": "pow:2:4096"}),
 ])
 def test_series_kind_parameters_are_config_errors(tmp_path, kind, params):
     assert run_raw(tmp_path, {"kind": kind, "parameters": params}) == 2
@@ -390,6 +394,45 @@ def test_series_kind_well_formed_parameters_run(tmp_path, kind, params):
     if "sample_size" in cli.SCHEMAS[kind]:
         params = dict(params, sample_size=100)
     assert run_raw(tmp_path, {"kind": kind, "parameters": params}) == 0
+
+
+@pytest.mark.parametrize("kind, params, first_work", [
+    ("symbolic", {"depth": 15}, "riesz_potentials"),
+    ("davenport", {"freqs": list(range(1, 4097))}, "gram_matrix"),
+])
+def test_largest_sizes_pass_the_caps(tmp_path, monkeypatch, kind, params, first_work):
+    # a full run at these sizes takes minutes: stop at the first piece of work
+    def stop(*args, **kwargs):
+        raise RuntimeError("reached the work")
+
+    monkeypatch.setattr(cli, first_work, stop)
+    assert run_raw(tmp_path, {"kind": kind, "parameters": params}) == 1
+    assert "reached the work" in (tmp_path / "out" / f"{kind}_FAILED.txt").read_text()
+
+
+def test_reports_yielded_before_a_raise_stay_beside_the_marker(tmp_path, monkeypatch):
+    def handler(config):
+        yield "dilated_first.csv", "a,b\n1,2\n", True
+        raise RuntimeError("boom")
+
+    monkeypatch.setitem(cli._HANDLERS, "dilated", handler)
+    assert run_raw(tmp_path, {"kind": "dilated", "parameters": {}}) == 1
+    out = tmp_path / "out"
+    assert sorted(p.name for p in out.iterdir()) == ["dilated_FAILED.txt", "dilated_first.csv"]
+    assert body_of(out / "dilated_first.csv") == "a,b\n1,2"
+    assert "error: boom" in (out / "dilated_FAILED.txt").read_text()
+
+
+def test_a_failing_report_sets_exit_1_and_later_reports_are_written(tmp_path, monkeypatch):
+    def handler(config):
+        yield "dilated_failing.csv", "x\n", False
+        yield "dilated_passing.csv", "y\n", True
+
+    monkeypatch.setitem(cli._HANDLERS, "dilated", handler)
+    assert run_raw(tmp_path, {"kind": "dilated", "parameters": {}}) == 1
+    out = tmp_path / "out"
+    assert sorted(p.name for p in out.iterdir()) == ["dilated_failing.csv", "dilated_passing.csv"]
+    assert (body_of(out / "dilated_failing.csv"), body_of(out / "dilated_passing.csv")) == ("x", "y")
 
 
 def test_failure_marker_records_type_and_traceback(tmp_path, monkeypatch):

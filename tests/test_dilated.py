@@ -250,15 +250,17 @@ def test_lacunary_criteria_sine_geometric():
     spec = sin_spec([1.0 / (k + 1) for k in range(16)], [2**k for k in range(16)])
     prof = modulus_profile(render(spec.generator, 12), 2)
     tail = TailModel("geometric", prof.values[6], 0.5)
-    rep = dl.lacunary_criteria(spec, 2, 12, profile=prof, tail=tail)
-    assert rep.passed and math.isfinite(rep.lhs)
+    res = dl.lacunary_criteria(spec, 2, 12, profile=prof, tail=tail)
+    assert res.converges and math.isfinite(res.higher_sum + res.lower_sum)
+    assert res.ratio == 2.0
 
 
 def test_lacunary_criteria_slow_modulus_diverges():
     spec = sin_spec([1.0 / (k + 1) for k in range(16)], [2**k for k in range(16)])
     prof = modulus_profile(render(spec.generator, 12), 2)
-    rep = dl.lacunary_criteria(spec, 2, 12, profile=prof, tail=TailModel("power", 1.0, 0.4))
-    assert not rep.passed and rep.lhs == math.inf
+    res = dl.lacunary_criteria(spec, 2, 12, profile=prof, tail=TailModel("power", 1.0, 0.4))
+    # the finite sums stay finite; the infinite series diverge
+    assert not res.converges and math.isfinite(res.higher_sum + res.lower_sum)
 
 
 def test_lacunary_criteria_davenport_lambda():
@@ -269,8 +271,9 @@ def test_lacunary_criteria_davenport_lambda():
     spec = dl.SeriesSpec(tuple(1.0 / (k + 1) for k in range(8)), tuple(3**k for k in range(8)), gen)
     prof = modulus_profile(render(gen, 13), 2)
     tail = TailModel("geometric", float(prof.values[-1]), 2.0**-0.25)
-    rep = dl.lacunary_criteria(spec, 2, 13, profile=prof, tail=tail)
-    assert rep.passed and math.isfinite(rep.lhs)
+    res = dl.lacunary_criteria(spec, 2, 13, profile=prof, tail=tail)
+    assert res.converges and math.isfinite(res.higher_sum + res.lower_sum)
+    assert res.ratio == 3.0
 
 
 @pytest.mark.parametrize("p, tail, converges", [
@@ -286,9 +289,9 @@ def test_lacunary_criteria_davenport_lambda():
 def test_lacunary_criteria_verdict_is_the_tail_model_rule(p, tail, converges):
     spec = sin_spec([1.0 / (k + 1) for k in range(16)], [2**k for k in range(16)])
     prof = modulus_profile(render(spec.generator, 10), p)
-    rep = dl.lacunary_criteria(spec, p, 10, profile=prof, tail=tail)
-    assert rep.passed == converges == tail.series_converges(weight_exponent=1.0 / p)
-    assert math.isfinite(rep.lhs) == converges
+    res = dl.lacunary_criteria(spec, p, 10, profile=prof, tail=tail)
+    assert res.converges == converges == tail.series_converges(weight_exponent=1.0 / p)
+    assert math.isfinite(res.higher_sum) and math.isfinite(res.lower_sum)
 
 
 def test_split_per_octave():
@@ -351,9 +354,9 @@ def test_nsc_probe_on_divergent_davenport():
     K = 256
     spec = dl.SeriesSpec(tuple(1 / math.sqrt(k) for k in range(1, K + 1)), tuple(2**k for k in range(1, K + 1)), gen)
     lo, _ = riesz_constants(gram_matrix([2**k for k in range(1, 17)], 0.75))
-    diag = dl.divergence_probe(spec, 4.0, lo, [8, 16, 32, 64, 128], seed=12)
-    assert diag.verdict == "diverging"
-    assert np.all(diag.median > 0)
+    res = dl.divergence_probe(spec, 4.0, lo, [8, 16, 32, 64, 128], seed=12)
+    assert res.verdict == "diverging"
+    assert np.all(res.probability > 0)
 
 
 def test_nsc_probe_rejects_square_summable():
@@ -463,7 +466,8 @@ def test_divergence_probe_matches_reference():
     )
     lo, _ = riesz_constants(gram_matrix([2**k for k in range(1, 17)], 0.75))
     cps = [8, 16, 32, 64, 128]
-    diag = dl.divergence_probe(spec, 4.0, lo, cps, seed=12)
+    res = dl.divergence_probe(spec, 4.0, lo, cps, seed=12)
     probs, floors = _probe_ref(spec, 4.0, lo, cps, seed=12)
-    np.testing.assert_array_equal(diag.median, probs)
-    np.testing.assert_array_equal(diag.q90, floors)
+    np.testing.assert_array_equal(res.probability, probs)
+    np.testing.assert_array_equal(res.pz_floor, floors)
+    assert (res.checkpoints, res.sample_size, res.seed) == (tuple(cps), 200, 12)

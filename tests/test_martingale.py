@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from conftest import block_average, random_grid, random_trig_poly
 from mgale import martingale as mg
-from mgale.martingale import AuditReport
 from mgale.tails import TailModel
 from mgale.torus import GridFunction, lp_norm, render, sine_series
 
@@ -539,14 +538,6 @@ def test_paley_zygmund_validation():
         mg.paley_zygmund_audit([-1.0, 1.0], [0.5, 0.5], 0.5, 2.0)
     with pytest.raises(ValueError):
         mg.paley_zygmund_audit([1.0, 1.0], [0.6, 0.6], 0.5, 2.0)
-
-
-# ----------------------------------------------------------- report plumbing
-
-def test_audit_report_json_roundtrip():
-    rep = AuditReport(1.0, 2.0, 0.5, 1.0, True, "unit", seed=9)
-    back = AuditReport.from_json(rep.to_json())
-    assert back == rep
 
 
 @given(st.integers(0, 200))

@@ -47,13 +47,6 @@ def test_sawtooth_slope_near_half():
     assert 0.45 <= slope <= 0.55
 
 
-def test_profile_csv_roundtrip():
-    prof = mo.modulus_profile(render(sine_series({1: 1.0}), 6), 2)
-    text = prof.to_csv()
-    assert text.splitlines()[0] == "n,delta,omega_p"
-    assert len(text.splitlines()) == 8
-
-
 def test_dyadic_approx_constant():
     rep = mo.dyadic_approx_audit(GridFunction(5, np.full(32, 1.0), "real"), 2, 3)
     assert rep.passed and rep.lhs == 0.0 and rep.rhs == 0.0

@@ -27,12 +27,6 @@ def test_spec_validation():
     assert not full.strictly_contractive
 
 
-def test_spec_json_roundtrip():
-    spec = rz.RieszProductSpec((1, 4, 16), (0.5, 0.25 + 0.1j, 0.0))
-    back = rz.RieszProductSpec.from_json(spec.to_json())
-    assert back.lambdas == spec.lambdas and back.cs == spec.cs
-
-
 def test_density_trivial_case():
     spec = rz.RieszProductSpec((1,), (0.0,))
     dens = rz.riesz_partial_density(spec, 0, 8)

@@ -296,19 +296,6 @@ def test_mu_integral_matches_manual():
     assert sy.mu_integral(space, w, f) == pytest.approx(manual)
 
 
-def test_space_and_potentials_json_roundtrip():
-    a = np.array([[1, 1], [1, 0]])
-    sp = sy.SymbolicSpace((2, 2, 2), (a, a), window=1)
-    back = sy.SymbolicSpace.from_json(sp.to_json())
-    assert back.sizes == sp.sizes and back.window == sp.window
-    np.testing.assert_array_equal(back.mask(), sp.mask())
-    _, space, pots = riesz_setup(4, 0.5, 4)
-    back_pots = sy.PotentialSeq.from_json(pots.to_json())
-    for g, h in zip(pots.potentials, back_pots.potentials):
-        assert g.start == h.start
-        np.testing.assert_allclose(g.values, h.values)
-
-
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
