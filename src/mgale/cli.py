@@ -52,6 +52,7 @@ import numpy as np
 from . import __version__
 from . import martingale as mg
 from .davenport import (
+    SINGULAR_EIG,
     DavenportSpec,
     davenport_fourier,
     freqs_from_rule,
@@ -420,7 +421,7 @@ def _run_davenport(config: ExperimentConfig) -> _Reports:
     yield "davenport_gram.csv", gm.to_csv(), True
     lines = [f"lambda,{lam!r}", f"min_eig,{gm.eigen_bounds[0]!r}", f"max_eig,{gm.eigen_bounds[1]!r}"]
     passed = True
-    if gm.eigen_bounds[0] > 1e-10:
+    if gm.eigen_bounds[0] > SINGULAR_EIG:
         lo, hi = riesz_constants(gm)
         lines += [f"riesz_lower,{lo!r}", f"riesz_upper,{hi!r}"]
     if p["quadrature_check"]:

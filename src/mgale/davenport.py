@@ -34,6 +34,7 @@ from .torus import FourierFunction, GridFunction, render, sine_series
 __all__ = [
     "DavenportSpec",
     "GramMatrix",
+    "SINGULAR_EIG",
     "davenport_fourier",
     "eval_davenport",
     "freqs_from_rule",
@@ -71,13 +72,13 @@ def davenport_fourier(lam: float, M: int) -> FourierFunction:
     return sine_series({int(m): float(m**-lam) for m in ms})
 
 
-def eval_davenport(spec: DavenportSpec, J: int, strict: bool = False) -> GridFunction:
+def eval_davenport(spec: DavenportSpec, J: int) -> GridFunction:
     """Render the truncated generator on the 2^J grid.
 
-    The truncation must stay below the aliasing threshold 2^(J-1); the
-    render call enforces exactly that.
+    A truncation at or past the aliasing threshold 2^(J-1) renders with
+    an AliasingWarning and the ``aliased`` flag set (see torus.render).
     """
-    return render(davenport_fourier(spec.lam, spec.truncation), J, strict=strict)
+    return render(davenport_fourier(spec.lam, spec.truncation), J)
 
 
 def sawtooth_values(x) -> np.ndarray:
@@ -89,19 +90,16 @@ def sawtooth_values(x) -> np.ndarray:
     return np.where(fr == 0.0, 0.0, out)
 
 
-def smoothness_estimate(
-    spec: DavenportSpec, p, J: int, fit_octaves: tuple[int, int] = (3, 9)
-) -> float:
+def smoothness_estimate(spec: DavenportSpec, p, J: int) -> float:
     """Fitted log-log decay exponent of omega_p(2^-n, f_lambda).
 
-    Least squares over octaves n in [fit_octaves]; for p = 2 the
-    expected exponent is lambda - 1/2 in the rough regime
-    1/2 < lambda < 3/2 and 1 (the L2-Lipschitz ceiling) beyond.
+    Least squares over octaves n in [3, 9]; for p = 2 the expected
+    exponent is lambda - 1/2 in the rough regime 1/2 < lambda < 3/2 and
+    1 (the L2-Lipschitz ceiling) beyond.
     """
     gf = eval_davenport(spec, J)
     prof = modulus_profile(gf, p)
-    lo, hi = fit_octaves
-    ns = np.arange(lo, hi + 1)
+    ns = np.arange(3, 10)
     vals = prof.values[ns]
     if np.any(vals <= 0):
         raise ValueError("profile vanishes on the fit window")
@@ -198,21 +196,30 @@ def gram_quadrature(
     return out
 
 
-def riesz_constants(gram: GramMatrix, singular_tol: float = 1e-10) -> tuple[float, float]:
-    """Finite-section frame bounds (sqrt(min eig), sqrt(max eig))."""
+#: a Gram matrix whose least eigenvalue is at most this is numerically singular
+SINGULAR_EIG = 1e-10
+
+
+def riesz_constants(gram: GramMatrix) -> tuple[float, float]:
+    """Finite-section frame bounds (sqrt(min eig), sqrt(max eig)); a
+    least eigenvalue at most SINGULAR_EIG raises."""
     lo, hi = gram.eigen_bounds
-    if lo <= singular_tol:
+    if lo <= SINGULAR_EIG:
         raise ValueError(f"Gram matrix numerically singular (min eig {lo:.3e})")
     return math.sqrt(lo), math.sqrt(hi)
 
 
 def freqs_from_rule(rule) -> list[int]:
-    """Frequencies from "pow:q:K" (q^0, ..., q^K; integers q >= 2, K >= 0)
-    or a non-empty list of distinct positive integers."""
+    """Frequencies from "pow:q:K" (q^0, ..., q^K; integers q >= 2 and
+    0 <= K <= 4096 with K * bits(q) <= 2^16, checked before any power is
+    formed) or a non-empty list of distinct positive integers."""
     if isinstance(rule, str):
         name, *args = rule.split(":")
         if name == "pow" and len(args) == 2 and all(a.isdecimal() for a in args) and int(args[0]) >= 2:
-            return [int(args[0]) ** k for k in range(int(args[1]) + 1)]
+            q, K = int(args[0]), int(args[1])
+            if K > 4096 or K * q.bit_length() > 2**16:
+                raise ValueError(f"frequency rule {rule!r} too large; \"pow:q:K\" needs K <= 4096 and K * bits(q) <= 2^16")
+            return [q**k for k in range(K + 1)]
     elif isinstance(rule, (list, tuple)) and rule and all(type(n) is int and n >= 1 for n in rule) and len(set(rule)) == len(rule):
         return list(rule)
     raise ValueError(f"unrecognized frequency rule {rule!r}; use \"pow:q:K\" or a list of distinct positive integers")

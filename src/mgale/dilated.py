@@ -5,7 +5,7 @@ Two evaluation paths coexist:
 
   * grid path (partial_sums / maximal_function): renders every dilate on
     the 2^J grid; exact but limited to n_k * deg(f) below the aliasing
-    threshold, enforced in strict mode.
+    threshold 2^(J-1), past which the render raises AliasingError.
 
   * exact-point path (oscillation_diagnostic, divergence probes): the
     sample points are random dyadic rationals X/2^R with R large enough
@@ -132,11 +132,10 @@ def lacunarity_ratio(freqs) -> float:
 # grid path
 # --------------------------------------------------------------------------
 
-def partial_sums(spec: SeriesSpec, N: int, J: int, strict: bool = True) -> list[GridFunction]:
+def partial_sums(spec: SeriesSpec, N: int, J: int) -> list[GridFunction]:
     """S_0..S_N on the 2^J grid, S_n = sum_{k<=n} a_k f(n_k x).
 
-    In strict mode any dilated frequency at or beyond 2^(J-1) raises;
-    otherwise the renders carry aliasing flags.
+    Any dilated frequency at or beyond 2^(J-1) raises AliasingError.
     """
     if N >= spec.length:
         raise ValueError(f"N={N} exceeds the spec length {spec.length}")
@@ -145,20 +144,18 @@ def partial_sums(spec: SeriesSpec, N: int, J: int, strict: bool = True) -> list[
     real = spec.generator.is_real_valued() and all(
         abs(a.imag) == 0.0 for a in spec.coeffs[: N + 1]
     )
-    aliased = False
     for k in range(N + 1):
-        g = render(dilate(spec.generator, spec.freqs[k]), J, strict=strict)
-        aliased = aliased or g.aliased
+        g = render(dilate(spec.generator, spec.freqs[k]), J, strict=True)
         running = running + spec.coeffs[k] * g.samples.astype(np.complex128)
         samples = running.real if real else running
-        out.append(GridFunction(J, samples, "real" if real else "complex", aliased=aliased))
+        out.append(GridFunction(J, samples, "real" if real else "complex"))
     return out
 
 
-def maximal_function(spec: SeriesSpec, N: int, J: int, strict: bool = True) -> GridFunction:
+def maximal_function(spec: SeriesSpec, N: int, J: int) -> GridFunction:
     """Pointwise max_{0<=n<=N} |S_n| on the grid."""
     best = None
-    for s in partial_sums(spec, N, J, strict=strict):
+    for s in partial_sums(spec, N, J):
         a = np.abs(s.samples)
         best = a if best is None else np.maximum(best, a)
     return GridFunction(J, best, "real")
@@ -612,22 +609,20 @@ def loglog_model_fit(values, model) -> tuple[float, float]:
     return float(coef[1]), float(np.abs(resid).max())
 
 
-def gaposhkin_modulus_fit(
-    m: int, ns, K: int = 50, h_points: int = 4096
-) -> tuple[np.ndarray, np.ndarray, float, float]:
+def gaposhkin_modulus_fit(m: int, ns) -> tuple[np.ndarray, np.ndarray, float, float]:
     """omega_2(2^-n) of the sharpness generator vs c/(sqrt(n) L_m(n)).
 
     Returns (omega values, model values, fitted log-log slope, max
-    residual).  The generator is truncated at K modes, K chosen so the
-    removed tail is negligible on the requested octaves but the top
-    frequency 2^K still fits in a float (the modulus is evaluated in
-    mode space, see fourier_modulus_l2).
+    residual).  The generator is truncated at 50 modes, so the removed
+    tail is negligible on the requested octaves but the top frequency
+    2^50 still fits in a float (the modulus is evaluated in mode space,
+    with the default h grid of fourier_modulus_l2).
     """
     from .modulus import fourier_modulus_l2
 
     ns = np.asarray(list(ns), dtype=np.int64)
-    gen = gaposhkin_example(m, K).generator
-    omegas = fourier_modulus_l2(gen, 2.0 ** -ns.astype(np.float64), h_points=h_points)
+    gen = gaposhkin_example(m, 50).generator
+    omegas = fourier_modulus_l2(gen, 2.0 ** -ns.astype(np.float64))
     model = 1.0 / (np.sqrt(ns) * iterated_log(m, ns))
     slope, resid = loglog_model_fit(omegas, model)
     return omegas, model, slope, resid
@@ -702,15 +697,14 @@ def divergence_probe(
     riesz_lower: float,
     checkpoints,
     seed: int,
-    sample_size: int = 200,
 ) -> DivergenceProbeResult:
     """Monte Carlo non-convergence evidence for non-square-summable a.
 
     Estimates P( (S*_N)^2 >= lam * D * sum_{k<=N} |a_k|^2 ) at lam = 1/2
-    with D = riesz_lower^2, per checkpoint N, beside the Paley-Zygmund
-    floor computed from the empirical q-norm with q = p/2.  Verdict
-    "diverging" when the probability never drops below half its floor
-    and stays positive.
+    with D = riesz_lower^2 from 200 seeded sample points, per checkpoint
+    N, beside the Paley-Zygmund floor computed from the empirical q-norm
+    with q = p/2.  Verdict "diverging" when the probability never drops
+    below half its floor and stays positive.
     """
     if p <= 2:
         raise ValueError("the probe needs p > 2")
@@ -721,7 +715,7 @@ def divergence_probe(
     tail_growth = (amps[: checkpoints[-1]] ** 2).sum() / max((amps[: checkpoints[0]] ** 2).sum(), 1e-300)
     if tail_growth < 1.5:
         raise ValueError("sum |a_k|^2 must keep growing over the checkpoint range")
-    sums = _sampled_partial_sums(spec, checkpoints[-1], sample_size, seed)
+    sums = _sampled_partial_sums(spec, checkpoints[-1], 200, seed)
     running_max = np.maximum.accumulate(np.abs(sums), axis=1)
     lam = 0.5
     d = riesz_lower**2
@@ -741,7 +735,7 @@ def divergence_probe(
         probs_arr,
         floors_arr,
         "diverging" if ok else "inconclusive",
-        sample_size,
+        sums.shape[0],
         seed,
         f"divergence-probe[p={p},D={d:.4g}]",
     )

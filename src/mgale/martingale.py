@@ -97,12 +97,6 @@ def _bound_report(lhs, rhs, constant, context, seed=None, tol=1e-12) -> AuditRep
     return AuditReport(lhs, rhs, float(constant), rhs - lhs, lhs <= rhs + tol * scale, context, seed)
 
 
-def _equality_report(lhs, rhs, context, seed=None, rel_tol=1e-10) -> AuditReport:
-    lhs, rhs = float(lhs), float(rhs)
-    scale = max(abs(lhs), abs(rhs), 1e-300)
-    return AuditReport(lhs, rhs, 1.0, rhs - lhs, abs(lhs - rhs) <= rel_tol * max(scale, 1e-30), context, seed)
-
-
 def k_p(p: float) -> float:
     """The maximal-inequality constant K_p = p/(p-1) * max(1, sqrt(p-1))."""
     if p <= 1:
@@ -210,8 +204,9 @@ def decompose(f: GridFunction) -> DetailSequence:
     return DetailSequence(f, tuple(GridFunction(J, d, f.value_kind) for d in full))
 
 
-def telescope_check(f: GridFunction, N1: int, N2: int, rel_tol: float = 1e-10) -> AuditReport:
-    """Audit sum_{n=N1}^{N2} ||D_n f||_2^2 == ||E^{N2+1} f - E^{N1} f||_2^2."""
+def telescope_check(f: GridFunction, N1: int, N2: int) -> AuditReport:
+    """Audit sum_{n=N1}^{N2} ||D_n f||_2^2 == ||E^{N2+1} f - E^{N1} f||_2^2
+    to relative tolerance 1e-10."""
     J = f.resolution_log2
     if not 0 <= N1 <= N2 <= J - 1:
         raise ValueError(f"need 0 <= N1 <= N2 <= {J - 1}")
@@ -221,8 +216,10 @@ def telescope_check(f: GridFunction, N1: int, N2: int, rel_tol: float = 1e-10) -
     for n in range(N1, N2 + 1):
         lhs += _lp_norm_array(details[n], 2) ** 2
     diff = means[N2 + 1] - np.repeat(means[N1], 2 ** (N2 + 1 - N1))
-    rhs = _lp_norm_array(diff, 2) ** 2
-    return _equality_report(lhs, rhs, f"telescoping-parseval[{N1},{N2}]", rel_tol=rel_tol)
+    lhs, rhs = float(lhs), float(_lp_norm_array(diff, 2) ** 2)
+    scale = max(abs(lhs), abs(rhs), 1e-30)
+    return AuditReport(lhs, rhs, 1.0, rhs - lhs, abs(lhs - rhs) <= 1e-10 * scale,
+                       f"telescoping-parseval[{N1},{N2}]")
 
 
 # --------------------------------------------------------------------------
@@ -250,13 +247,13 @@ def doob_maximal_audit(
     increments: list[GridFunction],
     p: float,
     levels: list[int] | None = None,
-    difference_tol: float = 1e-10,
 ) -> AuditReport:
     """Audit Doob: ||max_m |S_m|||_p <= p/(p-1) * ||S_last||_p.
 
     ``increments[m]`` must be a martingale difference for its assigned
-    filtration level: cond_exp(increments[m], levels[m]) == 0, with
-    strictly increasing levels.  Violations raise.
+    filtration level: cond_exp(increments[m], levels[m]) == 0 up to 1e-10
+    of max(sup |increment|, 1), with strictly increasing levels.
+    Violations raise.
     """
     if p <= 1:
         raise ValueError("doob_maximal_audit needs p > 1")
@@ -270,7 +267,7 @@ def doob_maximal_audit(
     for inc, lv in zip(increments, levels):
         resid = np.abs(_haar_means(inc.samples, J)[min(lv, J)]).max()
         scale = max(np.abs(inc.samples).max(), 1.0)
-        if resid > difference_tol * scale:
+        if resid > 1e-10 * scale:
             raise ValueError(
                 f"increment at level {lv} violates the martingale difference property"
             )
@@ -295,9 +292,7 @@ class DetailCriteriaResult:
     audit: AuditReport
 
 
-def detail_criteria(
-    Z: list[GridFunction], levels, p: float, seed: int | None = None
-) -> DetailCriteriaResult:
+def detail_criteria(Z: list[GridFunction], levels, p: float) -> DetailCriteriaResult:
     """Evaluate the two detail-criteria sums for a finite family Z.
 
     ``levels`` maps each series index n to its filtration level (the
@@ -345,7 +340,7 @@ def detail_criteria(
     smax = np.abs(partial).max(axis=0)
     lhs = float(_lp_norm_array(smax, p))
     rhs = k_p(p) * (s1 + s2)
-    audit = _bound_report(lhs, rhs, k_p(p), f"detail-criteria-maximal[p={p}]", seed=seed)
+    audit = _bound_report(lhs, rhs, k_p(p), f"detail-criteria-maximal[p={p}]")
     return DetailCriteriaResult(s1, s2, audit)
 
 
@@ -469,12 +464,11 @@ def condensation_equivalent(
     return plain, condensed
 
 
-def paley_zygmund_audit(
-    values, probabilities, lam: float, q: float, prob_tol: float = 1e-12
-) -> AuditReport:
+def paley_zygmund_audit(values, probabilities, lam: float, q: float) -> AuditReport:
     """Exact check of P(Z >= lam * E Z) >= ((1-lam) E Z / ||Z||_q)^(q/(q-1)).
 
-    Z is the finite nonnegative distribution given by (values, probs).
+    Z is the finite nonnegative distribution given by (values, probs);
+    the probabilities must sum to 1 within 1e-12.
     The report keeps the uniform orientation lhs <= rhs: lhs is the
     anti-concentration bound, rhs the exact probability it must stay
     under.
@@ -483,7 +477,7 @@ def paley_zygmund_audit(
     pr = np.asarray(probabilities, dtype=np.float64)
     if np.any(v < 0):
         raise ValueError("Z must be nonnegative")
-    if abs(pr.sum() - 1.0) > prob_tol or np.any(pr < 0):
+    if abs(pr.sum() - 1.0) > 1e-12 or np.any(pr < 0):
         raise ValueError("probabilities must be nonnegative and sum to 1")
     if not 0 < lam < 1:
         raise ValueError("lambda must lie in (0, 1)")
@@ -506,31 +500,29 @@ def random_grid_functions(
 ) -> np.ndarray:
     """(count, 2^J) array of centered real test functions.
 
-    family = "noise" | "trig" | "mixed".  Trig members are random real
-    trigonometric polynomials of degree <= ``degree``; noise members are
-    iid normals.  All rows are exactly centered.
+    family = "trig" | "mixed".  Trig members are random real
+    trigonometric polynomials of degree <= ``degree``; "mixed" replaces
+    the first count // 2 rows by iid normals.  All rows are exactly
+    centered.
     """
+    if family not in ("trig", "mixed"):
+        raise ValueError(f"unknown family {family!r}; expected 'trig' or 'mixed'")
     n = 2**J
-    if family == "noise":
-        arr = rng.standard_normal((count, n))
-    else:
-        deg = min(degree, n // 2 - 1)
-        ms = np.arange(1, deg + 1)
-        spec = np.zeros((count, n // 2 + 1), dtype=np.complex128)
-        spec[:, 1 : deg + 1] = (
-            rng.standard_normal((count, deg)) + 1j * rng.standard_normal((count, deg))
-        ) / np.sqrt(ms)
-        arr = np.fft.irfft(spec, n, axis=1) * (n / 2.0)
-        if family == "mixed":
-            half = count // 2
-            arr[:half] = rng.standard_normal((half, n))
+    deg = min(degree, n // 2 - 1)
+    ms = np.arange(1, deg + 1)
+    spec = np.zeros((count, n // 2 + 1), dtype=np.complex128)
+    spec[:, 1 : deg + 1] = (
+        rng.standard_normal((count, deg)) + 1j * rng.standard_normal((count, deg))
+    ) / np.sqrt(ms)
+    arr = np.fft.irfft(spec, n, axis=1) * (n / 2.0)
+    if family == "mixed":
+        half = count // 2
+        arr[:half] = rng.standard_normal((half, n))
     arr -= arr.mean(axis=1, keepdims=True)
     return arr
 
 
-def rio_audit_batch(
-    cases: int, p_values, J: int, seed: int, family: str = "mixed"
-) -> list[AuditReport]:
+def rio_audit_batch(cases: int, p_values, J: int, seed: int) -> list[AuditReport]:
     """Randomized Rio audits; one report per case, all expected to pass.
 
     Case i uses p_values[i % len(p_values)]; the norms of all cases that
@@ -538,7 +530,7 @@ def rio_audit_batch(
     """
     rng = np.random.default_rng(seed)
     p_values = list(p_values)
-    arr = random_grid_functions(cases, J, rng, family)
+    arr = random_grid_functions(cases, J, rng)
     details = _haar_details(_haar_means(arr, J))
     consts = [max(1.0, math.sqrt(p - 1.0)) for p in p_values]
     lhs, rhs = np.empty(cases), np.empty(cases)
@@ -555,13 +547,11 @@ def rio_audit_batch(
     ]
 
 
-def doob_audit_batch(
-    cases: int, p_values, J: int, seed: int, family: str = "mixed"
-) -> list[AuditReport]:
+def doob_audit_batch(cases: int, p_values, J: int, seed: int) -> list[AuditReport]:
     """Randomized Doob audits on the detail martingale of random f."""
     rng = np.random.default_rng(seed)
     p_values = list(p_values)
-    arr = random_grid_functions(cases, J, rng, family)
+    arr = random_grid_functions(cases, J, rng)
     means = _haar_means(arr, J)
     smax = _doob_maximal(means)
     final = arr - means[0]

@@ -173,14 +173,14 @@ def dyadic_approx_audit_all(f: GridFunction, p, levels=None) -> list[AuditReport
     return reports
 
 
-def fit_profile_tail(profile: ModulusProfile, octaves: int = 4, kind: str = "auto") -> TailModel:
-    """Least-squares tail model from the last ``octaves`` octaves."""
+def fit_profile_tail(profile: ModulusProfile) -> TailModel:
+    """Least-squares tail model from the last four octaves."""
     J = profile.source_resolution
-    ns = np.arange(J - octaves + 1, J + 1)
+    ns = np.arange(J - 3, J + 1)
     vals = profile.values[ns]
     if np.any(vals <= 0):
         return TailModel("geometric", 0.0, 0.5)
-    return fit_tail_model(ns, vals, kind)
+    return fit_tail_model(ns, vals)
 
 
 def criterion_sqrt_n(

@@ -163,12 +163,6 @@ def sample_mu(spec: RieszProductSpec, N: int, J: int, count: int, seed: int) -> 
     return idx / 2.0**J
 
 
-def _fn_at(fn_family, n: int) -> FourierFunction:
-    if callable(fn_family):
-        return fn_family(n)
-    return fn_family[n]
-
-
 def grid_inf_modulus(f: FourierFunction, octaves: int, J: int = 12) -> np.ndarray:
     """omega_inf(2^-n, f) on a 2^J grid for n = 0..octaves (n > J reads n = J)."""
     values = modulus_profile(render(f, J), math.inf).values
@@ -182,19 +176,18 @@ def riesz_series_run(
     checkpoints,
     sample_count: int,
     seed: int,
-    J: int | None = None,
-    log_eps: float = 0.25,
 ) -> OscillationDiagnostic:
     """Oscillation diagnostic for sum_n a_n (f_n(lambda_n x) - E_mu f_n)
-    at points sampled from the depth-N partial density.
+    at points sampled from the depth-N partial density, f_n = fn_family(n).
 
-    The means are the exact depth-N coefficients at -m lambda_n paired
-    with the modes m of f_n, each looked up by the greedy dissociate
-    representation, so the terms are exactly centered for the sampled
-    measure.
+    The points are drawn on the 2^J grid with J = max(12,
+    ceil(log2 sum_{n<=N} lambda_n) + 2).  The means are the exact
+    depth-N coefficients at -m lambda_n paired with the modes m of f_n,
+    each looked up by the greedy dissociate representation, so the terms
+    are exactly centered for the sampled measure.
     The sup-modulus hypothesis sup_n omega_inf(t, f_n) |log t|^(1/2+eps)
-    is evaluated on the grid; a violation does not stop the run, it
-    relabels it out-of-hypothesis.
+    at eps = 1/4 is evaluated on the grid; a violation does not stop the
+    run, it relabels it out-of-hypothesis.
     """
     coeffs = tuple(complex(a) for a in coeffs)
     checkpoints = sorted(int(c) for c in checkpoints)
@@ -203,13 +196,12 @@ def riesz_series_run(
         raise ValueError("more coefficients than Riesz levels")
     if checkpoints[-1] > N + 1:
         raise ValueError("checkpoints exceed the series length")
-    if J is None:
-        J = max(12, int(math.ceil(math.log2(sum(spec.lambdas[: N + 1])))) + 2)
+    J = max(12, int(math.ceil(math.log2(sum(spec.lambdas[: N + 1])))) + 2)
     xs = sample_mu(spec, N, J, sample_count, seed)
     n_grid = 2**J
     ks = np.round(xs * n_grid).astype(np.int64)
 
-    # the hypothesis sup_n omega(t, f_n) <= C |log t|^-(1/2+eps) is
+    # the hypothesis sup_n omega(t, f_n) <= C |log t|^-(1/2+1/4) is
     # checked per distinct generator, on the octaves where the finite
     # sum is faithful to its ideal parent (above the truncation scale)
     hyp_cache: dict = {}
@@ -220,14 +212,14 @@ def riesz_series_run(
             octs = min(10, max(4, fn.max_frequency.bit_length() - 1))
             om = grid_inf_modulus(fn, octs)
             ts = 2.0 ** -np.arange(1, octs + 1)
-            prod = om[1:] * np.abs(np.log(ts)) ** (0.5 + log_eps)
+            prod = om[1:] * np.abs(np.log(ts)) ** 0.75
             hyp_cache[key] = bool(np.ptp(prod) > 0 and prod[-1] > 2.0 * prod[0] + 1e-12)
         return hyp_cache[key]
 
     hyp_ok = True
     terms = np.zeros((sample_count, N + 1), dtype=np.complex128)
     for n in range(N + 1):
-        fn = _fn_at(fn_family, n)
+        fn = fn_family(n)
         lam = spec.lambdas[n]
         mean = sum(c * riesz_fourier_coeff(spec, N, -m * lam) for m, c in fn.coeffs.items())
         vals = np.zeros(sample_count, dtype=np.complex128)

@@ -164,8 +164,8 @@ class PotentialSeq:
         """1-based access g_n."""
         return self.potentials[n - 1]
 
-    def check_normalized(self, space: SymbolicSpace, tol: float = 1e-12) -> float:
-        """max_n max over admissible tails |sum_{y_n} g_n - 1|."""
+    def check_normalized(self, space: SymbolicSpace) -> float:
+        """max_n max over admissible tails |sum_{y_n} g_n - 1|; raises past 1e-12."""
         worst = 0.0
         mask = space.mask()
         for n in range(1, len(self) + 1):
@@ -178,7 +178,7 @@ class PotentialSeq:
                 sums = (g * a).sum(axis=n - 1)
                 tails = mask.any(axis=n - 1)
                 worst = max(worst, float(np.abs(np.where(tails, sums, 1.0) - 1.0).max()))
-        if worst > tol:
+        if worst > 1e-12:
             raise ValueError(f"potentials not normalized (deviation {worst:.3e})")
         return worst
 
@@ -245,18 +245,13 @@ def var_m(space: SymbolicSpace, f: CylinderFunction, m: int) -> float:
     return float(np.nanmax(spread))
 
 
-def equilibrium_weights(
-    space: SymbolicSpace,
-    pots: PotentialSeq,
-    tol: float = 1e-12,
-    max_sweeps: int = 64,
-) -> np.ndarray:
+def equilibrium_weights(space: SymbolicSpace, pots: PotentialSeq) -> np.ndarray:
     """Common fixed point of the adjoints P_n* on depth-D cylinder mass.
 
     Starts from the uniform admissible measure and sweeps n = 1..n_max
-    until stationary below tol; for normalized potentials the sweep is
-    a projection, so stationarity is reached immediately and the loop
-    doubles as a machinery self-check.
+    until stationary below 1e-12, at most 64 sweeps; for normalized
+    potentials the sweep is a projection, so stationarity is reached
+    immediately and the loop doubles as a machinery self-check.
     """
     pots.check_normalized(space)
     # n runs to the full depth: the boundary adjoint P_depth* replaces
@@ -264,17 +259,17 @@ def equilibrium_weights(
     n_max = min(len(pots), space.depth)
     mask = space.mask().astype(np.float64)
     nu = mask / mask.sum()
-    for _ in range(max_sweeps):
+    for _ in range(64):
         prev = nu
         for n in range(1, n_max + 1):
             g = _g_box(space, pots, n)
             marg = nu.sum(axis=tuple(range(n)))
             nu = g * np.broadcast_to(marg, space.sizes) * mask
         delta = float(np.abs(nu - prev).max())
-        if delta <= tol:
+        if delta <= 1e-12:
             break
     else:
-        raise RuntimeError(f"fixed point not stationary after {max_sweeps} sweeps")
+        raise RuntimeError("fixed point not stationary after 64 sweeps")
     total = nu.sum()
     if not math.isclose(total, 1.0, rel_tol=1e-9):
         raise RuntimeError(f"fixed point mass drifted to {total}")
@@ -340,14 +335,13 @@ def averaging_decay_audit(
     alpha: float,
     B: float,
     weights: np.ndarray | None = None,
-    slack: float = 0.2,
 ) -> tuple[AuditReport, dict]:
     """Decay audit for ||P_m f_n||_inf over m - n, with f_n depending
     only on coordinates > n and centered against the equilibrium state.
 
     The hypothesis ||f_n||_inf <= B, var_m(f_n) <= B/(m-n)^alpha is
     verified first and violations raise.  The report asserts the fitted
-    log-log decay slope <= -alpha + slack (the theorem's constant is
+    log-log decay slope <= -alpha + 0.2 (the theorem's constant is
     existential, so no fixed C is asserted); the fitted C and the decay
     table ride along for inspection.
     """
@@ -387,15 +381,16 @@ def averaging_decay_audit(
         if v > floor and m > n
     ]
     c_fit = max(positive) if positive else 0.0
+    bound = -alpha + 0.2
     rep = AuditReport(
-        slope, -alpha + slack, alpha, (-alpha + slack) - slope, slope <= -alpha + slack,
+        slope, bound, alpha, bound - slope, slope <= bound,
         f"averaging-decay[alpha={alpha},C_fit={c_fit:.4g}]",
     )
     return rep, decay
 
 
-def decreasing_criterion_symbolic(a, alpha: float, C: float = 1.0) -> float:
-    """The majorant C * ||a||_2 * (1 + sum_l l^(1+alpha) 2^(-l(alpha-1/2))).
+def decreasing_criterion_symbolic(a, alpha: float) -> float:
+    """The majorant ||a||_2 * (1 + sum_l l^(1+alpha) 2^(-l(alpha-1/2))).
 
     Finite exactly when alpha > 1/2; +inf otherwise (the geometric
     factor stops contracting).
@@ -414,7 +409,7 @@ def decreasing_criterion_symbolic(a, alpha: float, C: float = 1.0) -> float:
         if term < 1e-16 * total:
             break
         ell += 1
-    return C * a2 * total
+    return a2 * total
 
 
 # --------------------------------------------------------------------------

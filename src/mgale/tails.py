@@ -84,14 +84,14 @@ class TailModel:
             return s > 1.0
         return t > 1.0
 
-    def tail_sum(self, start: int, weight_exponent: float = 0.0, rel_tol: float = 1e-12) -> float:
+    def tail_sum(self, start: int, weight_exponent: float = 0.0) -> float:
         """Numeric value of sum_{n >= start} u_n * n**(-weight_exponent).
 
         Returns math.inf when the model diverges.  With s the exponent
         plus the weight:
 
           geometric :  summed in blocks until the geometric remainder
-                       bound falls below rel_tol of the total;
+                       bound falls below 1e-12 of the total;
           power     :  C * zeta(s, max(start, 1)), the Hurwitz zeta;
           power_log :  g(n) = u_n n^(-w) is summed explicitly for
                        n < n1 = max(start, 2^16), and the remainder
@@ -127,7 +127,7 @@ class TailModel:
             vals = self.value(ns) * ns ** (-weight_exponent)
             total += float(vals.sum())
             # the weighted terms fall at least as fast as r^n
-            if float(vals[-1]) / (1.0 - self.exponent) <= rel_tol * max(total, 1e-300):
+            if float(vals[-1]) / (1.0 - self.exponent) <= 1e-12 * max(total, 1e-300):
                 return total
             n0 += block
             block = min(2 * block, 1 << 22)
@@ -191,10 +191,10 @@ _EXPLICIT_TERMS = 1 << 16
 _EXPLICIT_LEVELS = 1 << 12
 
 
-def fit_tail_model(ns, values, kind: str = "auto") -> TailModel:
+def fit_tail_model(ns, values) -> TailModel:
     """Least-squares fit of a TailModel on (ns, values), log domain.
 
-    ``kind="auto"`` tries all three shapes and keeps the smallest
+    Tries all three shapes and keeps the one with the smallest maximal
     residual.  Values must be strictly positive.
     """
     ns = np.asarray(ns, dtype=np.float64)
@@ -221,7 +221,5 @@ def fit_tail_model(ns, values, kind: str = "auto") -> TailModel:
             return TailModel("power", math.exp(coef[0]), coef[1]), resid
         return TailModel("power_log", math.exp(coef[0]), coef[1], coef[2]), resid
 
-    if kind != "auto":
-        return _fit(kind)[0]
     fits = [_fit(k) for k in _KINDS]
     return min(fits, key=lambda fr: fr[1])[0]

@@ -118,16 +118,17 @@ class FourierFunction:
     def max_frequency(self) -> int:
         return max((abs(m) for m in self.coeffs), default=0)
 
-    def is_real_valued(self, tol: float = 1e-12) -> bool:
-        """True when the coefficient map is conjugate symmetric."""
+    def is_real_valued(self) -> bool:
+        """True when the coefficient map is conjugate symmetric, up to
+        1e-12 of the largest amplitude."""
         scale = max((abs(c) for c in self.coeffs.values()), default=1.0)
         for m, c in self.coeffs.items():
-            if abs(c - self.coeffs.get(-m, 0j).conjugate()) > tol * scale:
+            if abs(c - self.coeffs.get(-m, 0j).conjugate()) > 1e-12 * scale:
                 return False
         return True
 
-    def has_zero_mean(self, tol: float = 0.0) -> bool:
-        return abs(self.coeffs.get(0, 0j)) <= tol
+    def has_zero_mean(self) -> bool:
+        return 0 not in self.coeffs
 
     def __call__(self, x):
         """Pointwise evaluation, vectorized over x.  Used as the oracle
@@ -197,18 +198,17 @@ def lp_norm(f: GridFunction, p) -> float:
     return _lp_norm_array(f.samples, p)
 
 
-def _lp_norm_array(samples: np.ndarray, p, axis=-1) -> float | np.ndarray:
+def _lp_norm_array(samples: np.ndarray, p) -> float | np.ndarray:
     if p != math.inf and p < 1:
         raise ValueError("p must satisfy p >= 1 or p == inf")
     a = np.abs(samples)
     if p == math.inf:
-        return a.max(axis=axis)
-    n = a.shape[axis]
+        return a.max(axis=-1)
     if p == 2:
-        return np.sqrt(np.square(a).mean(axis=axis))
+        return np.sqrt(np.square(a).mean(axis=-1))
     if p == 1:
-        return a.mean(axis=axis)
-    return (np.power(a, p).mean(axis=axis)) ** (1.0 / p)
+        return a.mean(axis=-1)
+    return (np.power(a, p).mean(axis=-1)) ** (1.0 / p)
 
 
 def translate(f: GridFunction, shift_ticks: int) -> GridFunction:

@@ -72,13 +72,14 @@ def transfer_pointwise(f_fine: GridFunction) -> GridFunction:
     return GridFunction(J1 - 1, samples, f_fine.value_kind)
 
 
-def transfer_pointwise_check(f: FourierFunction, J: int, rel_tol: float = 1e-12) -> AuditReport:
-    """Cross-check the two implementations of L on the grid."""
+def transfer_pointwise_check(f: FourierFunction, J: int) -> AuditReport:
+    """Cross-check the two implementations of L on the grid, to 1e-12
+    of max(sup |Lf|, 1)."""
     via_coeff = render(transfer_apply(f), J).samples
     via_point = transfer_pointwise(render(f, J + 1)).samples
     err = float(np.abs(via_coeff.astype(np.complex128) - via_point.astype(np.complex128)).max())
     scale = max(float(np.abs(via_coeff).max()), 1.0)
-    return AuditReport(err, rel_tol * scale, 1.0, rel_tol * scale - err, err <= rel_tol * scale, f"transfer-two-forms[J={J}]")
+    return AuditReport(err, 1e-12 * scale, 1.0, 1e-12 * scale - err, err <= 1e-12 * scale, f"transfer-two-forms[J={J}]")
 
 
 def duality_audit(f: FourierFunction, g: FourierFunction, J: int) -> AuditReport:
@@ -209,15 +210,16 @@ def ergodic_series_run(
     return diag, decay
 
 
-def gaposhkin_decay_fit(m: int, n_range, K: int = 4096) -> tuple[np.ndarray, np.ndarray, float, float]:
-    """||L^(2^n) f||_2 of the sharpness generator vs 2^(-n/2)/L_m(2^n).
+def gaposhkin_decay_fit(m: int, n_range) -> tuple[np.ndarray, np.ndarray, float, float]:
+    """||L^(2^n) f||_2 of the sharpness generator (4096 modes) vs
+    2^(-n/2)/L_m(2^n).
 
     Exact coefficient-space norms (no rendering); returns (norms, model,
     fitted log-log slope, max residual) as in loglog_model_fit.
     """
     from .dilated import gaposhkin_example, iterated_log, loglog_model_fit
 
-    gen = gaposhkin_example(m, K).generator
+    gen = gaposhkin_example(m, 4096).generator
     amps = {mm.bit_length() - 1: abs(2j * c) for mm, c in gen.coeffs.items() if mm > 0}
     ks = np.array(sorted(amps))
     b = np.array([amps[k] for k in ks])

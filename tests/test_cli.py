@@ -370,6 +370,10 @@ def test_riesz_sample_aliasing_is_config_error(tmp_path):
     # entries (4097 frequencies)
     ("symbolic", {"depth": 16}),
     ("davenport", {"freqs": "pow:2:4096"}),
+    # "pow:q:K" rules past K = 4096 or 2^16 bits, refused before any power is built
+    ("davenport", {"freqs": "pow:2:40000"}),
+    ("dilated", {"freqs": "pow:2:40000"}),
+    ("symbolic", {"lambdas": "pow:3:30000"}),
 ])
 def test_series_kind_parameters_are_config_errors(tmp_path, kind, params):
     assert run_raw(tmp_path, {"kind": kind, "parameters": params}) == 2

@@ -143,6 +143,13 @@ def test_freqs_from_rule():
         dv.freqs_from_rule("geom:2:4")
 
 
+def test_freqs_from_rule_bounds_pow_before_building():
+    assert len(dv.freqs_from_rule("pow:2:4096")) == 4097
+    for rule in ("pow:2:4097", f"pow:{2**20}:4000"):  # K > 4096; K * bits(q) = 84000 > 2^16
+        with pytest.raises(ValueError, match="too large"):
+            dv.freqs_from_rule(rule)
+
+
 def test_gram_csv():
     text = dv.gram_matrix([1, 2], 1.0).to_csv()
     assert text.splitlines()[0] == "i,j,freq_i,freq_j,entry"

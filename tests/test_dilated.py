@@ -7,7 +7,7 @@ from conftest import block_average, random_trig_poly
 from mgale import dilated as dl
 from mgale.modulus import ModulusProfile, fourier_modulus_l2, modulus_profile
 from mgale.tails import TailModel
-from mgale.torus import FourierFunction, _lp_norm_array, dilate, lp_norm, render, sine_series
+from mgale.torus import AliasingError, FourierFunction, _lp_norm_array, dilate, lp_norm, render, sine_series
 
 
 def _frac_of_multiple(x_int: int, n: int, bits: int) -> float:
@@ -74,8 +74,8 @@ def test_partial_sums_pointwise_oracle():
 
 def test_partial_sums_strict_aliasing():
     spec = sin_spec([1.0, 1.0], [1, 2**12])
-    with pytest.raises(Exception):
-        dl.partial_sums(spec, 1, 10, strict=True)
+    with pytest.raises(AliasingError):
+        dl.partial_sums(spec, 1, 10)
 
 
 def test_partial_sums_linear_in_coeffs(rng):

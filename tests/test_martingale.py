@@ -195,6 +195,12 @@ def test_rio_doob_randomized_batches_all_pass():
     assert all(r.passed for r in mg.doob_audit_batch(500, ps, 9, seed=102))
 
 
+@pytest.mark.parametrize("family", ["mixd", "noise", "Trig"])
+def test_random_grid_functions_rejects_unknown_family(family):
+    with pytest.raises(ValueError, match="unknown family"):
+        mg.random_grid_functions(4, 6, np.random.default_rng(0), family)
+
+
 # ------------------------------------------------------ Haar pyramid kernels
 # The full-resolution formulations the pyramid replaced stay here as the
 # references: details as differences of block averages, Doob's maximum

@@ -159,9 +159,9 @@ def test_fourier_modulus_rejects_huge_frequencies():
 
 def test_tail_model_fitting():
     ns = np.arange(8, 13)
-    geo = fit_tail_model(ns, 3.0 * 0.5**ns, "auto")
+    geo = fit_tail_model(ns, 3.0 * 0.5**ns)
     assert geo.kind == "geometric" and geo.exponent == pytest.approx(0.5, rel=1e-6)
-    pw = fit_tail_model(ns, 2.0 * ns**-1.5, "auto")
+    pw = fit_tail_model(ns, 2.0 * ns**-1.5)
     assert pw.kind == "power" and pw.exponent == pytest.approx(1.5, rel=1e-6)
 
 
