@@ -72,6 +72,7 @@ from .modulus import dyadic_approx_audit_all
 from .riesz import RieszProductSpec, riesz_fourier_coeff, riesz_series_run, sample_mu
 from .symbolic import (
     CylinderFunction,
+    DecayHypothesisError,
     _digit_ladder,
     _digit_points,
     potential_variation_check,
@@ -497,6 +498,10 @@ def _run_riesz(config: ExperimentConfig) -> _Reports:
         xs = sample_mu(spec, N, J, p["count"], config.seed)
         yield "riesz_sample.csv", "x\n" + "\n".join(repr(float(x)) for x in xs) + "\n", True
     else:
+        # the hypothesis modulus is read alias-free at J = bits(max mode) + 1,
+        # a shift scan of O(4^J): 2^16 grid points at most
+        if p["fn"].max_frequency >= 2**15:
+            raise ConfigError(f"riesz fn: mode {p['fn'].max_frequency} needs a hypothesis grid past 2^16 points")
         coeffs = _coeffs_for(p["coeffs"], N + 1)
         checkpoints = _checkpoints_for(p["checkpoints"], N + 1)
         diag = riesz_series_run(spec, lambda n: p["fn"], coeffs, checkpoints, p["sample_size"], config.seed)
@@ -534,7 +539,10 @@ def _run_symbolic(config: ExperimentConfig) -> _Reports:
         CylinderFunction(n + 1, np.cos(2 * math.pi * ladder[n] * _digit_points(ladder, n + 1, depth, 0.5 / ladder[depth])))
         for n in range(1, min(5, depth - 2) + 1)
     ]
-    rep, _ = averaging_decay_audit(space, pots, fns, alpha, p["B"], weights=weights)
+    try:
+        rep, _ = averaging_decay_audit(space, pots, fns, alpha, p["B"], weights=weights)
+    except DecayHypothesisError as exc:
+        raise ConfigError(f"symbolic B={p['B']:g} does not bound the audit family: {exc}") from None
     reports.append(rep)
     # cylinder cross-check against the torus density: the deepest
     # oscillating level needs >= 4 digit levels of padding below it for

@@ -75,8 +75,8 @@ def davenport_fourier(lam: float, M: int) -> FourierFunction:
 def eval_davenport(spec: DavenportSpec, J: int) -> GridFunction:
     """Render the truncated generator on the 2^J grid.
 
-    A truncation at or past the aliasing threshold 2^(J-1) renders with
-    an AliasingWarning and the ``aliased`` flag set (see torus.render).
+    A truncation at or past the aliasing threshold 2^(J-1) raises
+    AliasingError (see torus.render).
     """
     return render(davenport_fourier(spec.lam, spec.truncation), J)
 

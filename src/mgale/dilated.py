@@ -145,7 +145,7 @@ def partial_sums(spec: SeriesSpec, N: int, J: int) -> list[GridFunction]:
         abs(a.imag) == 0.0 for a in spec.coeffs[: N + 1]
     )
     for k in range(N + 1):
-        g = render(dilate(spec.generator, spec.freqs[k]), J, strict=True)
+        g = render(dilate(spec.generator, spec.freqs[k]), J)
         running = running + spec.coeffs[k] * g.samples.astype(np.complex128)
         samples = running.real if real else running
         out.append(GridFunction(J, samples, "real" if real else "complex"))
@@ -436,14 +436,15 @@ def _window_oscillation(sums, amps, checkpoints, seed: int, label: str) -> Oscil
 def contraction_audit(f: FourierFunction, m: int, n: int, p, J: int) -> AuditReport:
     """Audit ||E(f(m.)|F_n)||_p <= (2^n / m) ||f||_p for zero-mean f.
 
-    The dilate is rendered alias-free (strict), which is exactly the
-    regime where the grid inequality inherits the continuum proof.
+    f and its dilate render alias-free or raise AliasingError, which is
+    exactly the regime where the grid inequality inherits the continuum
+    proof.
     """
     if not f.has_zero_mean():
         raise ValueError("f must have zero mean")
     if m < 1:
         raise ValueError("m must be >= 1")
-    g = render(dilate(f, m), J, strict=True)
+    g = render(dilate(f, m), J)
     # E(g|F_n) is constant on level-n blocks: its norm is that of the means
     lhs = _lp_norm_array(_haar_means(g.samples, J)[n], p)
     fn = render(f, J)
@@ -457,7 +458,7 @@ def contraction_refined_audit(f: FourierFunction, m: int, n: int, J: int) -> Aud
     if not f.has_zero_mean():
         raise ValueError("f must have zero mean")
     ell = m % 2**n
-    g = render(dilate(f, m), J, strict=True)
+    g = render(dilate(f, m), J)
     lhs = _lp_norm_array(_haar_means(g.samples, J)[n], 2)
     rhs = math.sqrt(ell * 2.0**n) / m * _lp_norm_array(render(f, J).samples, 2)
     tol = 1e-11 if ell == 0 else 1e-12
@@ -518,9 +519,11 @@ def lacunary_criteria(
     With m_k = floor(log2 n_k), the higher-detail sum weighs
     omega_p(n_k / 2^(m_{k + 2^l}), f) and the lower-detail sum the
     contraction bound 2^(m_{k+1-2^l}) / n_k; the modulus values come
-    from ``profile`` (computed here at resolution J if omitted), with
-    ``tail`` extending it past the grid.  Both sums are finite; converges
-    is decided from the tail model, not from the finite prefix.
+    from ``profile``, with ``tail`` extending it past the grid.  Without
+    a profile it is computed at resolution J, which raises AliasingError
+    when the generator has a mode at or past 2^(J-1).  Both sums are
+    finite; converges is decided from the tail model, not from the
+    finite prefix.
     """
     if p <= 1:
         raise ValueError("p must be > 1")

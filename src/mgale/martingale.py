@@ -146,7 +146,7 @@ def cond_exp(f: GridFunction, n: int) -> GridFunction:
     if not 0 <= n <= J:
         raise ValueError(f"filtration level {n} outside [0, {J}]")
     out = np.repeat(_haar_means(f.samples, J)[n], 2 ** (J - n), axis=-1)
-    return GridFunction(J, out, f.value_kind, aliased=f.aliased)
+    return GridFunction(J, out, f.value_kind)
 
 
 def detail(f: GridFunction, n: int) -> GridFunction:
@@ -155,7 +155,7 @@ def detail(f: GridFunction, n: int) -> GridFunction:
     if not 0 <= n <= J - 1:
         raise ValueError(f"detail level {n} outside [0, {J - 1}]")
     out = np.repeat(_haar_details(_haar_means(f.samples, J))[n], 2 ** (J - n - 1), axis=-1)
-    return GridFunction(J, out, f.value_kind, aliased=f.aliased)
+    return GridFunction(J, out, f.value_kind)
 
 
 def _doob_maximal(means: list[np.ndarray]) -> np.ndarray:

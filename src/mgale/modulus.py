@@ -183,26 +183,17 @@ def fit_profile_tail(profile: ModulusProfile) -> TailModel:
     return fit_tail_model(ns, vals)
 
 
-def criterion_sqrt_n(
-    profile: ModulusProfile, p: float, tail: TailModel | None = None
-) -> float:
+def criterion_sqrt_n(profile: ModulusProfile, p: float, tail: TailModel) -> float:
     """Evaluate sum_{n >= 1} omega_p(2^-n, f) / n^(1/p).
 
     The finite part comes from the profile; the infinite part from the
-    declared tail model (+inf when the model diverges).  Without a
-    model the partial sum is returned only if it has visibly
-    stabilized, else a ValueError demands an explicit model.
+    declared tail model (+inf when the model diverges).  A family whose
+    modulus is exhausted on the grid declares the zero-amplitude model
+    ``TailModel("geometric", 0.0, 0.5)``.
     """
     J = profile.source_resolution
     ns = np.arange(1, J + 1)
-    terms = profile.values[1:] / ns ** (1.0 / p)
-    partial = float(terms.sum())
-    if tail is None:
-        if partial > 0 and float(terms[-3:].sum()) > 1e-3 * partial:
-            raise ValueError(
-                "partial sums have not stabilized; pass an explicit tail model"
-            )
-        return partial
+    partial = float((profile.values[1:] / ns ** (1.0 / p)).sum())
     if not tail.series_converges(weight_exponent=1.0 / p):
         return math.inf
     return partial + tail.tail_sum(J + 1, weight_exponent=1.0 / p)

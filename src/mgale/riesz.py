@@ -163,7 +163,7 @@ def sample_mu(spec: RieszProductSpec, N: int, J: int, count: int, seed: int) -> 
     return idx / 2.0**J
 
 
-def grid_inf_modulus(f: FourierFunction, octaves: int, J: int = 12) -> np.ndarray:
+def grid_inf_modulus(f: FourierFunction, octaves: int, J: int) -> np.ndarray:
     """omega_inf(2^-n, f) on a 2^J grid for n = 0..octaves (n > J reads n = J)."""
     values = modulus_profile(render(f, J), math.inf).values
     return values[np.minimum(np.arange(octaves + 1), J)]
@@ -186,8 +186,9 @@ def riesz_series_run(
     each looked up by the greedy dissociate representation, so the terms
     are exactly centered for the sampled measure.
     The sup-modulus hypothesis sup_n omega_inf(t, f_n) |log t|^(1/2+eps)
-    at eps = 1/4 is evaluated on the grid; a violation does not stop the
-    run, it relabels it out-of-hypothesis.
+    at eps = 1/4 is evaluated on the 2^J' grid with J' = max(12,
+    bits(max mode of f_n) + 1), the least that renders f_n alias-free;
+    a violation does not stop the run, it relabels it out-of-hypothesis.
     """
     coeffs = tuple(complex(a) for a in coeffs)
     checkpoints = sorted(int(c) for c in checkpoints)
@@ -210,7 +211,7 @@ def riesz_series_run(
         key = tuple(sorted(fn.coeffs.items()))
         if key not in hyp_cache:
             octs = min(10, max(4, fn.max_frequency.bit_length() - 1))
-            om = grid_inf_modulus(fn, octs)
+            om = grid_inf_modulus(fn, octs, max(12, fn.max_frequency.bit_length() + 1))
             ts = 2.0 ** -np.arange(1, octs + 1)
             prod = om[1:] * np.abs(np.log(ts)) ** 0.75
             hyp_cache[key] = bool(np.ptp(prod) > 0 and prod[-1] > 2.0 * prod[0] + 1e-12)

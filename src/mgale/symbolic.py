@@ -38,6 +38,7 @@ from .riesz import RieszProductSpec, partial_density_coeffs
 
 __all__ = [
     "CylinderFunction",
+    "DecayHypothesisError",
     "PotentialSeq",
     "SymbolicSpace",
     "potential_variation_check",
@@ -169,15 +170,9 @@ class PotentialSeq:
         worst = 0.0
         mask = space.mask()
         for n in range(1, len(self) + 1):
-            g = self[n].to_box(space)
-            if space.is_full_shift:
-                sums = g.sum(axis=n - 1) * 1.0
-                worst = max(worst, float(np.abs(sums - 1.0).max()))
-            else:
-                a = self._pair_mask(space, n)
-                sums = (g * a).sum(axis=n - 1)
-                tails = mask.any(axis=n - 1)
-                worst = max(worst, float(np.abs(np.where(tails, sums, 1.0) - 1.0).max()))
+            sums = (self[n].to_box(space) * self._pair_mask(space, n)).sum(axis=n - 1)
+            tails = mask.any(axis=n - 1)
+            worst = max(worst, float(np.abs(np.where(tails, sums, 1.0) - 1.0).max()))
         if worst > 1e-12:
             raise ValueError(f"potentials not normalized (deviation {worst:.3e})")
         return worst
@@ -213,31 +208,21 @@ def pn_apply(space: SymbolicSpace, pots: PotentialSeq, f: CylinderFunction, n: i
         raise ValueError("depth exceeded by the argument function")
     box = _g_box(space, pots, n) * f.to_box(space)
     axes = tuple(range(n))
-    if space.is_full_shift:
-        vals = box.sum(axis=axes)
-    else:
-        mask = space.mask()
-        vals = np.where(mask, box, 0.0).sum(axis=axes)
-        ok = mask.any(axis=axes)
-        vals = np.where(ok, vals, np.nan)
-    return CylinderFunction(n + 1, vals)
+    mask = space.mask()
+    vals = np.where(mask, box, 0.0).sum(axis=axes)
+    return CylinderFunction(n + 1, np.where(mask.any(axis=axes), vals, np.nan))
 
 
 def sup_norm(space: SymbolicSpace, f: CylinderFunction) -> float:
     """sup |f| over admissible points."""
-    box = np.abs(f.to_box(space))
-    if space.is_full_shift:
-        return float(box.max())
-    return float(np.where(space.mask(), box, np.nan)[space.mask()].max())
+    return float(np.abs(f.to_box(space))[space.mask()].max())
 
 
 def var_m(space: SymbolicSpace, f: CylinderFunction, m: int) -> float:
     """sup{ |f(x) - f(y)| : x_1 = y_1, ..., x_m = y_m }, exact."""
     if m >= f.end:
         return 0.0
-    box = f.to_box(space).real.copy()
-    if not space.is_full_shift:
-        box = np.where(space.mask(), box, np.nan)
+    box = np.where(space.mask(), f.to_box(space).real, np.nan)
     axes = tuple(range(max(m, 0), space.depth))
     hi = np.nanmax(box, axis=axes) if axes else box
     lo = np.nanmin(box, axis=axes) if axes else box
@@ -304,6 +289,11 @@ def cylinder_sandwich(
 # audits
 # --------------------------------------------------------------------------
 
+class DecayHypothesisError(ValueError):
+    """An averaged-decay family breaks ||f_n||_inf <= B or
+    var_m(f_n) <= B/(m-n)^alpha."""
+
+
 def potential_variation_check(
     space: SymbolicSpace, pots: PotentialSeq, alpha: float, A: float
 ) -> AuditReport:
@@ -340,10 +330,10 @@ def averaging_decay_audit(
     only on coordinates > n and centered against the equilibrium state.
 
     The hypothesis ||f_n||_inf <= B, var_m(f_n) <= B/(m-n)^alpha is
-    verified first and violations raise.  The report asserts the fitted
-    log-log decay slope <= -alpha + 0.2 (the theorem's constant is
-    existential, so no fixed C is asserted); the fitted C and the decay
-    table ride along for inspection.
+    verified first and a violation raises DecayHypothesisError.  The
+    report asserts the fitted log-log decay slope <= -alpha + 0.2 (the
+    theorem's constant is existential, so no fixed C is asserted); the
+    fitted C and the decay table ride along for inspection.
     """
     if weights is None:
         weights = equilibrium_weights(space, pots)
@@ -353,11 +343,15 @@ def averaging_decay_audit(
     for n, f in enumerate(fns, start=1):
         if f.start <= n:
             raise ValueError(f"f_{n} must depend only on coordinates > {n}")
-        if sup_norm(space, f) > B + 1e-12:
-            raise ValueError(f"hypothesis violated: ||f_{n}||_inf > B")
+        sup = sup_norm(space, f)
+        if sup > B + 1e-12:
+            raise DecayHypothesisError(f"hypothesis violated: ||f_{n}||_inf = {sup:.6g} > B = {B:g}")
         for m in range(n + 1, space.depth + 1):
-            if var_m(space, f, m) > B / (m - n) ** alpha + 1e-12:
-                raise ValueError(f"hypothesis violated: var_{m}(f_{n}) too large")
+            var, bound = var_m(space, f, m), B / (m - n) ** alpha
+            if var > bound + 1e-12:
+                raise DecayHypothesisError(
+                    f"hypothesis violated: var_{m}(f_{n}) = {var:.6g} > B/(m-n)^alpha = {bound:.6g}"
+                )
         centered = CylinderFunction(f.start, f.values - mu_integral(space, weights, f))
         for m in range(n + 1, min(space.depth - 1, len(pots)) + 1):
             val = sup_norm(space, pn_apply(space, pots, centered, m))

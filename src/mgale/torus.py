@@ -16,21 +16,20 @@ Conventions fixed here and used by every other module:
   * translate(f, t) returns x -> f(x + t/2^J); translations are grid
     exact, no interpolation ever happens.
   * rendering a frequency m on a 2^J grid is alias free only when
-    |m| < 2^(J-1); renders beyond that carry an ``aliased`` flag and a
-    warning, or raise in strict mode.
+    |m| < 2^(J-1); :func:`render` refuses anything else with
+    :class:`AliasingError`, so every GridFunction made from a Fourier
+    sum holds samples of that sum's own modes.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
     "AliasingError",
-    "AliasingWarning",
     "FourierFunction",
     "GridFunction",
     "dilate",
@@ -41,12 +40,8 @@ __all__ = [
 ]
 
 
-class AliasingWarning(UserWarning):
-    """A frequency at or beyond the Nyquist limit 2^(J-1) was rendered."""
-
-
 class AliasingError(ValueError):
-    """Strict-mode rendering refused an aliased frequency."""
+    """A frequency at or beyond the Nyquist limit 2^(J-1) was asked to render."""
 
 
 @dataclass(frozen=True)
@@ -61,7 +56,6 @@ class GridFunction:
     resolution_log2: int
     samples: np.ndarray
     value_kind: str = "real"
-    aliased: bool = field(default=False, compare=False)
 
     def __post_init__(self):
         if self.resolution_log2 < 0:
@@ -156,37 +150,27 @@ def sine_series(amplitudes: dict) -> FourierFunction:
     return FourierFunction(coeffs)
 
 
-def render(f: FourierFunction, J: int, strict: bool = False) -> GridFunction:
+def render(f: FourierFunction, J: int) -> GridFunction:
     """Sample a Fourier sum on the 2^J grid via an inverse FFT.
 
-    Frequencies with |m| >= 2^(J-1) alias on the grid: the result is
-    still the exact sampling of the sum, but the samples no longer
-    determine the modes.  Such renders are flagged and warned about, or
-    rejected when ``strict=True``.
+    Raises AliasingError when some mode has |m| >= 2^(J-1): the samples
+    would then be those of a different sum, with that mode folded onto
+    m mod 2^J.
     """
     if J < 0:
         raise ValueError("J must be >= 0")
     n = 2**J
-    spec = np.zeros(n, dtype=np.complex128)
-    aliased = False
-    for m, c in f.coeffs.items():
-        if 2 * abs(m) >= n and m != 0:
-            aliased = True
-        spec[m % n] += c
-    if aliased:
-        if strict:
-            raise AliasingError(
-                f"frequencies beyond 2^{J - 1} cannot be rendered alias-free at J={J}"
-            )
-        warnings.warn(
-            f"render at J={J} aliases frequencies with |m| >= {n // 2}",
-            AliasingWarning,
-            stacklevel=2,
+    if 2 * f.max_frequency >= n:
+        raise AliasingError(
+            f"frequencies beyond 2^{J - 1} cannot be rendered alias-free at J={J}"
         )
+    spec = np.zeros(n, dtype=np.complex128)
+    for m, c in f.coeffs.items():
+        spec[m % n] += c
     samples = np.fft.ifft(spec) * n
     if f.is_real_valued():
-        return GridFunction(J, samples.real, "real", aliased=aliased)
-    return GridFunction(J, samples, "complex", aliased=aliased)
+        return GridFunction(J, samples.real, "real")
+    return GridFunction(J, samples, "complex")
 
 
 def lp_norm(f: GridFunction, p) -> float:
@@ -219,9 +203,7 @@ def translate(f: GridFunction, shift_ticks: int) -> GridFunction:
     t = int(shift_ticks) % f.n_samples
     if t == 0:
         return f
-    return GridFunction(
-        f.resolution_log2, np.roll(f.samples, -t), f.value_kind, aliased=f.aliased
-    )
+    return GridFunction(f.resolution_log2, np.roll(f.samples, -t), f.value_kind)
 
 
 def dilate(f: FourierFunction, m: int) -> FourierFunction:

@@ -170,9 +170,10 @@ def transfer_decay(f: FourierFunction, N: int, tail: TailModel | None = None) ->
 def lnorm_vs_modulus(f: FourierFunction, N: int, J: int) -> np.ndarray:
     """Ratios ||L^n f||_2 / omega_2(2^-n, f) for n = 1..N (grid omega).
 
-    Rejects functions whose grid modulus vanishes (constants).  The
-    two-sided comparability of the two quantities is recorded by the
-    caller, never asserted as equality.
+    Rejects functions whose grid modulus vanishes (constants), and
+    raises AliasingError for a mode at or past 2^(J-1).  The two-sided
+    comparability of the two quantities is recorded by the caller,
+    never asserted as equality.
     """
     if J < N + 2:
         raise ValueError("need J >= N + 2 for a meaningful comparison")
@@ -247,7 +248,8 @@ def decreasing_criteria(
         sum_l 2^(l(1-1/p)) ( sum_n ||L^(2^l - 1) Z_n||_p^p' )^(1/p')
 
     remains (|| . ||_p via exact coefficients at p = 2, via a J-grid
-    render otherwise; p' = min(2, p)).  Finite Fourier support makes
+    render otherwise, which raises AliasingError for a mode at or past
+    2^(J-1); p' = min(2, p)).  Finite Fourier support makes
     every L-power vanish eventually, so the l-sum terminates exactly;
     the declared tail model extends the l-sum for the idealized
     infinite family (returns inf when it diverges under weight

@@ -225,6 +225,16 @@ def test_symbolic_run_and_failure_exit(tmp_path):
     assert cli.main(["run", str(write_config(tmp_path, raw))]) == 1
 
 
+@pytest.mark.parametrize("B, rc", [(1.0, 2), (8.0, 0)])
+def test_symbolic_budget_below_the_audit_family_is_config_error(tmp_path, capsys, B, rc):
+    # the default family has var_2(f_1) = 1.49875 > B/(2-1)^1 at B = 1
+    raw = {"kind": "symbolic", "parameters": {"depth": 8, "B": B}}
+    assert run_raw(tmp_path, raw) == rc
+    assert (tmp_path / "out").exists() == (rc == 0)
+    if rc == 2:
+        assert "var_2(f_1) = 1.49875 > B/(m-n)^alpha = 1" in capsys.readouterr().err
+
+
 def test_dilated_and_ergodic_kinds(tmp_path):
     raw = {
         "kind": "dilated",
@@ -374,6 +384,8 @@ def test_riesz_sample_aliasing_is_config_error(tmp_path):
     ("davenport", {"freqs": "pow:2:40000"}),
     ("dilated", {"freqs": "pow:2:40000"}),
     ("symbolic", {"lambdas": "pow:3:30000"}),
+    # a series generator whose alias-free hypothesis grid passes 2^16 points
+    ("riesz", {"action": "series", "lambdas": [1, 3, 9, 27], "cs": [0.5] * 4, "fn": {"32768": 1.0}}),
 ])
 def test_series_kind_parameters_are_config_errors(tmp_path, kind, params):
     assert run_raw(tmp_path, {"kind": kind, "parameters": params}) == 2

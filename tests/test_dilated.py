@@ -229,7 +229,7 @@ def test_contraction_audits_match_block_average_reference(rng, J, real):
     # the left sides as computed before: the norm of the expanded E(g|F_n)
     f = sine_series({1: 1.0}) if J == 2 else random_trig_poly(rng, degree=6, real=real)
     for m in range(1, (2 ** (J - 1) - 1) // f.max_frequency + 1):
-        g = render(dilate(f, m), J, strict=True).samples
+        g = render(dilate(f, m), J).samples
         for n in range(J):
             atol = 8 * np.finfo(np.float64).eps * np.abs(g).max()
             for p in (1, 1.5, 2, 4, math.inf):
@@ -274,6 +274,15 @@ def test_lacunary_criteria_davenport_lambda():
     res = dl.lacunary_criteria(spec, 2, 13, profile=prof, tail=tail)
     assert res.converges and math.isfinite(res.higher_sum + res.lower_sum)
     assert res.ratio == 3.0
+
+
+def test_lacunary_criteria_default_profile_refuses_aliased_generator():
+    # mode 512 = 2^(J-1) at J = 10: without a profile the generator is
+    # rendered at J, which must refuse rather than fold 512 onto -512
+    spec = dl.SeriesSpec((1.0, 0.5), (1, 2), sine_series({1: 1.0, 512: 0.5}))
+    with pytest.raises(AliasingError):
+        dl.lacunary_criteria(spec, 2, 10)
+    assert dl.lacunary_criteria(spec, 2, 11).ratio == 2.0
 
 
 @pytest.mark.parametrize("p, tail, converges", [

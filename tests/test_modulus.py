@@ -126,14 +126,7 @@ def test_criterion_power_log_divergence():
 
 def test_criterion_zero_function():
     prof = mo.ModulusProfile(2, np.zeros(11), 10)
-    assert mo.criterion_sqrt_n(prof, 2) == 0.0
-
-
-def test_criterion_requires_tail_when_unstable():
-    vals = 1.0 / np.sqrt(np.arange(1, 14))
-    prof = mo.ModulusProfile(2, vals, 12)
-    with pytest.raises(ValueError):
-        mo.criterion_sqrt_n(prof, 2, None)
+    assert mo.criterion_sqrt_n(prof, 2, TailModel("geometric", 0.0, 0.5)) == 0.0
 
 
 def test_grid_refinement_stability(rng):

@@ -128,6 +128,23 @@ def test_series_run_sawtooth_out_of_hypothesis():
     assert diag.label.endswith("[out-of-hypothesis]")
 
 
+def test_series_run_reads_hypothesis_alias_free(monkeypatch):
+    # 4096 Davenport modes need J = bits(4096) + 1 = 14 to render alias-free
+    from mgale.davenport import davenport_fourier
+
+    grids, original = [], rz.grid_inf_modulus
+
+    def spy(f, octaves, J):
+        grids.append(J)
+        return original(f, octaves, J)
+
+    monkeypatch.setattr(rz, "grid_inf_modulus", spy)
+    fn = davenport_fourier(0.75, 4096)
+    diag = rz.riesz_series_run(std_spec(6), lambda n: fn, [0.5] * 4, [1, 2], 100, seed=3)
+    assert grids == [14]
+    assert diag.label.startswith("riesz-series")
+
+
 @pytest.mark.parametrize("octaves", [4, 12, 15])
 def test_grid_inf_modulus_matches_shift_curve_read_off(octaves):
     # octaves past J repeat the finest grid value

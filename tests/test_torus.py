@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from conftest import random_trig_poly
 from mgale.torus import (
     AliasingError,
-    AliasingWarning,
     FourierFunction,
     GridFunction,
     dilate,
@@ -47,13 +46,14 @@ def test_render_rejects_nonfinite_amplitudes():
         FourierFunction({2: complex(1, float("inf"))})
 
 
-def test_render_aliasing_warning_and_strict():
+def test_render_refuses_aliased_modes():
     f = FourierFunction({300: 1.0})
-    with pytest.warns(AliasingWarning):
-        g = render(f, 9)  # 300 >= 256 = 2^8
-    assert g.aliased
     with pytest.raises(AliasingError):
-        render(f, 9, strict=True)
+        render(f, 9)  # 300 >= 256 = 2^8
+    assert render(f, 10).n_samples == 1024  # 300 < 512 = 2^9
+    with pytest.raises(AliasingError):
+        render(sine_series({1: 1.0}), 0)  # any nonzero mode at J = 0
+    assert render(FourierFunction({0: 2.0}), 0).samples[0] == 2.0
 
 
 def test_lp_norm_constant():
