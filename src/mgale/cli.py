@@ -62,6 +62,7 @@ from .davenport import (
     smoothness_estimate,
 )
 from .dilated import (
+    GENERAL_PATH_MAX_MODE,
     SeriesSpec,
     contraction_audit,
     contraction_refined_audit,
@@ -69,7 +70,7 @@ from .dilated import (
     oscillation_diagnostic,
 )
 from .modulus import dyadic_approx_audit_all
-from .riesz import RieszProductSpec, riesz_fourier_coeff, riesz_series_run, sample_mu
+from .riesz import RieszProductSpec, riesz_fourier_coeff, riesz_series_run, sample_mu, series_resolution
 from .symbolic import (
     CylinderFunction,
     DecayHypothesisError,
@@ -85,7 +86,7 @@ from .tails import TailModel
 from .torus import FourierFunction, GridFunction, sine_series
 from .transfer import ergodic_series_run
 
-__all__ = ["ExperimentConfig", "ConfigError", "run", "main"]
+__all__ = ["ExperimentConfig", "ConfigError", "main", "run", "validate_config"]
 
 
 class ConfigError(ValueError):
@@ -203,13 +204,19 @@ _EXPONENT = _check(lambda v: v == "inf" or _is_int(v) or (isinstance(v, float) a
 
 
 def _generator(g) -> FourierFunction:
-    """"sin", "davenport:lambda:M" (lambda > 0, M >= 1) or a mode object {"m": c}."""
+    """"sin", "davenport:lambda:M" (lambda > 0, 1 <= M <= 2^20) or a mode object {"m": c}.
+
+    M past 2^20 is refused before the M modes are built: the series
+    evaluation refuses such a generator anyway (GENERAL_PATH_MAX_MODE).
+    """
     if g == "sin":
         return sine_series({1: 1.0})
     if isinstance(g, dict):
         return FourierFunction({int(m): _COMPLEX(c) for m, c in g.items()})
     if isinstance(g, str) and g.startswith("davenport:"):
         _, lam, M = g.split(":")
+        if int(M) > GENERAL_PATH_MAX_MODE:
+            raise ConfigError(f"davenport generator M={int(M)} > 2^20, the series evaluation's mode cap")
         if math.isfinite(float(lam)) and float(lam) > 0 and int(M) >= 1:
             return davenport_fourier(float(lam), int(M))
     raise ConfigError(f"must be \"sin\", \"davenport:lambda:M\" or a mode object, got {g!r}")
@@ -373,7 +380,6 @@ def _run_audit(config: ExperimentConfig) -> _Reports:
 
 @_kind("dilated", {
     "gaposhkin_m": (_int(0), None),
-    "spec": (lambda v: SeriesSpec.from_json(json.dumps(v)), None),
     "K": (_int(1), None),
     "generator": (_generator, "sin"),
     "freqs": (freqs_from_rule, None),
@@ -385,8 +391,6 @@ def _run_dilated(config: ExperimentConfig) -> _Reports:
     p = config.parameters
     if p["gaposhkin_m"] is not None:
         spec = _gaposhkin(p)
-    elif p["spec"] is not None:
-        spec = p["spec"]
     else:
         K = 64 if p["K"] is None else p["K"]
         freqs = tuple([2**k for k in range(K)] if p["freqs"] is None else p["freqs"])[:K]
@@ -502,6 +506,9 @@ def _run_riesz(config: ExperimentConfig) -> _Reports:
         # a shift scan of O(4^J): 2^16 grid points at most
         if p["fn"].max_frequency >= 2**15:
             raise ConfigError(f"riesz fn: mode {p['fn'].max_frequency} needs a hypothesis grid past 2^16 points")
+        series_J = series_resolution(spec, N)
+        if series_J > 24:
+            raise ConfigError(f"riesz series at depth {N} samples on 2^{series_J} grid points > 2^24")
         coeffs = _coeffs_for(p["coeffs"], N + 1)
         checkpoints = _checkpoints_for(p["checkpoints"], N + 1)
         diag = riesz_series_run(spec, lambda n: p["fn"], coeffs, checkpoints, p["sample_size"], config.seed)

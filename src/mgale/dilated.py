@@ -24,7 +24,6 @@ documented at :func:`oscillation_verdict`.
 from __future__ import annotations
 
 import io
-import json
 import math
 from dataclasses import dataclass
 
@@ -44,14 +43,18 @@ from .torus import (
 
 __all__ = [
     "DivergenceProbeResult",
+    "GENERAL_PATH_MAX_MODE",
     "LacunaryCriteriaResult",
     "OscillationDiagnostic",
     "SeriesSpec",
     "contraction_audit",
     "contraction_refined_audit",
+    "gaposhkin_coefficients",
     "gaposhkin_example",
+    "gaposhkin_modulus_fit",
     "iterated_log",
     "lacunarity_ratio",
+    "loglog_model_fit",
     "maximal_function",
     "divergence_probe",
     "oscillation_diagnostic",
@@ -99,25 +102,6 @@ class SeriesSpec:
 
     def coeffs_real(self) -> np.ndarray:
         return np.array([a.real for a in self.coeffs])
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "coeffs": [[a.real, a.imag] for a in self.coeffs],
-                "freqs": [str(n) for n in self.freqs],
-                "generator": {str(m): [c.real, c.imag] for m, c in self.generator.coeffs.items()},
-            }
-        )
-
-    @staticmethod
-    def from_json(text: str) -> "SeriesSpec":
-        d = json.loads(text)
-        gen = FourierFunction({int(m): complex(re, im) for m, (re, im) in d["generator"].items()})
-        return SeriesSpec(
-            tuple(complex(re, im) for re, im in d["coeffs"]),
-            tuple(int(n) for n in d["freqs"]),
-            gen,
-        )
 
 
 def lacunarity_ratio(freqs) -> float:
@@ -225,6 +209,11 @@ def _fracs_of_multiples(ints: list, freqs, bits: int) -> np.ndarray:
     return out
 
 
+#: the largest generator mode of the general path: frac(n_k x) is reduced
+#: exactly, but the generator phases m * frac(...) are float64 products
+GENERAL_PATH_MAX_MODE = 2**20
+
+
 def _is_pow2(n: int) -> bool:
     return n > 0 and (n & (n - 1)) == 0
 
@@ -266,9 +255,7 @@ def series_values_at_points(
         corr = np.fft.irfft(sf * kf[None, :], size, axis=1)[:, kern.size - 1 : m]
         vals = corr[:, exps + jmin]
         return vals * coeffs.real[None, :] if np.all(coeffs.imag == 0) else vals * coeffs[None, :]
-    # general path: frac(n_k x) is reduced exactly, but the generator
-    # phases m * frac(...) are then float64 products, so cap the modes
-    if gen.max_frequency > 2**20:
+    if gen.max_frequency > GENERAL_PATH_MAX_MODE:
         raise ValueError(
             "general-path generator modes above 2^20 lose phase precision; "
             "use dyadic frequencies or a truncated generator"

@@ -16,7 +16,7 @@ maximal bound with constant p/(p-1), the two-sided detail criteria with
 K_p = p/(p-1) * max(1, sqrt(p-1)), the Paley-Zygmund lower bound) hold
 verbatim on this finite filtered space, so an audit failure is a bug,
 never a discretization artifact.  Audits therefore reject rather than
-repair bad inputs (non-centered data, broken difference property).
+repair bad inputs (non-centered data).
 """
 
 from __future__ import annotations
@@ -28,24 +28,21 @@ from dataclasses import dataclass
 import numpy as np
 
 from .tails import TailModel
-from .torus import GridFunction, _lp_norm_array, lp_norm
+from .torus import GridFunction, _lp_norm_array
 
 __all__ = [
     "AuditReport",
     "DetailSequence",
     "CENTERING_TOL",
     "bounded_deltas",
-    "burkholder_ratio",
     "cond_exp",
     "condensation_equivalent",
     "decompose",
     "detail",
-    "doob_maximal_audit",
     "doob_audit_batch",
     "k_p",
     "paley_zygmund_audit",
     "random_grid_functions",
-    "rio_audit",
     "rio_audit_batch",
     "telescope_check",
     "bounded_moment_audits",
@@ -184,20 +181,14 @@ class DetailSequence:
         return total
 
 
-def _require_centered(f: GridFunction, caller: str) -> None:
-    if abs(f.mean()) > CENTERING_TOL:
-        raise ValueError(
-            f"{caller} requires a centered function, |mean| = {abs(f.mean()):.3e}"
-        )
-
-
 def decompose(f: GridFunction) -> DetailSequence:
     """Decompose a centered f into its details D_0 f .. D_{J-1} f.
 
     Rejects non-centered input (|mean| > 1e-12) instead of silently
     recentering: the auditors downstream must not mask centering bugs.
     """
-    _require_centered(f, "decompose")
+    if abs(f.mean()) > CENTERING_TOL:
+        raise ValueError(f"decompose requires a centered function, |mean| = {abs(f.mean()):.3e}")
     J = f.resolution_log2
     details = _haar_details(_haar_means(f.samples, J))
     full = [np.repeat(d, 2 ** (J - n - 1), axis=-1) for n, d in enumerate(details)]
@@ -220,62 +211,6 @@ def telescope_check(f: GridFunction, N1: int, N2: int) -> AuditReport:
     scale = max(abs(lhs), abs(rhs), 1e-30)
     return AuditReport(lhs, rhs, 1.0, rhs - lhs, abs(lhs - rhs) <= 1e-10 * scale,
                        f"telescoping-parseval[{N1},{N2}]")
-
-
-# --------------------------------------------------------------------------
-# Rio / von Bahr-Esseen and Doob audits
-# --------------------------------------------------------------------------
-
-def rio_audit(f: GridFunction, p: float) -> AuditReport:
-    """Audit ||f||_p <= max(1, sqrt(p-1)) * (sum_n ||D_n f||_p^p')^(1/p').
-
-    Requires a centered f and p > 1; p' = min(2, p).
-    """
-    if p <= 1:
-        raise ValueError("rio_audit needs p > 1")
-    _require_centered(f, "rio_audit")
-    pp = _p_prime(p)
-    const = max(1.0, math.sqrt(p - 1.0))
-    lhs = lp_norm(f, p)
-    details = _haar_details(_haar_means(f.samples, f.resolution_log2))
-    detail_norms = np.array([_lp_norm_array(d, p) for d in details])
-    rhs = const * float(np.sum(detail_norms**pp)) ** (1.0 / pp)
-    return _bound_report(lhs, rhs, const, f"rio[p={p}]")
-
-
-def doob_maximal_audit(
-    increments: list[GridFunction],
-    p: float,
-    levels: list[int] | None = None,
-) -> AuditReport:
-    """Audit Doob: ||max_m |S_m|||_p <= p/(p-1) * ||S_last||_p.
-
-    ``increments[m]`` must be a martingale difference for its assigned
-    filtration level: cond_exp(increments[m], levels[m]) == 0 up to 1e-10
-    of max(sup |increment|, 1), with strictly increasing levels.
-    Violations raise.
-    """
-    if p <= 1:
-        raise ValueError("doob_maximal_audit needs p > 1")
-    if not increments:
-        raise ValueError("need at least one increment")
-    J = increments[0].resolution_log2
-    if levels is None:
-        levels = list(range(len(increments)))
-    if sorted(levels) != list(levels) or len(set(levels)) != len(levels) or min(levels, default=0) < 0:
-        raise ValueError("levels must be nonnegative and strictly increasing")
-    for inc, lv in zip(increments, levels):
-        resid = np.abs(_haar_means(inc.samples, J)[min(lv, J)]).max()
-        scale = max(np.abs(inc.samples).max(), 1.0)
-        if resid > 1e-10 * scale:
-            raise ValueError(
-                f"increment at level {lv} violates the martingale difference property"
-            )
-    partial = np.cumsum(np.stack([inc.samples for inc in increments]), axis=0)
-    lhs = _lp_norm_array(np.abs(partial).max(axis=0), p)
-    const = p / (p - 1.0)
-    rhs = const * _lp_norm_array(partial[-1], p)
-    return _bound_report(lhs, rhs, const, f"doob[p={p}]")
 
 
 # --------------------------------------------------------------------------
@@ -422,23 +357,6 @@ def bounded_moment_audits(
 # condensation and Paley-Zygmund
 # --------------------------------------------------------------------------
 
-def burkholder_ratio(f: GridFunction, p: float) -> float:
-    """Square-function ratio ||(sum_n |D_n f|^2)^(1/2)||_p / ||f||_p.
-
-    Recorded only: the constant bounding it is not pinned down here, so
-    callers may check finiteness and stability under grid refinement
-    but must not assert a fixed bound.
-    """
-    if p <= 1:
-        raise ValueError("burkholder_ratio needs p > 1")
-    seq = decompose(f)
-    square = np.sqrt(sum(np.abs(d.samples) ** 2 for d in seq.details))
-    denom = lp_norm(f, p)
-    if denom == 0:
-        raise ValueError("ratio undefined for the zero function")
-    return float(_lp_norm_array(square, p)) / denom
-
-
 def condensation_equivalent(
     u: np.ndarray, K: float, tail: TailModel
 ) -> tuple[bool, bool]:
@@ -523,14 +441,19 @@ def random_grid_functions(
 
 
 def rio_audit_batch(cases: int, p_values, J: int, seed: int) -> list[AuditReport]:
-    """Randomized Rio audits; one report per case, all expected to pass.
+    """Randomized Rio audits; one report per case, all expected to pass."""
+    arr = random_grid_functions(cases, J, np.random.default_rng(seed))
+    return _rio_reports(arr, J, list(p_values), seed)
 
-    Case i uses p_values[i % len(p_values)]; the norms of all cases that
+
+def _rio_reports(arr: np.ndarray, J: int, p_values: list, seed) -> list[AuditReport]:
+    """Audit ||f||_p <= max(1, sqrt(p-1)) * (sum_n ||D_n f||_p^p')^(1/p'),
+    p' = min(2, p), for each centered row f of a (cases, 2^J) array.
+
+    Row i uses p_values[i % len(p_values)]; the norms of all rows that
     share a p are taken in one vectorized pass over the Haar pyramid.
     """
-    rng = np.random.default_rng(seed)
-    p_values = list(p_values)
-    arr = random_grid_functions(cases, J, rng)
+    cases = arr.shape[0]
     details = _haar_details(_haar_means(arr, J))
     consts = [max(1.0, math.sqrt(p - 1.0)) for p in p_values]
     lhs, rhs = np.empty(cases), np.empty(cases)
@@ -549,9 +472,15 @@ def rio_audit_batch(cases: int, p_values, J: int, seed: int) -> list[AuditReport
 
 def doob_audit_batch(cases: int, p_values, J: int, seed: int) -> list[AuditReport]:
     """Randomized Doob audits on the detail martingale of random f."""
-    rng = np.random.default_rng(seed)
-    p_values = list(p_values)
-    arr = random_grid_functions(cases, J, rng)
+    arr = random_grid_functions(cases, J, np.random.default_rng(seed))
+    return _doob_reports(arr, J, list(p_values), seed)
+
+
+def _doob_reports(arr: np.ndarray, J: int, p_values: list, seed) -> list[AuditReport]:
+    """Audit Doob: ||max_m |S_m|||_p <= p/(p-1) * ||S_J||_p for the detail
+    martingale S_m = E(f|F_m) - E(f|F_0) of each row f of a (cases, 2^J)
+    array; row i uses p_values[i % len(p_values)]."""
+    cases = arr.shape[0]
     means = _haar_means(arr, J)
     smax = _doob_maximal(means)
     final = arr - means[0]

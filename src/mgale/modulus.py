@@ -12,7 +12,7 @@ The factor-2 dyadic approximation bound
 
 holds verbatim for the grid modulus (the block-average proof only ever
 compares f against its translates by 0 <= t < 2^(J-n) ticks), so
-:func:`dyadic_approx_audit` is a universal audit: a failure is a bug.
+:func:`dyadic_approx_audit_all` is a universal audit: a failure is a bug.
 
 Summability criteria over infinite octave ranges take an explicit
 :class:`~mgale.tails.TailModel`; nothing about infinite tails is ever
@@ -27,15 +27,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .martingale import AuditReport, _bound_report, _haar_means
-from .tails import TailModel, fit_tail_model
+from .tails import TailModel
 from .torus import FourierFunction, GridFunction, _lp_norm_array
 
 __all__ = [
     "ModulusProfile",
     "criterion_sqrt_n",
-    "dyadic_approx_audit",
     "dyadic_approx_audit_all",
-    "fit_profile_tail",
     "fourier_modulus_l2",
     "modulus_profile",
     "shift_norm_curve",
@@ -145,42 +143,18 @@ def modulus_profile(f: GridFunction, p) -> ModulusProfile:
     return ModulusProfile(p, values, J)
 
 
-def dyadic_approx_audit(f: GridFunction, p, n: int) -> AuditReport:
-    """Audit ||f - E(f|F_n)||_p <= 2 * omega_p(2^-n, f)."""
+def dyadic_approx_audit_all(f: GridFunction, p) -> list[AuditReport]:
+    """Audit ||f - E(f|F_n)||_p <= 2 * omega_p(2^-n, f) for every level
+    n = 0..J from one shift scan and one Haar pyramid."""
     J = f.resolution_log2
-    if not 0 <= n <= J:
-        raise ValueError(f"level {n} outside [0, {J}]")
-    lhs = _lp_norm_array(f.samples - np.repeat(_haar_means(f.samples, J)[n], 2 ** (J - n)), p)
-    curve = shift_norm_curve(f.samples, [p], max_shift=2 ** (J - n))[p]
-    rhs = 2.0 * curve.max()
-    return _bound_report(lhs, rhs, 2.0, f"dyadic-approx[p={p},n={n}]")
-
-
-def dyadic_approx_audit_all(f: GridFunction, p, levels=None) -> list[AuditReport]:
-    """Factor-2 audits for every requested level from one shift scan and one Haar pyramid."""
-    J = f.resolution_log2
-    if levels is None:
-        levels = range(J + 1)
     omega = modulus_profile(f, p).values
     means = _haar_means(f.samples, J)
     reports = []
-    for n in levels:
-        if not 0 <= n <= J:
-            raise ValueError(f"level {n} outside [0, {J}]")
+    for n in range(J + 1):
         lhs = _lp_norm_array(f.samples - np.repeat(means[n], 2 ** (J - n)), p)
         rhs = 2.0 * omega[n]
         reports.append(_bound_report(lhs, rhs, 2.0, f"dyadic-approx[p={p},n={n}]"))
     return reports
-
-
-def fit_profile_tail(profile: ModulusProfile) -> TailModel:
-    """Least-squares tail model from the last four octaves."""
-    J = profile.source_resolution
-    ns = np.arange(J - 3, J + 1)
-    vals = profile.values[ns]
-    if np.any(vals <= 0):
-        return TailModel("geometric", 0.0, 0.5)
-    return fit_tail_model(ns, vals)
 
 
 def criterion_sqrt_n(profile: ModulusProfile, p: float, tail: TailModel) -> float:

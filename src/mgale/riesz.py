@@ -32,11 +32,13 @@ from .torus import FourierFunction, GridFunction, render
 
 __all__ = [
     "RieszProductSpec",
+    "grid_inf_modulus",
     "partial_density_coeffs",
     "riesz_fourier_coeff",
     "riesz_partial_density",
     "riesz_series_run",
     "sample_mu",
+    "series_resolution",
 ]
 
 
@@ -169,6 +171,12 @@ def grid_inf_modulus(f: FourierFunction, octaves: int, J: int) -> np.ndarray:
     return values[np.minimum(np.arange(octaves + 1), J)]
 
 
+def series_resolution(spec: RieszProductSpec, N: int) -> int:
+    """J = max(12, ceil(log2 sum_{n<=N} lambda_n) + 2), the sampling grid
+    2^J of :func:`riesz_series_run` for a depth-N series."""
+    return max(12, int(math.ceil(math.log2(sum(spec.lambdas[: N + 1])))) + 2)
+
+
 def riesz_series_run(
     spec: RieszProductSpec,
     fn_family,
@@ -180,11 +188,11 @@ def riesz_series_run(
     """Oscillation diagnostic for sum_n a_n (f_n(lambda_n x) - E_mu f_n)
     at points sampled from the depth-N partial density, f_n = fn_family(n).
 
-    The points are drawn on the 2^J grid with J = max(12,
-    ceil(log2 sum_{n<=N} lambda_n) + 2).  The means are the exact
-    depth-N coefficients at -m lambda_n paired with the modes m of f_n,
-    each looked up by the greedy dissociate representation, so the terms
-    are exactly centered for the sampled measure.
+    The points are drawn on the 2^J grid, J = series_resolution(spec, N).
+    The means are the exact depth-N coefficients at -m lambda_n paired
+    with the modes m of f_n, each looked up by the greedy dissociate
+    representation, so the terms are exactly centered for the sampled
+    measure.
     The sup-modulus hypothesis sup_n omega_inf(t, f_n) |log t|^(1/2+eps)
     at eps = 1/4 is evaluated on the 2^J' grid with J' = max(12,
     bits(max mode of f_n) + 1), the least that renders f_n alias-free;
@@ -197,7 +205,7 @@ def riesz_series_run(
         raise ValueError("more coefficients than Riesz levels")
     if checkpoints[-1] > N + 1:
         raise ValueError("checkpoints exceed the series length")
-    J = max(12, int(math.ceil(math.log2(sum(spec.lambdas[: N + 1])))) + 2)
+    J = series_resolution(spec, N)
     xs = sample_mu(spec, N, J, sample_count, seed)
     n_grid = 2**J
     ks = np.round(xs * n_grid).astype(np.int64)

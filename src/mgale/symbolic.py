@@ -42,7 +42,6 @@ __all__ = [
     "PotentialSeq",
     "SymbolicSpace",
     "potential_variation_check",
-    "cylinder_sandwich",
     "decreasing_criterion_symbolic",
     "equilibrium_weights",
     "averaging_decay_audit",
@@ -266,23 +265,6 @@ def mu_integral(space: SymbolicSpace, weights: np.ndarray, f: CylinderFunction):
     box = f.to_box(space)
     val = (weights * box).sum()
     return float(val.real) if np.isrealobj(box) else complex(val)
-
-
-def cylinder_sandwich(
-    space: SymbolicSpace, pots: PotentialSeq, weights: np.ndarray, n: int
-) -> tuple[float, float]:
-    """Fitted constants (D1, D2) with D1 G_n(w) <= mu(I_n(w)) <= D2 G_n(w)
-    over depth-n cylinders, G_n evaluated on the box and cell-maximized /
-    minimized (the sandwich constants of the uniqueness theorem)."""
-    g = _g_box(space, pots, n)
-    tail_axes = tuple(range(n, space.depth))
-    mu_n = weights.sum(axis=tail_axes)
-    g_hi = g.max(axis=tail_axes)
-    g_lo = g.min(axis=tail_axes)
-    good = mu_n > 0
-    d1 = float((mu_n[good] / g_hi[good]).min())
-    d2 = float((mu_n[good] / g_lo[good]).max())
-    return d1, d2
 
 
 # --------------------------------------------------------------------------

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["TailModel", "fit_tail_model"]
+__all__ = ["TailModel"]
 
 _KINDS = ("geometric", "power", "power_log")
 
@@ -190,36 +190,3 @@ class TailModel:
 _EXPLICIT_TERMS = 1 << 16
 _EXPLICIT_LEVELS = 1 << 12
 
-
-def fit_tail_model(ns, values) -> TailModel:
-    """Least-squares fit of a TailModel on (ns, values), log domain.
-
-    Tries all three shapes and keeps the one with the smallest maximal
-    residual.  Values must be strictly positive.
-    """
-    ns = np.asarray(ns, dtype=np.float64)
-    values = np.asarray(values, dtype=np.float64)
-    if ns.size < 2:
-        raise ValueError("need at least two points to fit a tail model")
-    if np.any(values <= 0):
-        raise ValueError("tail fitting requires strictly positive values")
-    logv = np.log(values)
-
-    def _fit(kind):
-        if kind == "geometric":
-            cols = [np.ones_like(ns), ns]
-        elif kind == "power":
-            cols = [np.ones_like(ns), -np.log(ns)]
-        else:
-            cols = [np.ones_like(ns), -np.log(ns), -np.log(np.log(np.maximum(ns, math.e)))]
-        a = np.stack(cols, axis=1)
-        coef, *_ = np.linalg.lstsq(a, logv, rcond=None)
-        resid = float(np.abs(a @ coef - logv).max())
-        if kind == "geometric":
-            return TailModel("geometric", math.exp(coef[0]), math.exp(coef[1])), resid
-        if kind == "power":
-            return TailModel("power", math.exp(coef[0]), coef[1]), resid
-        return TailModel("power_log", math.exp(coef[0]), coef[1], coef[2]), resid
-
-    fits = [_fit(k) for k in _KINDS]
-    return min(fits, key=lambda fr: fr[1])[0]

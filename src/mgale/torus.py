@@ -13,8 +13,9 @@ Conventions fixed here and used by every other module:
 
   * sin(2*pi*m*x) is stored as the coefficient pair {m: -i/2, -m: +i/2}
     (see :func:`sine_series`).
-  * translate(f, t) returns x -> f(x + t/2^J); translations are grid
-    exact, no interpolation ever happens.
+  * translating by t ticks, x -> f(x + t/2^J), is the cyclic shift
+    samples[(k + t) mod 2^J]; translations are grid exact, no
+    interpolation ever happens.
   * rendering a frequency m on a 2^J grid is alias free only when
     |m| < 2^(J-1); :func:`render` refuses anything else with
     :class:`AliasingError`, so every GridFunction made from a Fourier
@@ -36,7 +37,6 @@ __all__ = [
     "lp_norm",
     "render",
     "sine_series",
-    "translate",
 ]
 
 
@@ -193,17 +193,6 @@ def _lp_norm_array(samples: np.ndarray, p) -> float | np.ndarray:
     if p == 1:
         return a.mean(axis=-1)
     return (np.power(a, p).mean(axis=-1)) ** (1.0 / p)
-
-
-def translate(f: GridFunction, shift_ticks: int) -> GridFunction:
-    """Exact grid translation: (translate(f, t))[k] = f[(k + t) mod 2^J].
-
-    This is x -> f(x + t/2^J); the shift is reduced mod 2^J.
-    """
-    t = int(shift_ticks) % f.n_samples
-    if t == 0:
-        return f
-    return GridFunction(f.resolution_log2, np.roll(f.samples, -t), f.value_kind)
 
 
 def dilate(f: FourierFunction, m: int) -> FourierFunction:

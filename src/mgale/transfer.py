@@ -27,7 +27,6 @@ import numpy as np
 
 from .dilated import OscillationDiagnostic, SeriesSpec, oscillation_diagnostic
 from .martingale import AuditReport
-from .modulus import modulus_profile
 from .tails import TailModel
 from .torus import FourierFunction, GridFunction, _lp_norm_array, render
 
@@ -37,9 +36,9 @@ __all__ = [
     "duality_audit",
     "ergodic_series_run",
     "l2_norm_exact",
-    "lnorm_vs_modulus",
     "transfer_apply",
     "transfer_decay",
+    "transfer_pointwise",
     "transfer_pointwise_check",
     "transfer_power",
 ]
@@ -167,26 +166,6 @@ def transfer_decay(f: FourierFunction, N: int, tail: TailModel | None = None) ->
     return TransferDecay(norms, crit, cond)
 
 
-def lnorm_vs_modulus(f: FourierFunction, N: int, J: int) -> np.ndarray:
-    """Ratios ||L^n f||_2 / omega_2(2^-n, f) for n = 1..N (grid omega).
-
-    Rejects functions whose grid modulus vanishes (constants), and
-    raises AliasingError for a mode at or past 2^(J-1).  The two-sided
-    comparability of the two quantities is recorded by the caller,
-    never asserted as equality.
-    """
-    if J < N + 2:
-        raise ValueError("need J >= N + 2 for a meaningful comparison")
-    prof = modulus_profile(render(f, J), 2)
-    out = np.empty(N)
-    for n in range(1, N + 1):
-        om = prof.values[n]
-        if om == 0:
-            raise ValueError("modulus vanishes; f is constant on the grid")
-        out[n - 1] = l2_norm_exact(transfer_power(f, n)) / om
-    return out
-
-
 def ergodic_series_run(
     f: FourierFunction,
     coeffs,
@@ -209,28 +188,6 @@ def ergodic_series_run(
     n_dec = max(8, min(40, f.max_frequency.bit_length() + 1))
     decay = transfer_decay(f, n_dec, tail)
     return diag, decay
-
-
-def gaposhkin_decay_fit(m: int, n_range) -> tuple[np.ndarray, np.ndarray, float, float]:
-    """||L^(2^n) f||_2 of the sharpness generator (4096 modes) vs
-    2^(-n/2)/L_m(2^n).
-
-    Exact coefficient-space norms (no rendering); returns (norms, model,
-    fitted log-log slope, max residual) as in loglog_model_fit.
-    """
-    from .dilated import gaposhkin_example, iterated_log, loglog_model_fit
-
-    gen = gaposhkin_example(m, 4096).generator
-    amps = {mm.bit_length() - 1: abs(2j * c) for mm, c in gen.coeffs.items() if mm > 0}
-    ks = np.array(sorted(amps))
-    b = np.array([amps[k] for k in ks])
-    n_range = np.asarray(list(n_range), dtype=np.int64)
-    norms = np.array(
-        [math.sqrt(float((b[ks >= 2**n] ** 2).sum()) / 2.0) for n in n_range]
-    )
-    model = 2.0 ** (-n_range / 2.0) / iterated_log(m, 2.0**n_range)
-    slope, resid = loglog_model_fit(norms, model)
-    return norms, model, slope, resid
 
 
 def decreasing_criteria(

@@ -357,7 +357,7 @@ def test_riesz_sample_aliasing_is_config_error(tmp_path):
     ("davenport", {"lamda": 0.75}),
     ("davenport", {"quadrature_check": "no"}),
     ("ergodic", {"K": 64, "sample_sise": 100}),
-    ("dilated", {"spec": {"coeffs": [1.0]}}),
+    ("dilated", {"spec": {"coeffs": [[1.0, 0.0]], "freqs": ["1"], "generator": {"1": [0.0, -0.5], "-1": [0.0, 0.5]}}}),
     ("davenport", {"smoothness_p": "x"}),
     ("davenport", {"sample_size": 100}),
     # symbolic: too few levels for the default lambdas, lambda_0 != 1, a
@@ -415,6 +415,8 @@ def test_series_kind_well_formed_parameters_run(tmp_path, kind, params):
 @pytest.mark.parametrize("kind, params, first_work", [
     ("symbolic", {"depth": 15}, "riesz_potentials"),
     ("davenport", {"freqs": list(range(1, 4097))}, "gram_matrix"),
+    # 3^0..3^13 sum to (3^14 - 1) / 2 < 2^22: a series sampled on 2^24 points
+    ("riesz", {"action": "series", "lambdas": "pow:3:13", "cs": [0.5] * 14}, "riesz_series_run"),
 ])
 def test_largest_sizes_pass_the_caps(tmp_path, monkeypatch, kind, params, first_work):
     # a full run at these sizes takes minutes: stop at the first piece of work
@@ -424,6 +426,31 @@ def test_largest_sizes_pass_the_caps(tmp_path, monkeypatch, kind, params, first_
     monkeypatch.setattr(cli, first_work, stop)
     assert run_raw(tmp_path, {"kind": kind, "parameters": params}) == 1
     assert "reached the work" in (tmp_path / "out" / f"{kind}_FAILED.txt").read_text()
+
+
+@pytest.mark.parametrize("K", [14, 30])
+def test_riesz_series_grid_past_2_24_is_config_error(tmp_path, monkeypatch, K):
+    # the sampling grid is 2^J, J = ceil(log2((3^(K+1) - 1) / 2)) + 2: 2^25
+    # points for K = 14, 2^49 (16 PiB of float64) for K = 30
+    monkeypatch.setattr(cli, "riesz_series_run", lambda *args: pytest.fail("riesz_series_run was called"))
+    params = {"action": "series", "lambdas": f"pow:3:{K}", "cs": [0.5] * (K + 1)}
+    assert run_raw(tmp_path, {"kind": "riesz", "parameters": params}) == 2
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("M, accepted", [(2**20, True), (2**20 + 1, False), (10**12, False)])
+def test_davenport_generator_past_2_20_modes_is_config_error(monkeypatch, M, accepted):
+    # past 2^20 modes the series evaluation refuses the generator: refuse it
+    # before its M modes are built
+    built = []
+    monkeypatch.setattr(cli, "davenport_fourier", lambda lam, m: built.append(m) or cli.sine_series({1: 1.0}))
+    raw = {"kind": "dilated", "parameters": {"generator": f"davenport:0.75:{M}"}}
+    if accepted:
+        cli.validate_config(raw)
+    else:
+        with pytest.raises(cli.ConfigError, match="2\\^20"):
+            cli.validate_config(raw)
+    assert built == ([M] if accepted else [])
 
 
 def test_reports_yielded_before_a_raise_stay_beside_the_marker(tmp_path, monkeypatch):

@@ -42,13 +42,6 @@ def test_spec_validation():
         dl.SeriesSpec((1.0,), (1,), FourierFunction({0: 1.0, 1: 1.0}))
 
 
-def test_spec_json_roundtrip():
-    spec = sin_spec([1.0, 0.5 + 0.5j], [3, 9])
-    back = dl.SeriesSpec.from_json(spec.to_json())
-    assert back.coeffs == spec.coeffs and back.freqs == spec.freqs
-    assert back.generator.coeffs == spec.generator.coeffs
-
-
 # ------------------------------------------------------------ partial sums
 
 def test_partial_sums_zero_coeffs():

@@ -142,7 +142,7 @@ def test_telescope_constant_zero():
 def test_rio_single_detail_trivial(rng):
     g = random_grid(rng, 5)
     d = mg.detail(g, 0)  # centered, F_1-measurable
-    rep = mg.rio_audit(d, 3.0)
+    (rep,) = mg._rio_reports(d.samples[None], 5, [3.0], None)
     assert rep.passed
 
 
@@ -153,40 +153,26 @@ def test_rio_batch_p2_is_bessel():
 
 
 def test_rio_sine_p4_positive_margin():
-    rep = mg.rio_audit(render(sine_series({1: 1.0}), 12), 4.0)
+    (rep,) = mg._rio_reports(render(sine_series({1: 1.0}), 12).samples[None], 12, [4.0], None)
     assert rep.passed and rep.margin > 0
-
-
-def test_rio_rejects_p_at_most_one(rng):
-    with pytest.raises(ValueError):
-        mg.rio_audit(random_grid(rng, 4), 1.0)
 
 
 def test_doob_single_increment(rng):
     g = random_grid(rng, 6)
-    d = mg.detail(g, 0)
-    rep = mg.doob_maximal_audit([d], 2.0, levels=[0])
+    d = mg.detail(g, 0)  # its detail martingale has the one increment d
+    (rep,) = mg._doob_reports(d.samples[None], 6, [2.0], None)
     assert rep.passed
 
 
 def test_doob_detail_martingale(rng):
     g = random_grid(rng, 9)
-    details = list(mg.decompose(g).details)
-    rep = mg.doob_maximal_audit(details, 2.0)
+    (rep,) = mg._doob_reports(g.samples[None], 9, [2.0], None)
     assert rep.passed and rep.constant == pytest.approx(2.0)
 
 
 def test_doob_zero_increments():
-    zeros = [GridFunction(4, np.zeros(16), "real") for _ in range(3)]
-    rep = mg.doob_maximal_audit(zeros, 1.5)
+    (rep,) = mg._doob_reports(np.zeros((1, 16)), 4, [1.5], None)
     assert rep.passed and rep.lhs == 0.0
-
-
-def test_doob_rejects_broken_difference_property(rng):
-    g = random_grid(rng, 6, centered=False)
-    bad = GridFunction(6, g.samples + 1.0, "real")
-    with pytest.raises(ValueError):
-        mg.doob_maximal_audit([bad], 2.0, levels=[3])
 
 
 def test_rio_doob_randomized_batches_all_pass():
@@ -293,7 +279,7 @@ def test_batch_audits_match_per_case_reference(batch, reference):
 
 
 # ------------------------------------ rerouted functions vs block averages
-# cond_exp, detail, decompose, doob_maximal_audit, detail_criteria and
+# cond_exp, detail, decompose, the Doob audit, detail_criteria and
 # bounded_deltas read E(.|F_n) off the Haar pyramid; their old bodies on
 # full-resolution block averages are the references.  The pyramid sums
 # in a different order, so values agree to a few ulps of the data.
@@ -331,43 +317,18 @@ def test_cond_exp_detail_decompose_match_block_averages(rng, J, complex_values):
         np.testing.assert_allclose(details[n].samples, ref[n], rtol=0, atol=atol)
 
 
-def _reference_doob_maximal_audit(increments, p, levels, difference_tol=1e-10):
-    """(lhs, rhs), or None where the martingale difference check fails."""
-    J = increments[0].resolution_log2
-    for inc, lv in zip(increments, levels):
-        resid = np.abs(block_average(inc.samples, min(lv, J), J)).max()
-        if resid > difference_tol * max(np.abs(inc.samples).max(), 1.0):
-            return None
-    partial = np.cumsum(np.stack([inc.samples for inc in increments]), axis=0)
-    return mg._lp_norm_array(np.abs(partial).max(axis=0), p), p / (p - 1.0) * mg._lp_norm_array(partial[-1], p)
-
-
 @pytest.mark.parametrize("J", [0, 1, 6])
 @pytest.mark.parametrize("complex_values", [False, True])
 def test_doob_maximal_audit_matches_block_average_check(rng, J, complex_values):
-    arr = _centered_family(rng, J, 1, complex_values)[0]
-    f = _grid(arr, J)
-    # D_n f is a difference for F_n; a zero increment is one past J
-    increments = [d for d in mg.decompose(f).details] + [_grid(np.zeros_like(arr), J)]
-    levels = list(range(J)) + [J + 3]
-    broken = _grid(arr + 0.25, J)  # not centered: fails at level 0 and at every level
-    cases = [
-        (increments, levels),
-        (increments, [lv + 1 for lv in levels]),  # D_n is not a difference for F_(n+1)
-        (increments[:-1] + [broken], levels),
-        ([broken] + increments[1:], levels),
-    ]
-    for incs, lvs in cases:
-        ref = _reference_doob_maximal_audit(incs, 2.5, lvs)
-        if ref is None:
-            with pytest.raises(ValueError):
-                mg.doob_maximal_audit(incs, 2.5, levels=lvs)
-            continue
-        rep = mg.doob_maximal_audit(incs, 2.5, levels=lvs)
-        assert rep.passed
-        assert (rep.lhs, rep.rhs) == (float(ref[0]), float(ref[1]))
-    with pytest.raises(ValueError):
-        mg.doob_maximal_audit(increments[:1], 2.0, levels=[-1])
+    arr = _centered_family(rng, J, 5, complex_values)
+    # S_0 = 0, then S_m = D_0 + ... + D_(m-1) from block-average differences
+    partial = np.cumsum(np.stack([np.zeros_like(arr)] + _reference_details(arr, J)), axis=0)
+    lhs = mg._lp_norm_array(np.abs(partial).max(axis=0), 2.5)
+    rhs = 2.5 / 1.5 * mg._lp_norm_array(partial[-1], 2.5)
+    reports = mg._doob_reports(arr, J, [2.5], None)
+    assert all(rep.passed for rep in reports)
+    np.testing.assert_allclose([rep.lhs for rep in reports], lhs, rtol=1e-13, atol=_ulps(arr))
+    np.testing.assert_allclose([rep.rhs for rep in reports], rhs, rtol=1e-13, atol=_ulps(arr))
 
 
 def _reference_detail_criteria(Z, levels, p):
@@ -563,15 +524,5 @@ def test_rio_property(seed, p):
     rng = np.random.default_rng(seed)
     arr = rng.standard_normal(2**6)
     arr -= arr.mean()
-    rep = mg.rio_audit(GridFunction(6, arr, "real"), p)
+    (rep,) = mg._rio_reports(arr[None], 6, [p], seed)
     assert rep.passed
-
-
-def test_burkholder_ratio_finite_and_refinement_stable():
-    f = sine_series({1: 1.0, 3: 0.4, 17: -0.2})
-    r10 = mg.burkholder_ratio(render(f, 10), 3.0)
-    r14 = mg.burkholder_ratio(render(f, 14), 3.0)
-    assert math.isfinite(r10) and r10 > 0
-    assert abs(r10 - r14) / r14 < 0.10
-    with pytest.raises(ValueError):
-        mg.burkholder_ratio(GridFunction(4, np.zeros(16), "real"), 2.0)

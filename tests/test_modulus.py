@@ -6,7 +6,7 @@ import pytest
 from conftest import block_average, random_trig_poly
 from mgale import modulus as mo
 from mgale.martingale import cond_exp
-from mgale.tails import TailModel, fit_tail_model
+from mgale.tails import TailModel
 from mgale.torus import GridFunction, _lp_norm_array, lp_norm, render, sine_series
 
 
@@ -48,12 +48,13 @@ def test_sawtooth_slope_near_half():
 
 
 def test_dyadic_approx_constant():
-    rep = mo.dyadic_approx_audit(GridFunction(5, np.full(32, 1.0), "real"), 2, 3)
-    assert rep.passed and rep.lhs == 0.0 and rep.rhs == 0.0
+    for rep in mo.dyadic_approx_audit_all(GridFunction(5, np.full(32, 1.0), "real"), 2):
+        assert rep.passed and rep.lhs == 0.0 and rep.rhs == 0.0
 
 
 def test_dyadic_approx_sine():
-    rep = mo.dyadic_approx_audit(render(sine_series({1: 1.0}), 12), 2, 3)
+    rep = mo.dyadic_approx_audit_all(render(sine_series({1: 1.0}), 12), 2)[3]
+    assert rep.context == "dyadic-approx[p=2,n=3]"
     assert rep.passed and rep.margin > 0
 
 
@@ -61,18 +62,18 @@ def test_dyadic_approx_randomized(rng):
     for _ in range(20):
         g = render(random_trig_poly(rng, degree=48), 10)
         for p in (1.5, 2, 4, math.inf):
-            for rep in mo.dyadic_approx_audit_all(g, p, levels=range(0, 11, 2)):
+            for rep in mo.dyadic_approx_audit_all(g, p):
                 assert rep.passed, rep.context
 
 
-def _reference_dyadic_approx_all(f, p, levels):
+def _reference_dyadic_approx_all(f, p):
     """(lhs, rhs) per level from expanded block averages and the running
     maximum of the shift curve, as computed before the Haar pyramid."""
     J = f.resolution_log2
     cummax = np.maximum.accumulate(mo.shift_norm_curve(f.samples, [p])[p])
     return [
         (_lp_norm_array(f.samples - block_average(f.samples, n, J), p), 2.0 * cummax[2 ** (J - n)])
-        for n in levels
+        for n in range(J + 1)
     ]
 
 
@@ -85,19 +86,12 @@ def test_dyadic_approx_matches_block_average_reference(rng, J, complex_values):
     f = GridFunction(J, arr, "complex" if complex_values else "real")
     atol = 8 * np.finfo(np.float64).eps * np.abs(arr).max()
     for p in (1, 1.5, 2, 4, math.inf):
-        for levels in (None, [J, 0, J // 2, J // 2]):
-            reports = mo.dyadic_approx_audit_all(f, p, levels)
-            ref = _reference_dyadic_approx_all(f, p, range(J + 1) if levels is None else levels)
-            assert len(reports) == len(ref)
-            for rep, (lhs, rhs) in zip(reports, ref):
-                assert rep.passed and rep.rhs == rhs
-                assert abs(rep.lhs - lhs) <= atol
-        for n, (lhs, _) in enumerate(_reference_dyadic_approx_all(f, p, range(J + 1))):
-            rep = mo.dyadic_approx_audit(f, p, n)
-            assert rep.passed and abs(rep.lhs - lhs) <= atol
-        for bad in (-1, J + 1):
-            with pytest.raises(ValueError):
-                mo.dyadic_approx_audit_all(f, p, [0, bad])
+        reports = mo.dyadic_approx_audit_all(f, p)
+        ref = _reference_dyadic_approx_all(f, p)
+        assert len(reports) == len(ref) == J + 1
+        for rep, (lhs, rhs) in zip(reports, ref):
+            assert rep.passed and rep.rhs == rhs
+            assert abs(rep.lhs - lhs) <= atol
 
 
 def test_dyadic_approx_never_fails_on_noise(rng):
@@ -110,7 +104,8 @@ def test_dyadic_approx_never_fails_on_noise(rng):
 
 def test_criterion_geometric_tail_finite():
     prof = mo.modulus_profile(render(sine_series({1: 1.0}), 12), 2)
-    tail = mo.fit_profile_tail(prof)
+    # omega_2(2^-n, sin) = sqrt(2) sin(pi 2^-n) <= sqrt(2) pi 2^-n
+    tail = TailModel("geometric", math.sqrt(2) * math.pi, 0.5)
     val = mo.criterion_sqrt_n(prof, 2, tail)
     assert math.isfinite(val) and val > 0
 
@@ -148,14 +143,6 @@ def test_fourier_modulus_rejects_huge_frequencies():
     f = sine_series({2**60: 1.0})
     with pytest.raises(ValueError):
         mo.fourier_modulus_l2(f, [0.5])
-
-
-def test_tail_model_fitting():
-    ns = np.arange(8, 13)
-    geo = fit_tail_model(ns, 3.0 * 0.5**ns)
-    assert geo.kind == "geometric" and geo.exponent == pytest.approx(0.5, rel=1e-6)
-    pw = fit_tail_model(ns, 2.0 * ns**-1.5)
-    assert pw.kind == "power" and pw.exponent == pytest.approx(1.5, rel=1e-6)
 
 
 def test_shift_norm_curve_fft_path_matches_direct(rng):

@@ -164,13 +164,6 @@ def test_equilibrium_torus_crosscheck():
     assert np.abs(ints - mu6).max() < 1e-6
 
 
-def test_cylinder_sandwich_positive():
-    _, space, pots = riesz_setup(7, 0.8, 7)
-    w = sy.equilibrium_weights(space, pots)
-    d1, d2 = sy.cylinder_sandwich(space, pots, w, 4)
-    assert 0 < d1 <= 1 <= d2 < math.inf
-
-
 # ------------------------------------------------------------------ audits
 
 def test_cond_gn_depends_on_own_coordinate_only():

@@ -14,7 +14,6 @@ from mgale.torus import (
     lp_norm,
     render,
     sine_series,
-    translate,
 )
 
 
@@ -87,25 +86,6 @@ def test_grid_function_leaves_caller_array_writeable(rng):
     assert row.flags.writeable
 
 
-def test_translate_identity_and_period(rng):
-    g = GridFunction(6, rng.standard_normal(64), "real")
-    np.testing.assert_array_equal(translate(g, 0).samples, g.samples)
-    np.testing.assert_array_equal(translate(g, 64).samples, g.samples)
-
-
-def test_translate_quarter_turns_sine_into_cosine():
-    J = 10
-    g = translate(render(sine_series({1: 1.0}), J), 2 ** (J - 2))
-    x = np.arange(2**J) / 2**J
-    assert np.abs(g.samples - np.cos(2 * np.pi * x)).max() < 1e-14
-
-
-def test_translate_preserves_norms_exactly(rng):
-    g = GridFunction(7, rng.standard_normal(128), "real")
-    for p in (1, 2, 4, math.inf):
-        assert lp_norm(translate(g, 37), p) == lp_norm(g, p)
-
-
 def test_dilate_single_frequency_and_identity():
     f = FourierFunction({1: 0.7 + 0.1j})
     assert dilate(f, 3).coeffs == {3: 0.7 + 0.1j}
@@ -141,14 +121,6 @@ def test_zero_amplitudes_dropped():
 def test_realness_detection():
     assert sine_series({3: 2.0}).is_real_valued()
     assert not FourierFunction({1: 1.0}).is_real_valued()
-
-
-@given(st.integers(0, 6), st.integers(-500, 500))
-@settings(max_examples=40, deadline=None)
-def test_translate_norm_invariance_property(J, t):
-    rng = np.random.default_rng(abs(t) + J)
-    g = GridFunction(J, rng.standard_normal(2**J), "real")
-    assert lp_norm(translate(g, t), 2) == pytest.approx(lp_norm(g, 2), rel=1e-12)
 
 
 @given(st.sampled_from([1, 1.5, 2, 3, 4]), st.sampled_from([2, 3, 4, 6, math.inf]))

@@ -85,23 +85,6 @@ def test_decay_csv():
     assert len(lines) == 5
 
 
-def test_gaposhkin_dynamical_decay_fit():
-    norms, model, slope, resid = tr.gaposhkin_decay_fit(1, range(1, 6))
-    assert resid < 0.1
-    assert np.all(np.diff(norms) < 0)
-
-
-def test_lnorm_vs_modulus_ratios(rng):
-    f = sine_series({2**k: 2.0 ** -(k / 2) for k in range(3, 9)})
-    ratios = tr.lnorm_vs_modulus(f, 6, 12)
-    assert np.all((ratios >= 0.25) & (ratios <= 4.0))
-
-
-def test_lnorm_vs_modulus_rejects_constant():
-    with pytest.raises(ValueError):
-        tr.lnorm_vs_modulus(FourierFunction({0: 1.0}), 2, 8)
-
-
 def test_ergodic_series_run_converging():
     f = sine_series({1: 1.0})
     coeffs = [1.0 / (k + 1) for k in range(256)]
