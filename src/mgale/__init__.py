@@ -5,7 +5,7 @@ Subpackages by theme:
 
   torus       grid / Fourier carriers on R/Z
   martingale  dyadic filtration, details, inequality audits
-  modulus     L^p modulus of continuity and summability criteria
+  modulus     L^p modulus of continuity, dyadic approximation audit
   dilated     series sum a_k f(n_k x), diagnostics, sharpness examples
   davenport   sum sin(2 pi m x)/m^lambda, Gram matrices, frame bounds
   transfer    doubling-map transfer operator and ergodic series

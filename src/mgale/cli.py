@@ -82,7 +82,6 @@ from .symbolic import (
     riesz_cylinder_integrals,
     riesz_potentials,
 )
-from .tails import TailModel
 from .torus import FourierFunction, GridFunction, sine_series
 from .transfer import ergodic_series_run
 
@@ -193,14 +192,21 @@ def _parse(schema: dict, raw, where: str) -> dict:
     return typed
 
 
-_NUMBER = _check(_is_number, "a finite number")
 _FLOAT = _check(_is_number, "a finite number", float)
 _STRING = _check(lambda v: isinstance(v, str), "a string")
 _COMPLEX = _check(lambda v: _is_number(v) or (isinstance(v, list) and len(v) == 2 and all(map(_is_number, v))),
                   "a number or a [re, im] pair", lambda v: complex(*v) if isinstance(v, list) else complex(v))
-_CHECKPOINTS = _list(_int(1))
 _EXPONENT = _check(lambda v: v == "inf" or _is_int(v) or (isinstance(v, float) and not math.isnan(v)),
                    "a number or \"inf\"", lambda v: math.inf if v == "inf" else v)
+
+
+def _checkpoints(v) -> list:
+    """A non-empty list of distinct integers >= 1: a repeated checkpoint
+    is one window twice, not a second point of the trend."""
+    cps = _list(_int(1))(v)
+    if len(set(cps)) < len(cps):
+        raise ConfigError(f"must not repeat a checkpoint, got {v!r}")
+    return cps
 
 
 def _generator(g) -> FourierFunction:
@@ -245,14 +251,6 @@ def _coeffs_for(rule, K: int) -> tuple:
     if len(rule) < K:
         raise ConfigError(f"coefficient list must hold at least {K} numbers, got {len(rule)}")
     return rule[:K]
-
-
-_TAIL = {
-    "kind": (_STRING, _REQUIRED),
-    "exponent": (_NUMBER, _REQUIRED),
-    "amplitude": (_NUMBER, 1.0),
-    "log_exponent": (_NUMBER, 0.0),
-}
 
 
 def _checkpoints_for(cps, length: int) -> list:
@@ -384,7 +382,7 @@ def _run_audit(config: ExperimentConfig) -> _Reports:
     "generator": (_generator, "sin"),
     "freqs": (freqs_from_rule, None),
     "coeffs": (_coeffs, "geom:0.5"),
-    "checkpoints": (_CHECKPOINTS, None),
+    "checkpoints": (_checkpoints, None),
     "sample_size": (_int(100), 200),
 })
 def _run_dilated(config: ExperimentConfig) -> _Reports:
@@ -445,24 +443,20 @@ def _run_davenport(config: ExperimentConfig) -> _Reports:
     "K": (_int(1), None),
     "f": (_generator, "sin"),
     "coeffs": (_coeffs, "geom:0.5"),
-    "checkpoints": (_CHECKPOINTS, None),
-    "tail": (lambda v: TailModel(**_parse(_TAIL, v, "tail")), None),
+    "checkpoints": (_checkpoints, None),
     "sample_size": (_int(100), 200),
 })
 def _run_ergodic(config: ExperimentConfig) -> _Reports:
     p = config.parameters
-    tail = p["tail"]
     if p["gaposhkin_m"] is not None:
         base = _gaposhkin(p)
         f, coeffs = base.generator, base.coeffs
-        if tail is None:  # the known decay shape of this construction
-            tail = TailModel("power_log", 1.0, 0.5, p["gaposhkin_m"])
     else:
         f, rule = p["f"], p["coeffs"]
         K = p["K"] if p["K"] is not None else (len(rule) if isinstance(rule, tuple) else 256)
         coeffs = _coeffs_for(rule, K)
     checkpoints = _checkpoints_for(p["checkpoints"], len(coeffs))
-    diag, decay = ergodic_series_run(f, coeffs, checkpoints, p["sample_size"], config.seed, tail)
+    diag, decay = ergodic_series_run(f, coeffs, checkpoints, p["sample_size"], config.seed)
     yield "ergodic_decay.csv", decay.to_csv(), True
     yield "ergodic_oscillation.csv", diag.to_csv() + f"# verdict={diag.verdict}\n", True
 
@@ -474,10 +468,10 @@ def _run_ergodic(config: ExperimentConfig) -> _Reports:
     "N": (_int(0), None),
     "J": (_int(0, 24), None),
     "k": (lambda v: _list(_check(_is_int, "an integer"))(v if isinstance(v, list) else [v]), None),
-    "count": (_int(0), 1000),
+    "count": (_int(0, 2**24), 1000),
     "fn": (_generator, "sin"),
     "coeffs": (_coeffs, "geom:0.5"),
-    "checkpoints": (_CHECKPOINTS, [1, 2, 4]),
+    "checkpoints": (_checkpoints, [1, 2, 4]),
     "sample_size": (_int(1), 500),
 })
 def _run_riesz(config: ExperimentConfig) -> _Reports:

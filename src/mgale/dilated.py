@@ -318,13 +318,17 @@ def oscillation_verdict(checkpoints, medians, scales=None) -> tuple[str, float]:
                    or  r >= 0.9 and slope >= -0.05      (stagnation),
                    or  rho[last] >= 1.5 * rho[first] and the fitted
                        slope of log rho is >= +0.05     (outruns l2)
-      inconclusive otherwise, slope reported for inspection
+      inconclusive otherwise, slope reported for inspection,
+                   and always (with slope 0.0) when fewer than two
+                   distinct checkpoints leave no trend to read
 
     The rule is one-sided by design: it produces divergence *evidence*,
     never a divergence claim.
     """
     med = np.asarray(medians, dtype=np.float64)
     cps = np.asarray(checkpoints, dtype=np.float64)
+    if np.unique(cps).size < 2:
+        return "inconclusive", 0.0
     if np.all(med <= 0):
         return "converging", -math.inf
     ref_idx = 0

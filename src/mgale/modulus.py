@@ -13,10 +13,6 @@ The factor-2 dyadic approximation bound
 holds verbatim for the grid modulus (the block-average proof only ever
 compares f against its translates by 0 <= t < 2^(J-n) ticks), so
 :func:`dyadic_approx_audit_all` is a universal audit: a failure is a bug.
-
-Summability criteria over infinite octave ranges take an explicit
-:class:`~mgale.tails.TailModel`; nothing about infinite tails is ever
-decided implicitly from a finite profile.
 """
 
 from __future__ import annotations
@@ -27,12 +23,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .martingale import AuditReport, _bound_report, _haar_means
-from .tails import TailModel
 from .torus import FourierFunction, GridFunction, _lp_norm_array
 
 __all__ = [
     "ModulusProfile",
-    "criterion_sqrt_n",
     "dyadic_approx_audit_all",
     "fourier_modulus_l2",
     "modulus_profile",
@@ -155,22 +149,6 @@ def dyadic_approx_audit_all(f: GridFunction, p) -> list[AuditReport]:
         rhs = 2.0 * omega[n]
         reports.append(_bound_report(lhs, rhs, 2.0, f"dyadic-approx[p={p},n={n}]"))
     return reports
-
-
-def criterion_sqrt_n(profile: ModulusProfile, p: float, tail: TailModel) -> float:
-    """Evaluate sum_{n >= 1} omega_p(2^-n, f) / n^(1/p).
-
-    The finite part comes from the profile; the infinite part from the
-    declared tail model (+inf when the model diverges).  A family whose
-    modulus is exhausted on the grid declares the zero-amplitude model
-    ``TailModel("geometric", 0.0, 0.5)``.
-    """
-    J = profile.source_resolution
-    ns = np.arange(1, J + 1)
-    partial = float((profile.values[1:] / ns ** (1.0 / p)).sum())
-    if not tail.series_converges(weight_exponent=1.0 / p):
-        return math.inf
-    return partial + tail.tail_sum(J + 1, weight_exponent=1.0 / p)
 
 
 def fourier_modulus_l2(

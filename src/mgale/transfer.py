@@ -105,17 +105,10 @@ def l2_norm_exact(f: FourierFunction) -> float:
 
 @dataclass(frozen=True)
 class TransferDecay:
-    """||L^n f||_2 for n = 0..N with the summability criterion values.
-
-    criterion_value  = sum_{n>=1} ||L^n f||_2 / sqrt(n)   (+ tail)
-    condensed_value  = sum_{l>=0} 2^(l/2) ||L^(2^l) f||_2 (+ tail)
-
-    The two are condensation-equivalent; both are reported.
-    """
+    """||L^n f||_2 for n = 0..N; the report adds the partial sums of
+    the criterion sum_{n>=1} ||L^n f||_2 / sqrt(n)."""
 
     norms: np.ndarray
-    criterion_value: float
-    condensed_value: float
 
     def to_csv(self) -> str:
         buf = io.StringIO()
@@ -128,42 +121,25 @@ class TransferDecay:
         return buf.getvalue()
 
 
-def transfer_decay(f: FourierFunction, N: int, tail: TailModel | None = None) -> TransferDecay:
+def transfer_decay(f: FourierFunction, N: int) -> TransferDecay:
     """Exact decay ||L^n f||_2 = (sum_m |f^(2^n m)|^2)^(1/2), n = 0..N.
 
     By Parseval and (L^n f)^(m) = f^(2^n m), ||L^n f||_2^2 is the sum of
     |c_m|^2 over the modes m of f with 2-adic valuation v_2(m) >= n.  One
     valuation pass v = v_2(m), clipped at N + 1, a bincount weighted by
-    |c_m|^2 and a reverse cumulative sum give every norm at once; the
-    norms vanish past N exactly when the N + 1 bin is empty.
+    |c_m|^2 and a reverse cumulative sum give every norm at once.  The
+    modes that outlive L^N keep their own bin N + 1, so each norm adds
+    the same terms in the same order whatever N is.
 
-    Requires zero mean.  The criterion sums use the declared tail model
-    past N (infinite when it diverges under weight 1/sqrt(n)); with no
-    model the norms must vanish identically beyond N, which happens
-    exactly when 2^N exceeds every frequency of f.  The condensed sum
-    is extended by sum_{2^l > N} 2^(l/2) u(2^l) under the model.
+    Requires zero mean.  Every norm is exact whether or not the norms
+    have vanished by N; nothing past N is computed or extrapolated.
     """
     if not f.has_zero_mean():
         raise ValueError("f must have zero mean")
     vals = np.array([min((m & -m).bit_length() - 1, N + 1) for m in f.coeffs], dtype=np.int64)
     weights = np.abs(np.array(list(f.coeffs.values()), dtype=np.complex128)) ** 2
     energy = np.bincount(vals, weights=weights, minlength=N + 2)[::-1].cumsum()[::-1]
-    norms = np.sqrt(energy[: N + 1])
-    vanished = energy[N + 1] == 0.0
-    if tail is None and not vanished:
-        raise ValueError("norms have not vanished by N; pass an explicit tail model")
-    crit = float(sum(norms[1:] / np.sqrt(np.arange(1, N + 1))))
-    cond = 0.0
-    ell = 0
-    while 2**ell <= N:
-        cond += 2.0 ** (ell / 2.0) * norms[2**ell]
-        ell += 1
-    if tail is not None:
-        if not tail.series_converges(weight_exponent=0.5):
-            return TransferDecay(norms, math.inf, math.inf)
-        crit += tail.tail_sum(N + 1, weight_exponent=0.5)
-        cond += tail.condensed_tail_sum(ell, weight_exponent=0.5)
-    return TransferDecay(norms, crit, cond)
+    return TransferDecay(np.sqrt(energy[: N + 1]))
 
 
 def ergodic_series_run(
@@ -172,22 +148,20 @@ def ergodic_series_run(
     checkpoints,
     sample_size: int,
     seed: int,
-    tail: TailModel | None = None,
 ) -> tuple[OscillationDiagnostic, TransferDecay]:
     """Oscillation diagnostic for sum_k a_k f(T^k x), T the doubling map.
 
     f(T^k x) = f(2^k x mod 1), so the run delegates to the dilated
-    engine with n_k = 2^k (exact dyadic sampling); the transfer-decay
-    criterion report is attached.
+    engine with n_k = 2^k (exact dyadic sampling); the exact transfer
+    decay is attached.
     """
     coeffs = tuple(coeffs)
     spec = SeriesSpec(coeffs, tuple(2**k for k in range(len(coeffs))), f)
     diag = oscillation_diagnostic(spec, checkpoints, sample_size, seed, label="ergodic-doubling")
-    # enough L-steps to exhaust the spectrum, capped so lacunary
-    # generators with astronomically high modes need a tail model
+    # enough L-steps to exhaust the spectrum, capped at 40 for lacunary
+    # generators with astronomically high modes
     n_dec = max(8, min(40, f.max_frequency.bit_length() + 1))
-    decay = transfer_decay(f, n_dec, tail)
-    return diag, decay
+    return diag, transfer_decay(f, n_dec)
 
 
 def decreasing_criteria(

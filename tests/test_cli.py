@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 
 from mgale import cli
+from mgale.transfer import l2_norm_exact, transfer_power
 
 
 def write_config(tmp_path, raw):
@@ -314,12 +315,13 @@ def test_riesz_sample_aliasing_is_config_error(tmp_path):
     ("riesz", {"action": "series", "lambdas": [1, 3, 9, 27, 81], "cs": [0.5] * 5, "N": 3, "checkpoints": [1, 8]}),
     ("riesz", {"action": "series", "lambdas": [1, 3, 9], "cs": [0.5] * 3}),
     ("riesz", {"action": "coeff", "lambdas": [1, 3, 9], "cs": [0.5] * 3, "N": 3}),
-    # tails: an unknown kind, no exponent, a non-number, a negative amplitude
-    ("ergodic", {"K": 64, "tail": {"kind": "cubic", "exponent": 2.0}}),
-    ("ergodic", {"K": 64, "tail": {"kind": "power"}}),
-    ("ergodic", {"K": 64, "tail": {"kind": "power", "exponent": "2"}}),
-    ("ergodic", {"K": 64, "tail": {"kind": "power", "exponent": 2.0, "amplitude": -1.0}}),
-    ("ergodic", {"K": 64, "tail": "power"}),
+    # a tail object (no longer a key: no report reads it), a repeated
+    # checkpoint, an empty checkpoint list and a checkpoint past K
+    ("ergodic", {"K": 64, "tail": {"kind": "power", "exponent": 2.0}}),
+    ("ergodic", {"K": 64, "checkpoints": [16, 16]}),
+    ("ergodic", {"K": 64, "checkpoints": [32, 16, 32]}),
+    ("ergodic", {"K": 64, "checkpoints": []}),
+    ("ergodic", {"K": 64, "checkpoints": [16, 65]}),
     # coefficient rules: a ratio missing or unreadable, an unknown rule,
     # a stray argument, a list too short or holding a non-number
     ("dilated", {"K": 64, "coeffs": "geom"}),
@@ -386,6 +388,9 @@ def test_riesz_sample_aliasing_is_config_error(tmp_path):
     ("symbolic", {"lambdas": "pow:3:30000"}),
     # a series generator whose alias-free hypothesis grid passes 2^16 points
     ("riesz", {"action": "series", "lambdas": [1, 3, 9, 27], "cs": [0.5] * 4, "fn": {"32768": 1.0}}),
+    # a repeated checkpoint is one window twice, not a second trend point
+    ("dilated", {"K": 64, "checkpoints": [16, 16]}),
+    ("riesz", {"action": "series", "lambdas": "pow:3:4", "cs": [0.5] * 5, "checkpoints": [2, 2]}),
 ])
 def test_series_kind_parameters_are_config_errors(tmp_path, kind, params):
     assert run_raw(tmp_path, {"kind": kind, "parameters": params}) == 2
@@ -393,8 +398,8 @@ def test_series_kind_parameters_are_config_errors(tmp_path, kind, params):
 
 
 @pytest.mark.parametrize("kind, params", [
-    ("ergodic", {"coeffs": [0.5**k for k in range(1, 65)], "tail": {"kind": "power", "exponent": 2.0}}),
-    ("ergodic", {"K": 64, "coeffs": "invpow:1.5", "tail": {"kind": "geometric", "exponent": 0.5}}),
+    ("ergodic", {"coeffs": [0.5**k for k in range(1, 65)]}),
+    ("ergodic", {"K": 64, "coeffs": "invpow:1.5"}),
     ("dilated", {"K": 64, "coeffs": [1.0 / k for k in range(1, 100)]}),
     ("riesz", {"action": "series", "lambdas": [1, 3, 9, 27], "cs": [0.5] * 4, "coeffs": [0.5, 0.25, 0.125, 0.0625]}),
     ("dilated", {"K": 64, "generator": "davenport:0.75:16"}),
@@ -451,6 +456,38 @@ def test_davenport_generator_past_2_20_modes_is_config_error(monkeypatch, M, acc
         with pytest.raises(cli.ConfigError, match="2\\^20"):
             cli.validate_config(raw)
     assert built == ([M] if accepted else [])
+
+
+@pytest.mark.parametrize("count, accepted", [(2**24, True), (2**24 + 1, False)])
+def test_riesz_sample_count_past_2_24_is_config_error(count, accepted):
+    raw = {"kind": "riesz", "parameters": {"action": "sample", "lambdas": "pow:3:3", "cs": [0.5] * 4, "count": count}}
+    if accepted:
+        assert cli.validate_config(raw).parameters["count"] == count
+    else:
+        with pytest.raises(cli.ConfigError, match="count"):
+            cli.validate_config(raw)
+
+
+@pytest.mark.parametrize("kind, params, report", [
+    ("dilated", {"K": 64, "checkpoints": [16]}, "dilated_oscillation.csv"),
+    ("ergodic", {"K": 64, "checkpoints": [16]}, "ergodic_oscillation.csv"),
+    ("riesz", {"action": "series", "lambdas": "pow:3:4", "cs": [0.5] * 5, "checkpoints": [2]}, "riesz_series.csv"),
+])
+def test_a_single_checkpoint_gives_an_inconclusive_verdict(tmp_path, kind, params, report):
+    # one window shows no trend: the geometric default a_k = 2^-k is not "diverging"
+    params = dict(params, sample_size=100)
+    assert run_raw(tmp_path, {"kind": kind, "parameters": params}) == 0
+    assert body_of(tmp_path / "out" / report).splitlines()[-1].startswith("# verdict=inconclusive")
+
+
+def test_ergodic_decay_of_a_mode_past_2_40_is_exact(tmp_path):
+    # sin(2 pi 2^50 x): L^n f keeps its norm for n <= 40 = the L-steps run
+    f = {"1125899906842624": [0.0, -0.5], "-1125899906842624": [0.0, 0.5]}
+    assert run_raw(tmp_path, {"kind": "ergodic", "parameters": {"f": f, "K": 64}}) == 0
+    rows = [r.split(",") for r in body_of(tmp_path / "out" / "ergodic_decay.csv").splitlines()[1:]]
+    assert [int(r[0]) for r in rows] == list(range(41))
+    fourier = cli._generator(f)
+    assert [float(r[1]) for r in rows] == [l2_norm_exact(transfer_power(fourier, n)) for n in range(41)]
 
 
 def test_reports_yielded_before_a_raise_stay_beside_the_marker(tmp_path, monkeypatch):

@@ -185,6 +185,13 @@ def test_verdict_rules_unit():
     assert dl.oscillation_verdict(cps, med, med)[0] == "inconclusive"
 
 
+@pytest.mark.parametrize("cps, med", [([16], [0.3]), ([16, 16], [0.3, 0.2]), ([16], [0.0]), ([8, 8, 8], [1.0, 2.0, 3.0])])
+def test_verdict_needs_two_distinct_checkpoints(cps, med):
+    # one window has no trend: neither "monotone" nor "stagnation" applies
+    assert dl.oscillation_verdict(cps, med) == ("inconclusive", 0.0)
+    assert dl.oscillation_verdict(cps, med, [0.1] * len(cps)) == ("inconclusive", 0.0)
+
+
 # -------------------------------------------------------- contraction
 
 def test_contraction_sine_full_periods():

@@ -6,7 +6,6 @@ import pytest
 from conftest import block_average, random_trig_poly
 from mgale import modulus as mo
 from mgale.martingale import cond_exp
-from mgale.tails import TailModel
 from mgale.torus import GridFunction, _lp_norm_array, lp_norm, render, sine_series
 
 
@@ -100,28 +99,6 @@ def test_dyadic_approx_never_fails_on_noise(rng):
     g = GridFunction(9, arr, "real")
     for rep in mo.dyadic_approx_audit_all(g, math.inf):
         assert rep.passed
-
-
-def test_criterion_geometric_tail_finite():
-    prof = mo.modulus_profile(render(sine_series({1: 1.0}), 12), 2)
-    # omega_2(2^-n, sin) = sqrt(2) sin(pi 2^-n) <= sqrt(2) pi 2^-n
-    tail = TailModel("geometric", math.sqrt(2) * math.pi, 0.5)
-    val = mo.criterion_sqrt_n(prof, 2, tail)
-    assert math.isfinite(val) and val > 0
-
-
-def test_criterion_power_log_divergence():
-    # omega(2^-n) ~ 1/(sqrt(n) log n): the weighted series diverges
-    ns = np.arange(0, 13)
-    vals = 1.0 / (np.sqrt(np.maximum(ns, 1)) * np.maximum(1.0, np.log(np.maximum(ns, 2))))
-    prof = mo.ModulusProfile(2, vals, 12)
-    tail = TailModel("power_log", 1.0, 0.5, 1.0)
-    assert mo.criterion_sqrt_n(prof, 2, tail) == math.inf
-
-
-def test_criterion_zero_function():
-    prof = mo.ModulusProfile(2, np.zeros(11), 10)
-    assert mo.criterion_sqrt_n(prof, 2, TailModel("geometric", 0.0, 0.5)) == 0.0
 
 
 def test_grid_refinement_stability(rng):
