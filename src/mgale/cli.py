@@ -392,6 +392,8 @@ def _run_dilated(config: ExperimentConfig) -> _Reports:
     else:
         K = 64 if p["K"] is None else p["K"]
         freqs = tuple([2**k for k in range(K)] if p["freqs"] is None else p["freqs"])[:K]
+        if p["K"] is not None and len(freqs) < K:
+            raise ConfigError(f"dilated K={K} exceeds the {len(freqs)} frequencies of freqs")
         try:
             spec = SeriesSpec(_coeffs_for(p["coeffs"], len(freqs)), freqs, p["generator"])
         except ValueError as exc:
@@ -453,6 +455,8 @@ def _run_ergodic(config: ExperimentConfig) -> _Reports:
         f, coeffs = base.generator, base.coeffs
     else:
         f, rule = p["f"], p["coeffs"]
+        if not f.has_zero_mean():
+            raise ConfigError("ergodic f: generator must have zero mean")
         K = p["K"] if p["K"] is not None else (len(rule) if isinstance(rule, tuple) else 256)
         coeffs = _coeffs_for(rule, K)
     checkpoints = _checkpoints_for(p["checkpoints"], len(coeffs))

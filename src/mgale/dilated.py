@@ -1,20 +1,13 @@
-"""Dilated series sum_k a_k f(n_k x): partial sums, maximal functions,
-oscillation diagnostics, contraction audits and the lacunary criteria.
+"""Dilated series sum_k a_k f(n_k x): oscillation diagnostics and
+contraction audits.
 
-Two evaluation paths coexist:
-
-  * grid path (partial_sums / maximal_function): renders every dilate on
-    the 2^J grid; exact but limited to n_k * deg(f) below the aliasing
-    threshold 2^(J-1), past which the render raises AliasingError.
-
-  * exact-point path (oscillation_diagnostic, divergence probes): the
-    sample points are random dyadic rationals X/2^R with R large enough
-    that frac(n_k x) is exact for every frequency in play.  float64
-    points would be useless here: a 53-bit x collapses to 0 under
-    x -> 2x mod 1 after 53 steps, so any diagnostic sampled at machine
-    floats sees lacunary tails that are identically zero.  Sampling at
-    R ~ log2(max n_k * deg f) + 64 bits is uniform sampling on a grid
-    fine enough that the orbit never degenerates.
+Partial sums are evaluated at exact points: the sample points are random
+dyadic rationals X/2^R with R large enough that frac(n_k x) is exact for
+every frequency in play.  float64 points would be useless here: a 53-bit
+x collapses to 0 under x -> 2x mod 1 after 53 steps, so any diagnostic
+sampled at machine floats sees lacunary tails that are identically zero.
+Sampling at R ~ log2(max n_k * deg f) + 64 bits is uniform sampling on a
+grid fine enough that the orbit never degenerates.
 
 Divergence is never declared: the strongest verdict an oscillation
 diagnostic emits is a "diverging" trend, and the exact decision rule is
@@ -30,21 +23,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .martingale import AuditReport, _bound_report, _haar_means
-from .modulus import ModulusProfile, modulus_profile
-from .tails import TailModel
-from .torus import (
-    FourierFunction,
-    GridFunction,
-    _lp_norm_array,
-    dilate,
-    render,
-    sine_series,
-)
+from .torus import FourierFunction, _lp_norm_array, dilate, render, sine_series
 
 __all__ = [
-    "DivergenceProbeResult",
     "GENERAL_PATH_MAX_MODE",
-    "LacunaryCriteriaResult",
     "OscillationDiagnostic",
     "SeriesSpec",
     "contraction_audit",
@@ -53,16 +35,11 @@ __all__ = [
     "gaposhkin_example",
     "gaposhkin_modulus_fit",
     "iterated_log",
-    "lacunarity_ratio",
     "loglog_model_fit",
-    "maximal_function",
-    "divergence_probe",
     "oscillation_diagnostic",
     "oscillation_verdict",
-    "partial_sums",
     "sample_dyadic_points",
     "series_values_at_points",
-    "lacunary_criteria",
 ]
 
 
@@ -100,53 +77,9 @@ class SeriesSpec:
     def length(self) -> int:
         return len(self.coeffs)
 
-    def coeffs_real(self) -> np.ndarray:
-        return np.array([a.real for a in self.coeffs])
-
-
-def lacunarity_ratio(freqs) -> float:
-    """inf_k n_{k+1} / n_k; Hadamard lacunary means ratio > 1."""
-    freqs = list(freqs)
-    if len(freqs) < 2:
-        raise ValueError("need at least two frequencies")
-    return min(b / a for a, b in zip(freqs, freqs[1:]))
-
 
 # --------------------------------------------------------------------------
-# grid path
-# --------------------------------------------------------------------------
-
-def partial_sums(spec: SeriesSpec, N: int, J: int) -> list[GridFunction]:
-    """S_0..S_N on the 2^J grid, S_n = sum_{k<=n} a_k f(n_k x).
-
-    Any dilated frequency at or beyond 2^(J-1) raises AliasingError.
-    """
-    if N >= spec.length:
-        raise ValueError(f"N={N} exceeds the spec length {spec.length}")
-    out = []
-    running = np.zeros(2**J, dtype=np.complex128)
-    real = spec.generator.is_real_valued() and all(
-        abs(a.imag) == 0.0 for a in spec.coeffs[: N + 1]
-    )
-    for k in range(N + 1):
-        g = render(dilate(spec.generator, spec.freqs[k]), J)
-        running = running + spec.coeffs[k] * g.samples.astype(np.complex128)
-        samples = running.real if real else running
-        out.append(GridFunction(J, samples, "real" if real else "complex"))
-    return out
-
-
-def maximal_function(spec: SeriesSpec, N: int, J: int) -> GridFunction:
-    """Pointwise max_{0<=n<=N} |S_n| on the grid."""
-    best = None
-    for s in partial_sums(spec, N, J):
-        a = np.abs(s.samples)
-        best = a if best is None else np.maximum(best, a)
-    return GridFunction(J, best, "real")
-
-
-# --------------------------------------------------------------------------
-# exact-point path
+# exact-point evaluation
 # --------------------------------------------------------------------------
 
 def sample_dyadic_points(count: int, bits: int, seed: int):
@@ -457,131 +390,6 @@ def contraction_refined_audit(f: FourierFunction, m: int, n: int, J: int) -> Aud
 
 
 # --------------------------------------------------------------------------
-# lacunary criteria
-# --------------------------------------------------------------------------
-
-def _split_per_octave(spec: SeriesSpec) -> list[SeriesSpec]:
-    """Split a spec so each sub-spec has at most one term per octave.
-
-    Mirrors the standard reduction for lacunarity ratios below 2: the
-    j-th sub-spec collects the terms that are j-th within their octave.
-    """
-    slot: dict[int, int] = {}
-    buckets: dict[int, list[int]] = {}
-    for k, nk in enumerate(spec.freqs):
-        octave = nk.bit_length() - 1
-        j = slot.get(octave, 0)
-        slot[octave] = j + 1
-        buckets.setdefault(j, []).append(k)
-    out = []
-    for j in sorted(buckets):
-        idx = buckets[j]
-        out.append(
-            SeriesSpec(
-                tuple(spec.coeffs[k] for k in idx),
-                tuple(spec.freqs[k] for k in idx),
-                spec.generator,
-            )
-        )
-    return out
-
-
-@dataclass(frozen=True)
-class LacunaryCriteriaResult:
-    """The two lacunary-criteria sums over the finite family (higher and
-    lower order details), the lacunarity ratio inf n_{k+1}/n_k, and
-    whether both infinite series converge under the declared tail model."""
-
-    higher_sum: float
-    lower_sum: float
-    ratio: float
-    converges: bool
-
-
-def lacunary_criteria(
-    spec: SeriesSpec,
-    p: float,
-    J: int,
-    profile: ModulusProfile | None = None,
-    tail: TailModel | None = None,
-) -> LacunaryCriteriaResult:
-    """Evaluate the two lacunary-criteria sums for a dilated series.
-
-    With m_k = floor(log2 n_k), the higher-detail sum weighs
-    omega_p(n_k / 2^(m_{k + 2^l}), f) and the lower-detail sum the
-    contraction bound 2^(m_{k+1-2^l}) / n_k; the modulus values come
-    from ``profile``, with ``tail`` extending it past the grid.  Without
-    a profile it is computed at resolution J, which raises AliasingError
-    when the generator has a mode at or past 2^(J-1).  Both sums are
-    finite; converges is decided from the tail model, not from the
-    finite prefix.
-    """
-    if p <= 1:
-        raise ValueError("p must be > 1")
-    ratio = lacunarity_ratio(spec.freqs)
-    if ratio <= 1:
-        raise ValueError("frequencies are not lacunary (ratio <= 1)")
-    parts = [spec] if ratio >= 2 else _split_per_octave(spec)
-    if profile is None:
-        profile = modulus_profile(render(spec.generator, J), p)
-    pp = min(2.0, p)
-
-    def omega_octave(n: float) -> float:
-        """omega_p at scale 2^-n: profile lookup, tail model past the grid."""
-        n = max(0, int(math.floor(n)))
-        if n <= profile.source_resolution:
-            return float(profile.values[n])
-        if tail is not None:
-            return min(float(profile.values[-1]), float(tail.value(n)))
-        return float(profile.values[-1])
-
-    # generator scale for the lower-detail sum: exact Parseval at p = 2,
-    # else the norm of the alias-free truncation (a scale factor only)
-    if p == 2:
-        fnorm = math.sqrt(sum(abs(c) ** 2 for c in spec.generator.coeffs.values()))
-    else:
-        band = FourierFunction(
-            {m: c for m, c in spec.generator.coeffs.items() if 2 * abs(m) < 2**J}
-        )
-        fnorm = float(_lp_norm_array(render(band, J).samples, p))
-
-    def log2_int(n: int) -> float:
-        s = max(0, n.bit_length() - 53)
-        return math.log2(n >> s) + s
-
-    s1 = s2 = 0.0
-    for part in parts:
-        K = part.length
-        mks = np.array([n.bit_length() - 1 for n in part.freqs], dtype=np.float64)
-        log2n = np.array([log2_int(n) for n in part.freqs])
-        amps = np.array([abs(a) for a in part.coeffs])
-        ell = 0
-        while 2**ell <= K:
-            step = 2**ell
-            if step < K:
-                idx = np.arange(0, K - step)
-                # delta = n_k / 2^(m_{k+step}) handled in log2 space so
-                # astronomically large dyadic frequencies stay finite
-                dlog = log2n[idx] - mks[idx + step]
-                om = np.array([omega_octave(-d) for d in dlog])
-                inner = float(np.sum(amps[idx] ** pp * om**pp))
-                if inner > 0:
-                    s1 += 2.0 ** (ell * (1 - 1 / p)) * inner ** (1 / pp)
-            idx2 = np.arange(step, K)
-            blog = mks[idx2 + 1 - step] - log2n[idx2]
-            bound = np.exp2(np.minimum(blog, 0.0))
-            inner2 = float(np.sum(amps[idx2] ** pp * bound**pp))
-            if inner2 > 0:
-                s2 += 2.0 ** (ell * (1 - 1 / p)) * inner2 ** (1 / pp) * fnorm
-            ell += 1
-    # infinite-family verdict from the declared tail shape: the ell-sums
-    # converge iff sum_n omega(2^-n) n^(-1/p) does (no model: the finite
-    # family is exhausted)
-    converges = tail is None or tail.series_converges(weight_exponent=1.0 / p)
-    return LacunaryCriteriaResult(s1, s2, ratio, converges)
-
-
-# --------------------------------------------------------------------------
 # sharpness example
 # --------------------------------------------------------------------------
 
@@ -664,72 +472,3 @@ def gaposhkin_example(m: int, K: int) -> SeriesSpec:
     amps = {2**k: 1.0 / denom_gen[k - 1] for k in range(1, K + 1)}
     a = gaposhkin_coefficients(m, K)
     return SeriesSpec(tuple(a), tuple(2**k for k in range(1, K + 1)), sine_series(amps))
-
-
-# --------------------------------------------------------------------------
-# anti-concentration probe
-# --------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class DivergenceProbeResult:
-    """Per checkpoint N, the estimated probability
-    P((S*_N)^2 >= D/2 sum_{k<=N} |a_k|^2) and its Paley-Zygmund floor,
-    with the verdict drawn from them."""
-
-    checkpoints: tuple
-    probability: np.ndarray
-    pz_floor: np.ndarray
-    verdict: str
-    sample_size: int
-    seed: int
-    label: str
-
-
-def divergence_probe(
-    spec: SeriesSpec,
-    p: float,
-    riesz_lower: float,
-    checkpoints,
-    seed: int,
-) -> DivergenceProbeResult:
-    """Monte Carlo non-convergence evidence for non-square-summable a.
-
-    Estimates P( (S*_N)^2 >= lam * D * sum_{k<=N} |a_k|^2 ) at lam = 1/2
-    with D = riesz_lower^2 from 200 seeded sample points, per checkpoint
-    N, beside the Paley-Zygmund floor computed from the empirical q-norm
-    with q = p/2.  Verdict "diverging" when the probability never drops
-    below half its floor and stays positive.
-    """
-    if p <= 2:
-        raise ValueError("the probe needs p > 2")
-    if riesz_lower <= 0:
-        raise ValueError("riesz_lower must be positive")
-    checkpoints = sorted(int(c) for c in checkpoints)
-    amps = np.array([abs(a) for a in spec.coeffs])
-    tail_growth = (amps[: checkpoints[-1]] ** 2).sum() / max((amps[: checkpoints[0]] ** 2).sum(), 1e-300)
-    if tail_growth < 1.5:
-        raise ValueError("sum |a_k|^2 must keep growing over the checkpoint range")
-    sums = _sampled_partial_sums(spec, checkpoints[-1], 200, seed)
-    running_max = np.maximum.accumulate(np.abs(sums), axis=1)
-    lam = 0.5
-    d = riesz_lower**2
-    q = p / 2.0
-    probs, floors = [], []
-    for cp in checkpoints:
-        z = running_max[:, cp - 1] ** 2
-        threshold = lam * d * float((amps[:cp] ** 2).sum())
-        probs.append(float((z >= threshold).mean()))
-        ez = float(z.mean())
-        znorm = float((z**q).mean() ** (1 / q))
-        floors.append(((1 - lam) * ez / znorm) ** (q / (q - 1)) if znorm > 0 else 0.0)
-    probs_arr, floors_arr = np.array(probs), np.array(floors)
-    ok = bool(np.all(probs_arr >= 0.5 * floors_arr) and np.all(probs_arr > 0))
-    return DivergenceProbeResult(
-        tuple(checkpoints),
-        probs_arr,
-        floors_arr,
-        "diverging" if ok else "inconclusive",
-        sums.shape[0],
-        seed,
-        f"divergence-probe[p={p},D={d:.4g}]",
-    )

@@ -27,7 +27,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tails import TailModel
 from .torus import GridFunction, _lp_norm_array
 
 __all__ = [
@@ -36,7 +35,6 @@ __all__ = [
     "CENTERING_TOL",
     "bounded_deltas",
     "cond_exp",
-    "condensation_equivalent",
     "decompose",
     "detail",
     "doob_audit_batch",
@@ -354,33 +352,8 @@ def bounded_moment_audits(
 
 
 # --------------------------------------------------------------------------
-# condensation and Paley-Zygmund
+# Paley-Zygmund
 # --------------------------------------------------------------------------
-
-def condensation_equivalent(
-    u: np.ndarray, K: float, tail: TailModel
-) -> tuple[bool, bool]:
-    """Flags (sum u_n converges, sum 2^l u_{2^l} converges) from the model.
-
-    The finite prefix ``u`` is checked against the hypothesis
-    u_{n+m} <= K u_n; under that hypothesis the two flags must agree,
-    which is asserted here.
-    """
-    u = np.asarray(u, dtype=np.float64)
-    if u.size == 0 or np.any(u <= 0):
-        raise ValueError("u must be a nonempty positive sequence")
-    if tail is None:
-        raise ValueError("a declared tail model is required")
-    running_min = np.minimum.accumulate(u)
-    hypothesis_ok = bool(np.all(u <= K * running_min + 1e-15))
-    plain = tail.series_converges()
-    condensed = tail.condensed_converges()
-    if hypothesis_ok and plain != condensed:
-        raise AssertionError(
-            "condensation flags disagree under a valid hypothesis; tail model is inconsistent"
-        )
-    return plain, condensed
-
 
 def paley_zygmund_audit(values, probabilities, lam: float, q: float) -> AuditReport:
     """Exact check of P(Z >= lam * E Z) >= ((1-lam) E Z / ||Z||_q)^(q/(q-1)).

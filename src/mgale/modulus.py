@@ -163,10 +163,7 @@ def fourier_modulus_l2(
     them away.
     """
     if f.max_frequency >= 2**52:
-        raise ValueError(
-            "frequencies beyond float range; compute the modulus on a "
-            "truncated generator and model the removed tail explicitly"
-        )
+        raise ValueError("frequencies beyond float range; compute the modulus on a truncated generator")
     ms = np.array(f.frequencies, dtype=np.float64)
     w = np.array([4.0 * abs(f.coeffs[int(m)]) ** 2 for m in ms])
     deltas = np.asarray(list(deltas), dtype=np.float64)

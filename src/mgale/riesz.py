@@ -68,11 +68,6 @@ class RieszProductSpec:
     def depth(self) -> int:
         return len(self.lambdas)
 
-    @property
-    def strictly_contractive(self) -> bool:
-        """sup_n |c_n| < 1, the hypothesis of the lacunary-series theorem."""
-        return max(abs(c) for c in self.cs) < 1.0
-
 
 def riesz_partial_density(spec: RieszProductSpec, N: int, J: int) -> GridFunction:
     """P_N on the 2^J grid; nonnegative with grid mean exactly 1.

@@ -27,12 +27,10 @@ import numpy as np
 
 from .dilated import OscillationDiagnostic, SeriesSpec, oscillation_diagnostic
 from .martingale import AuditReport
-from .tails import TailModel
-from .torus import FourierFunction, GridFunction, _lp_norm_array, render
+from .torus import FourierFunction, GridFunction, render
 
 __all__ = [
     "TransferDecay",
-    "decreasing_criteria",
     "duality_audit",
     "ergodic_series_run",
     "l2_norm_exact",
@@ -163,55 +161,3 @@ def ergodic_series_run(
     n_dec = max(8, min(40, f.max_frequency.bit_length() + 1))
     return diag, transfer_decay(f, n_dec)
 
-
-def decreasing_criteria(
-    Z: list[FourierFunction],
-    p: float,
-    J: int | None = None,
-    tail: TailModel | None = None,
-) -> tuple[float, float]:
-    """Criteria sums for the decreasing filtration B_m = T^(-m) B.
-
-    Z_n is the (coefficient-space) function whose n-th series term is
-    Z_n o T^n; the family is adapted, so the higher-order-detail sum is
-    identically zero and only
-
-        sum_l 2^(l(1-1/p)) ( sum_n ||L^(2^l - 1) Z_n||_p^p' )^(1/p')
-
-    remains (|| . ||_p via exact coefficients at p = 2, via a J-grid
-    render otherwise, which raises AliasingError for a mode at or past
-    2^(J-1); p' = min(2, p)).  Finite Fourier support makes
-    every L-power vanish eventually, so the l-sum terminates exactly;
-    the declared tail model extends the l-sum for the idealized
-    infinite family (returns inf when it diverges under weight
-    1 - 1/p in condensed form).
-    """
-    if p <= 1:
-        raise ValueError("p must be > 1")
-    for z in Z:
-        if not z.has_zero_mean():
-            raise ValueError("every Z_n must have zero mean (E_infty Z = 0)")
-    pp = min(2.0, p)
-
-    def norm_p(g: FourierFunction) -> float:
-        if p == 2:
-            return l2_norm_exact(g)
-        if J is None:
-            raise ValueError("p != 2 requires a grid resolution J")
-        return float(_lp_norm_array(render(g, J).samples, p))
-
-    s2 = 0.0
-    ell = 0
-    while True:
-        power = 2**ell - 1
-        inner = sum(norm_p(transfer_power(z, power)) ** pp for z in Z)
-        if inner == 0.0:
-            break
-        s2 += 2.0 ** (ell * (1 - 1 / p)) * inner ** (1 / pp)
-        ell += 1
-        if 2**ell - 1 > max(max((z.max_frequency for z in Z), default=1).bit_length() + 1, 4):
-            break
-    # by condensation the modeled l-sum converges iff sum_n u_n / n^(1/p) does
-    if tail is not None and not tail.series_converges(weight_exponent=1.0 / p):
-        s2 = math.inf
-    return 0.0, s2

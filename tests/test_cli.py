@@ -1,3 +1,4 @@
+import importlib
 import json
 import re
 from pathlib import Path
@@ -391,6 +392,9 @@ def test_riesz_sample_aliasing_is_config_error(tmp_path):
     # a repeated checkpoint is one window twice, not a second trend point
     ("dilated", {"K": 64, "checkpoints": [16, 16]}),
     ("riesz", {"action": "series", "lambdas": "pow:3:4", "cs": [0.5] * 5, "checkpoints": [2, 2]}),
+    # a generator with non-zero mean, and an explicit K past the frequencies
+    ("ergodic", {"f": {"0": 1.0, "1": 0.5, "-1": 0.5}, "K": 64}),
+    ("dilated", {"K": 100, "freqs": "pow:3:20"}),
 ])
 def test_series_kind_parameters_are_config_errors(tmp_path, kind, params):
     assert run_raw(tmp_path, {"kind": kind, "parameters": params}) == 2
@@ -536,6 +540,16 @@ def test_readme_json_configs_validate():
     assert len(blocks) >= 4
     for block in blocks:
         cli.validate_config(json.loads(block))
+
+
+def test_readme_module_names_resolve():
+    # every backticked `mgale.<module>` or `mgale.<module>.<name>` names a live object
+    names = re.findall(r"`mgale\.(\w+)(?:\.(\w+))?`", README.read_text())
+    assert names
+    for module, name in names:
+        mod = importlib.import_module(f"mgale.{module}")
+        if name:
+            getattr(mod, name)
 
 
 def _readme_key_tables() -> dict:

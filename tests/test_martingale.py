@@ -5,9 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import block_average, random_grid, random_trig_poly
+from conftest import block_average, random_grid
 from mgale import martingale as mg
-from mgale.tails import TailModel
 from mgale.torus import GridFunction, lp_norm, render, sine_series
 
 
@@ -466,21 +465,7 @@ def test_bounded_moments_margin_grows_like_sqrt_p(rng):
     assert 0.3 < slope < 0.7  # trend check only: rhs ~ 2 K_p Delta ~ sqrt(p)
 
 
-# ----------------------------------------------- condensation / paley-zygmund
-
-def test_condensation_examples():
-    n = np.arange(1, 200, dtype=np.float64)
-    assert mg.condensation_equivalent(1 / n**2, 1.0, TailModel("power", 1.0, 2.0)) == (True, True)
-    u = 1 / (n * np.maximum(1, np.log(n)) ** 2)
-    assert mg.condensation_equivalent(u, 2.0, TailModel("power_log", 1.0, 1.0, 2.0)) == (True, True)
-    v = 1 / (n * np.maximum(1, np.log(n)))
-    assert mg.condensation_equivalent(v, 2.0, TailModel("power_log", 1.0, 1.0, 1.0)) == (False, False)
-
-
-def test_condensation_requires_model():
-    with pytest.raises(ValueError):
-        mg.condensation_equivalent(np.ones(5), 1.0, None)
-
+# ---------------------------------------------------------- paley-zygmund
 
 def test_paley_zygmund_constant():
     # bound in lhs, exact probability in rhs (uniform lhs <= rhs layout)

@@ -5,8 +5,7 @@ import pytest
 
 from conftest import random_trig_poly
 from mgale import transfer as tr
-from mgale.dilated import gaposhkin_coefficients, gaposhkin_example
-from mgale.tails import TailModel
+from mgale.dilated import gaposhkin_example
 from mgale.torus import FourierFunction, sine_series
 
 
@@ -90,46 +89,6 @@ def test_ergodic_series_zero_coeffs():
     assert np.all(diag.median == 0)
 
 
-def test_decreasing_criteria_sine_single_term():
-    Z = [sine_series({1: 0.5}) for _ in range(4)]
-    s1, s2 = tr.decreasing_criteria(Z, 2)
-    assert s1 == 0.0
-    assert s2 == pytest.approx(math.sqrt(4 * (0.5 / math.sqrt(2)) ** 2), rel=1e-12)
-
-
-def test_decreasing_criteria_identity_with_weights():
-    # || E_{n + 2^l - 1} (a_n f o T^n) ||_2 = |a_n| ||L^(2^l - 1) f||_2
-    f = sine_series({2**k: 2.0**-k for k in range(1, 8)})
-    a = [0.7, -0.3, 0.2]
-    Z = [FourierFunction({m: an * c for m, c in f.coeffs.items()}) for an in a]
-    s1, s2 = tr.decreasing_criteria(Z, 2)
-    expected = 0.0
-    ell = 0
-    while True:
-        g = f
-        for _ in range(2**ell - 1):
-            g = tr.transfer_apply(g)
-        norm = tr.l2_norm_exact(g)
-        if norm == 0.0:
-            break
-        expected += 2.0 ** (ell / 2) * norm * math.sqrt(sum(abs(x) ** 2 for x in a))
-        ell += 1
-    assert s2 == pytest.approx(expected, rel=1e-12)
-
-
-def test_decreasing_criteria_gaposhkin_tail_infinite():
-    # fitted tail of sup_n ||L^n Z||_2 for the near-critical example:
-    # power 1/2 with a single log, divergent under weight 1/2
-    Z = [sine_series({2: 1.0})]
-    s1, s2 = tr.decreasing_criteria(Z, 2, tail=TailModel("power_log", 1.0, 0.5, 1.0))
-    assert s2 == math.inf
-
-
-def test_decreasing_criteria_rejects_nonzero_mean():
-    with pytest.raises(ValueError):
-        tr.decreasing_criteria([FourierFunction({0: 1.0})], 2)
-
-
 def test_ergodic_series_run_gaposhkin_dynamical():
     # the doubling-map realization of the near-critical exhibit: the
     # oscillation trend is diverging, and the attached decay holds the
@@ -142,7 +101,7 @@ def test_ergodic_series_run_gaposhkin_dynamical():
     np.testing.assert_allclose(dec.norms, expected, rtol=1e-13, atol=0.0)
 
 
-# ------------------------------------------- kernel equivalence and tails
+# ------------------------------------------------------ kernel equivalence
 
 def _halve(f: FourierFunction) -> FourierFunction:
     """One application of L by the original formulation: keep the even
