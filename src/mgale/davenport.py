@@ -7,7 +7,9 @@ m * n_j = m' * n_k of coinciding dilated frequencies:
     <f_lam(n_j .), f_lam(n_k .)> = (zeta(2 lam)/2) * (gcd^2 / (n_j n_k))^lam
 
 valid for lam > 1/2.  gram_quadrature cross-checks this from actual
-grid samples: each dilate is rendered alias-free (per-dilate mode cap
+grid samples.  An entry depends only on the coprime reduced pair
+(a, b) = (n_j/g, n_k/g), so it computes each distinct (a, b) once:
+each dilate is rendered alias-free (per-dilate mode cap
 min(M, (2^(J-1)-1)/n)), the grid product is then an exact lattice head
 sum, and the truncated lattice tail is restored analytically with a
 Hurwitz zeta.  A wrong exponent or constant in the closed form would
@@ -20,7 +22,6 @@ equivalence theorems for lacunary Davenport series.
 
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -121,13 +122,13 @@ class GramMatrix:
     eigen_bounds: tuple
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        buf.write("i,j,freq_i,freq_j,entry\n")
-        k = len(self.freqs)
-        for i in range(k):
-            for j in range(k):
-                buf.write(f"{i},{j},{self.freqs[i]},{self.freqs[j]},{float(self.entries[i, j])!r}\n")
-        return buf.getvalue()
+        # one join per row: the text of a 4096-frequency matrix is built
+        # without holding all of its k^2 cell strings at once
+        cols = [f",{j},{{}},{n}," for j, n in enumerate(self.freqs)]
+        rows = ["i,j,freq_i,freq_j,entry\n"]
+        for i, n in enumerate(self.freqs):
+            rows.append("".join([f"{i}{col.format(n)}{e!r}\n" for col, e in zip(cols, self.entries[i].tolist())]))
+        return "".join(rows)
 
 
 def gram_matrix(freqs, lam: float) -> GramMatrix:
@@ -159,11 +160,12 @@ def gram_quadrature(
 ) -> np.ndarray:
     """Grid-quadrature oracle for the Gram matrix.
 
-    For each pair, reduced to coprime (a, b) by the gcd substitution
-    u = g x, the generator is rendered once per mode cap
-    cap = min(M, (2^(J-1)-1)//a); sampling the render at a*t mod 2^J is
-    then exact and the product spectrum stays below 2^J, so the grid
-    mean has no aliasing term at all.  The removed lattice tail
+    Each pair is reduced to coprime (a, b) by the gcd substitution
+    u = g x; its entry depends on (a, b) alone, so the quadrature runs
+    once per distinct reduced pair.  The generator is rendered once per
+    mode cap cap = min(M, (2^(J-1)-1)//a); sampling the render at
+    a*t mod 2^J is then exact and the product spectrum stays below 2^J,
+    so the grid mean has no aliasing term at all.  The removed lattice tail
     (ab)^(-lam) * zeta(2 lam, t_max + 1) / 2 is restored analytically
     when tail_corrected (the head, which is what actually validates the
     gcd-lattice closed form, always comes from samples).
@@ -179,20 +181,23 @@ def gram_quadrature(
     k = len(freqs)
     out = np.empty((k, k))
     idx = np.arange(n_grid)
+    values = {}  # (a, b) -> entry: pairs with the same reduced pair share it
     for i in range(k):
         for j in range(i, k):
             g = math.gcd(freqs[i], freqs[j])
             a, b = freqs[i] // g, freqs[j] // g
-            cap_a, cap_b = min(M, limit // a), min(M, limit // b)
-            if cap_a < 1 or cap_b < 1:
-                raise ValueError(f"pair {(freqs[i], freqs[j])} unrenderable at J={J}")
-            fa = rendered(cap_a)[(a * idx) % n_grid]
-            fb = rendered(cap_b)[(b * idx) % n_grid]
-            val = float(fa @ fb) / n_grid
-            if tail_corrected:
-                t_max = min(cap_a // b, cap_b // a)
-                val += (a * b) ** (-lam) * float(_zeta(2 * lam, t_max + 1)) / 2.0
-            out[i, j] = out[j, i] = val
+            if (a, b) not in values:
+                cap_a, cap_b = min(M, limit // a), min(M, limit // b)
+                if cap_a < 1 or cap_b < 1:
+                    raise ValueError(f"pair {(freqs[i], freqs[j])} unrenderable at J={J}")
+                fa = rendered(cap_a)[(a * idx) % n_grid]
+                fb = rendered(cap_b)[(b * idx) % n_grid]
+                val = float(fa @ fb) / n_grid
+                if tail_corrected:
+                    t_max = min(cap_a // b, cap_b // a)
+                    val += (a * b) ** (-lam) * float(_zeta(2 * lam, t_max + 1)) / 2.0
+                values[a, b] = val
+            out[i, j] = out[j, i] = values[a, b]
     return out
 
 

@@ -1,3 +1,4 @@
+import io
 import math
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 from scipy.special import zeta
 
 from mgale import davenport as dv
-from mgale.torus import lp_norm, render
+from mgale.torus import lp_norm
 
 
 CATALAN = 0.9159655941772190
@@ -90,6 +91,54 @@ def test_gram_quadrature_oracle_small():
         assert np.abs(gm.entries - quad).max() < 1e-6
 
 
+def _quadrature_per_pair(freqs, lam, M, J, tail_corrected):
+    # the quadrature as one gather, dot product and Hurwitz zeta per pair,
+    # with no sharing between pairs of the same reduced pair
+    n_grid, limit = 2**J, 2 ** (J - 1) - 1
+    k = len(freqs)
+    out = np.empty((k, k))
+    idx = np.arange(n_grid)
+    for i in range(k):
+        for j in range(i, k):
+            g = math.gcd(freqs[i], freqs[j])
+            a, b = freqs[i] // g, freqs[j] // g
+            cap_a, cap_b = min(M, limit // a), min(M, limit // b)
+            fa = dv.eval_davenport(dv.DavenportSpec(lam, cap_a), J).samples[(a * idx) % n_grid]
+            fb = dv.eval_davenport(dv.DavenportSpec(lam, cap_b), J).samples[(b * idx) % n_grid]
+            val = float(fa @ fb) / n_grid
+            if tail_corrected:
+                t_max = min(cap_a // b, cap_b // a)
+                val += (a * b) ** (-lam) * float(zeta(2 * lam, t_max + 1)) / 2.0
+            out[i, j] = out[j, i] = val
+    return out
+
+
+@pytest.mark.parametrize("tail_corrected", [True, False])
+@pytest.mark.parametrize("freqs", [[1, 2, 3, 4, 6, 8, 12, 16], "pow:2:10"])
+def test_gram_quadrature_matches_per_pair_quadrature(freqs, tail_corrected):
+    freqs = dv.freqs_from_rule(freqs)
+    quad = dv.gram_quadrature(freqs, 0.75, M=2048, J=14, tail_corrected=tail_corrected)
+    np.testing.assert_array_equal(quad, _quadrature_per_pair(freqs, 0.75, 2048, 14, tail_corrected))
+
+
+def test_gram_quadrature_once_per_reduced_pair(monkeypatch):
+    # pow:2:10 has 66 pairs i <= j but only the 11 reduced pairs (1, 2^d)
+    calls = []
+
+    def counting_zeta(*args):
+        calls.append(args)
+        return zeta(*args)
+
+    monkeypatch.setattr(dv, "_zeta", counting_zeta)
+    dv.gram_quadrature(dv.freqs_from_rule("pow:2:10"), 0.75, M=2048, J=14)
+    assert len(calls) == 11
+
+
+def test_gram_quadrature_names_unrenderable_pair():
+    with pytest.raises(ValueError, match=r"\(1, 16384\) unrenderable at J=14"):
+        dv.gram_quadrature([1, 2**14], 0.75, M=2048, J=14)
+
+
 def test_gram_quadrature_head_alone_shows_truncation():
     # without the analytic tail the quadrature sits a visible distance
     # below the closed form at rough lambda: the head is genuinely
@@ -154,3 +203,20 @@ def test_gram_csv():
     text = dv.gram_matrix([1, 2], 1.0).to_csv()
     assert text.splitlines()[0] == "i,j,freq_i,freq_j,entry"
     assert len(text.splitlines()) == 5
+
+
+def _csv_per_cell(gm):
+    # the Gram CSV written one cell at a time
+    buf = io.StringIO()
+    buf.write("i,j,freq_i,freq_j,entry\n")
+    k = len(gm.freqs)
+    for i in range(k):
+        for j in range(k):
+            buf.write(f"{i},{j},{gm.freqs[i]},{gm.freqs[j]},{float(gm.entries[i, j])!r}\n")
+    return buf.getvalue()
+
+
+@pytest.mark.parametrize("freqs, lam", [(range(300, 364), 0.75), ([5], 0.75), (dv.freqs_from_rule("pow:3:40"), 1.5)])
+def test_gram_csv_matches_per_cell_writer(freqs, lam):
+    gm = dv.gram_matrix(freqs, lam)
+    assert gm.to_csv() == _csv_per_cell(gm)

@@ -5,7 +5,6 @@ import pytest
 
 from conftest import block_average, random_trig_poly
 from mgale import modulus as mo
-from mgale.martingale import cond_exp
 from mgale.torus import GridFunction, _lp_norm_array, lp_norm, render, sine_series
 
 
