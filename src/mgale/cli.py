@@ -264,8 +264,15 @@ def _checkpoints_for(cps, length: int) -> list:
     return cps
 
 
-def _gaposhkin(p: dict) -> SeriesSpec:
-    """The sharpness example of ``gaposhkin_m`` with K (default 4096) terms."""
+def _gaposhkin(p: dict, series_keys: tuple) -> SeriesSpec:
+    """The sharpness example of ``gaposhkin_m`` with K (default 4096) terms.
+
+    It fixes its own series, so each of ``series_keys`` given beside it
+    is a config error rather than a value silently ignored.
+    """
+    given = [key for key in series_keys if p[key] is not None]
+    if given:
+        raise ConfigError(f"gaposhkin_m fixes the series; it takes none of {given}")
     K = 4096 if p["K"] is None else p["K"]
     if K < 2:
         raise ConfigError(f"gaposhkin_m needs K >= 2, got {K}")
@@ -379,23 +386,25 @@ def _run_audit(config: ExperimentConfig) -> _Reports:
 @_kind("dilated", {
     "gaposhkin_m": (_int(0), None),
     "K": (_int(1), None),
-    "generator": (_generator, "sin"),
+    "generator": (_generator, None),
     "freqs": (freqs_from_rule, None),
-    "coeffs": (_coeffs, "geom:0.5"),
+    "coeffs": (_coeffs, None),
     "checkpoints": (_checkpoints, None),
     "sample_size": (_int(100), 200),
 })
 def _run_dilated(config: ExperimentConfig) -> _Reports:
     p = config.parameters
     if p["gaposhkin_m"] is not None:
-        spec = _gaposhkin(p)
+        spec = _gaposhkin(p, ("generator", "freqs", "coeffs"))
     else:
         K = 64 if p["K"] is None else p["K"]
         freqs = tuple([2**k for k in range(K)] if p["freqs"] is None else p["freqs"])[:K]
         if p["K"] is not None and len(freqs) < K:
             raise ConfigError(f"dilated K={K} exceeds the {len(freqs)} frequencies of freqs")
+        rule = _coeffs("geom:0.5") if p["coeffs"] is None else p["coeffs"]
+        generator = _generator("sin") if p["generator"] is None else p["generator"]
         try:
-            spec = SeriesSpec(_coeffs_for(p["coeffs"], len(freqs)), freqs, p["generator"])
+            spec = SeriesSpec(_coeffs_for(rule, len(freqs)), freqs, generator)
         except ValueError as exc:
             raise ConfigError(f"bad dilated series: {exc}") from None
     checkpoints = _checkpoints_for(p["checkpoints"], spec.length)
@@ -443,18 +452,19 @@ def _run_davenport(config: ExperimentConfig) -> _Reports:
 @_kind("ergodic", {
     "gaposhkin_m": (_int(0), None),
     "K": (_int(1), None),
-    "f": (_generator, "sin"),
-    "coeffs": (_coeffs, "geom:0.5"),
+    "f": (_generator, None),
+    "coeffs": (_coeffs, None),
     "checkpoints": (_checkpoints, None),
     "sample_size": (_int(100), 200),
 })
 def _run_ergodic(config: ExperimentConfig) -> _Reports:
     p = config.parameters
     if p["gaposhkin_m"] is not None:
-        base = _gaposhkin(p)
+        base = _gaposhkin(p, ("f", "coeffs"))
         f, coeffs = base.generator, base.coeffs
     else:
-        f, rule = p["f"], p["coeffs"]
+        f = _generator("sin") if p["f"] is None else p["f"]
+        rule = _coeffs("geom:0.5") if p["coeffs"] is None else p["coeffs"]
         if not f.has_zero_mean():
             raise ConfigError("ergodic f: generator must have zero mean")
         K = p["K"] if p["K"] is not None else (len(rule) if isinstance(rule, tuple) else 256)

@@ -223,7 +223,7 @@ class OscillationDiagnostic:
     fitted_slope: float
     sample_size: int
     seed: int
-    label: str = ""
+    label: str
 
     def to_csv(self) -> str:
         buf = io.StringIO()
@@ -233,13 +233,13 @@ class OscillationDiagnostic:
         return buf.getvalue()
 
 
-def oscillation_verdict(checkpoints, medians, scales=None) -> tuple[str, float]:
+def oscillation_verdict(checkpoints, medians, scales) -> tuple[str, float]:
     """Deterministic trend rule shared by every diagnostic.
 
     Let r = med[last] / med[ref], ref being the largest checkpoint at
     most last/100 (two decades down; the first checkpoint if none), and
-    slope the least-squares slope of log median vs log N'.  When the
-    window l2 scales s(N') = sqrt(sum_{window} |a_k|^2) are supplied,
+    slope the least-squares slope of log median vs log N'.  Against the
+    window l2 scales s(N') = sqrt(sum_{window} |a_k|^2),
     rho(N') = med(N') / s(N') measures the oscillation against the size
     a convergent series would exhibit: any convergence system keeps rho
     bounded (the maximal inequality is uniform over windows), so rho
@@ -280,14 +280,13 @@ def oscillation_verdict(checkpoints, medians, scales=None) -> tuple[str, float]:
         return "diverging", slope
     if r >= 0.9 and slope >= -0.05:
         return "diverging", slope
-    if scales is not None:
-        s = np.asarray(scales, dtype=np.float64)
-        good = (s > 0) & (med > 0)
-        if good.sum() >= 2:
-            rho = med[good] / s[good]
-            rho_slope = float(np.polyfit(np.log(cps[good]), np.log(rho), 1)[0])
-            if rho[-1] >= 1.5 * rho[0] and rho_slope >= 0.05:
-                return "diverging", slope
+    s = np.asarray(scales, dtype=np.float64)
+    good = (s > 0) & (med > 0)
+    if good.sum() >= 2:
+        rho = med[good] / s[good]
+        rho_slope = float(np.polyfit(np.log(cps[good]), np.log(rho), 1)[0])
+        if rho[-1] >= 1.5 * rho[0] and rho_slope >= 0.05:
+            return "diverging", slope
     return "inconclusive", slope
 
 
@@ -296,7 +295,6 @@ def oscillation_diagnostic(
     checkpoints,
     sample_size: int,
     seed: int,
-    label: str = "",
 ) -> OscillationDiagnostic:
     """Empirical probe of the Cauchy property of the partial sums.
 
@@ -313,7 +311,7 @@ def oscillation_diagnostic(
     K = min(2 * checkpoints[-1], spec.length)
     sums = _sampled_partial_sums(spec, K, sample_size, seed)
     amps = np.array([abs(a) for a in spec.coeffs[:K]])
-    return _window_oscillation(sums, amps, checkpoints, seed, label)
+    return _window_oscillation(sums, amps, checkpoints, seed, "")
 
 
 def _sampled_partial_sums(spec: SeriesSpec, K: int, sample_size: int, seed: int) -> np.ndarray:

@@ -1,13 +1,12 @@
-"""Non-homogeneous symbolic spaces, normalized potentials, averaging
+"""Non-homogeneous full shifts, normalized potentials, averaging
 operators P_n and equilibrium states, truncated to a finite depth.
 
 Representation: everything lives on the dense digit box
-S_1 x ... x S_D (depth D), as numpy arrays indexed by the digits, with
-an admissibility mask from the incidence matrices.  A cylinder function
-depending on coordinates start..start+d-1 is stored as a d-dimensional
-array and broadcast into the box on demand.  At the depths used here
-(alphabets <= 4, depth <= 10) the box has at most ~10^5 cells, so every
-operation is exact enumeration.
+S_1 x ... x S_D (depth D), as numpy arrays indexed by the digits.  A
+cylinder function depending on coordinates start..start+d-1 is stored
+as a d-dimensional array and broadcast into the box on demand, so every
+operation is exact enumeration over the box (the CLI caps it at 2^24
+cells).
 
 Key structural fact used throughout: for exactly normalized potentials
 the operators satisfy P_n(P_m f) = P_m f for n <= m, hence the adjoint
@@ -17,13 +16,11 @@ truncated system.  The iteration is still run and its stationarity
 asserted; it is the cheapest full-machinery self-check available.
 
 Riesz products embed via the digit expansion x = sum_n x_n / lambda_n
-(lambda_0 = 1), with potentials
-
-    g_{n+1}(x) = (lambda_n / lambda_{n+1})^(-1)... see riesz_potentials
-
-evaluated at cylinder midpoints: the digit-sum truncation error is then
-second order, and the y-sum of the oscillating factor cancels exactly,
-so the truncated potentials stay exactly normalized.
+(lambda_0 = 1), the potential g_{n+1} being 1 + Re c_n e^{2 pi i lambda_n x}
+divided by the alphabet size (see riesz_potentials), evaluated at
+cylinder midpoints: the digit-sum truncation error is then second
+order, and the y-sum of the oscillating factor cancels exactly, so the
+truncated potentials stay exactly normalized.
 """
 
 from __future__ import annotations
@@ -56,63 +53,19 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SymbolicSpace:
-    """Digit box with incidence constraints A_n between levels n, n+1."""
+    """The full digit box S_1 x ... x S_D, |S_n| = sizes[n - 1]."""
 
     sizes: tuple
-    incidence: tuple | None = None
-    window: int = 0
 
     def __post_init__(self):
         sizes = tuple(int(s) for s in self.sizes)
         if any(s < 2 for s in sizes):
             raise ValueError("alphabet sizes must be >= 2")
         object.__setattr__(self, "sizes", sizes)
-        if self.incidence is not None:
-            inc = tuple(np.asarray(a, dtype=np.int8) for a in self.incidence)
-            if len(inc) != self.depth - 1:
-                raise ValueError("need one incidence matrix per adjacent pair")
-            for n, a in enumerate(inc):
-                if a.shape != (sizes[n], sizes[n + 1]):
-                    raise ValueError(f"incidence {n} has wrong shape")
-                if np.any((a != 0) & (a != 1)):
-                    raise ValueError("incidence entries must be 0/1")
-                if np.any(a.sum(axis=1) == 0):
-                    raise ValueError(f"incidence {n} has an all-zero row")
-            object.__setattr__(self, "incidence", inc)
-            # transitivity: the window-product of consecutive matrices
-            # must be strictly positive wherever it fits
-            m = self.window
-            for n in range(0, self.depth - 1 - m):
-                prod = inc[n].astype(np.int64)
-                for j in range(n + 1, n + 1 + m):
-                    if j >= len(inc):
-                        break
-                    prod = prod @ inc[j]
-                if np.any(prod == 0):
-                    raise ValueError(f"transitivity fails in window starting at {n + 1}")
-
-    @classmethod
-    def full_shift(cls, sizes) -> "SymbolicSpace":
-        return cls(tuple(sizes), None, 0)
 
     @property
     def depth(self) -> int:
         return len(self.sizes)
-
-    @property
-    def is_full_shift(self) -> bool:
-        return self.incidence is None
-
-    def mask(self) -> np.ndarray:
-        """Admissibility indicator over the whole box."""
-        out = np.ones(self.sizes, dtype=bool)
-        if self.incidence is None:
-            return out
-        for n, a in enumerate(self.incidence):
-            shape = [1] * self.depth
-            shape[n], shape[n + 1] = self.sizes[n], self.sizes[n + 1]
-            out &= a.astype(bool).reshape(shape)
-        return out
 
 
 @dataclass(frozen=True)
@@ -165,27 +118,17 @@ class PotentialSeq:
         return self.potentials[n - 1]
 
     def check_normalized(self, space: SymbolicSpace) -> float:
-        """max_n max over admissible tails |sum_{y_n} g_n - 1|; raises past 1e-12."""
+        """max_n max over tails |sum_{y_n} g_n - 1|; raises past 1e-12."""
         worst = 0.0
-        mask = space.mask()
         for n in range(1, len(self) + 1):
-            sums = (self[n].to_box(space) * self._pair_mask(space, n)).sum(axis=n - 1)
-            tails = mask.any(axis=n - 1)
-            worst = max(worst, float(np.abs(np.where(tails, sums, 1.0) - 1.0).max()))
+            sums = self[n].to_box(space).sum(axis=n - 1)
+            worst = max(worst, float(np.abs(sums - 1.0).max()))
         if worst > 1e-12:
             raise ValueError(f"potentials not normalized (deviation {worst:.3e})")
         return worst
 
-    @staticmethod
-    def _pair_mask(space: SymbolicSpace, n: int) -> np.ndarray:
-        if space.is_full_shift or n >= space.depth:
-            return np.ones(space.sizes, dtype=bool)
-        shape = [1] * space.depth
-        shape[n - 1], shape[n] = space.sizes[n - 1], space.sizes[n]
-        return space.incidence[n - 1].astype(bool).reshape(shape)
-
     def positivity_floor(self) -> float:
-        return min(float(np.nanmin(g.values.real)) for g in self.potentials)
+        return min(float(np.min(g.values.real)) for g in self.potentials)
 
 
 def _g_box(space: SymbolicSpace, pots: PotentialSeq, upto: int) -> np.ndarray:
@@ -198,42 +141,34 @@ def _g_box(space: SymbolicSpace, pots: PotentialSeq, upto: int) -> np.ndarray:
 
 def pn_apply(space: SymbolicSpace, pots: PotentialSeq, f: CylinderFunction, n: int) -> CylinderFunction:
     """P_n f by exact prefix enumeration; the result depends only on
-    coordinates n+1..depth (trailing dependence may be trivial).
-
-    Inadmissible suffixes carry NaN so downstream sups skip them."""
+    coordinates n+1..depth (trailing dependence may be trivial)."""
     if n < 1 or n > len(pots) or n >= space.depth:
         raise ValueError(f"need 1 <= n <= {min(len(pots), space.depth - 1)}")
     if f.end > space.depth:
         raise ValueError("depth exceeded by the argument function")
     box = _g_box(space, pots, n) * f.to_box(space)
-    axes = tuple(range(n))
-    mask = space.mask()
-    vals = np.where(mask, box, 0.0).sum(axis=axes)
-    return CylinderFunction(n + 1, np.where(mask.any(axis=axes), vals, np.nan))
+    return CylinderFunction(n + 1, box.sum(axis=tuple(range(n))))
 
 
 def sup_norm(space: SymbolicSpace, f: CylinderFunction) -> float:
-    """sup |f| over admissible points."""
-    return float(np.abs(f.to_box(space))[space.mask()].max())
+    """sup |f| over the box."""
+    return float(np.abs(f.to_box(space)).max())
 
 
 def var_m(space: SymbolicSpace, f: CylinderFunction, m: int) -> float:
     """sup{ |f(x) - f(y)| : x_1 = y_1, ..., x_m = y_m }, exact."""
     if m >= f.end:
         return 0.0
-    box = np.where(space.mask(), f.to_box(space).real, np.nan)
+    box = f.to_box(space).real
     axes = tuple(range(max(m, 0), space.depth))
-    hi = np.nanmax(box, axis=axes) if axes else box
-    lo = np.nanmin(box, axis=axes) if axes else box
-    spread = hi - lo
-    return float(np.nanmax(spread))
+    return float((box.max(axis=axes) - box.min(axis=axes)).max())
 
 
 def equilibrium_weights(space: SymbolicSpace, pots: PotentialSeq) -> np.ndarray:
     """Common fixed point of the adjoints P_n* on depth-D cylinder mass.
 
-    Starts from the uniform admissible measure and sweeps n = 1..n_max
-    until stationary below 1e-12, at most 64 sweeps; for normalized
+    Starts from the uniform measure and sweeps n = 1..n_max until
+    stationary below 1e-12, at most 64 sweeps; for normalized
     potentials the sweep is a projection, so stationarity is reached
     immediately and the loop doubles as a machinery self-check.
     """
@@ -241,14 +176,13 @@ def equilibrium_weights(space: SymbolicSpace, pots: PotentialSeq) -> np.ndarray:
     # n runs to the full depth: the boundary adjoint P_depth* replaces
     # the whole mass profile by G_depth, pinning the last digit's law
     n_max = min(len(pots), space.depth)
-    mask = space.mask().astype(np.float64)
-    nu = mask / mask.sum()
+    nu = np.full(space.sizes, 1.0 / math.prod(space.sizes))
     for _ in range(64):
         prev = nu
         for n in range(1, n_max + 1):
             g = _g_box(space, pots, n)
             marg = nu.sum(axis=tuple(range(n)))
-            nu = g * np.broadcast_to(marg, space.sizes) * mask
+            nu = g * np.broadcast_to(marg, space.sizes)
         delta = float(np.abs(nu - prev).max())
         if delta <= 1e-12:
             break
@@ -306,10 +240,11 @@ def averaging_decay_audit(
     fns: list[CylinderFunction],
     alpha: float,
     B: float,
-    weights: np.ndarray | None = None,
+    weights: np.ndarray,
 ) -> tuple[AuditReport, dict]:
     """Decay audit for ||P_m f_n||_inf over m - n, with f_n depending
-    only on coordinates > n and centered against the equilibrium state.
+    only on coordinates > n and centered against the equilibrium state
+    whose cylinder ``weights`` ``equilibrium_weights`` returns.
 
     The hypothesis ||f_n||_inf <= B, var_m(f_n) <= B/(m-n)^alpha is
     verified first and a violation raises DecayHypothesisError.  The
@@ -317,8 +252,6 @@ def averaging_decay_audit(
     theorem's constant is existential, so no fixed C is asserted); the
     fitted C and the decay table ride along for inspection.
     """
-    if weights is None:
-        weights = equilibrium_weights(space, pots)
     floor = 1e-12 * max(B, 1.0)  # below this, P_m f_n has decayed to roundoff
     pairs = []
     decay: dict = {}
@@ -435,7 +368,7 @@ def riesz_potentials(spec: RieszProductSpec, depth: int) -> tuple[SymbolicSpace,
         raise ValueError("depth must cover every nontrivial potential")
     ladder = _digit_ladder(spec.lambdas, depth)
     sizes = tuple(ladder[j] // ladder[j - 1] for j in range(1, depth + 1))
-    space = SymbolicSpace.full_shift(sizes)
+    space = SymbolicSpace(sizes)
     offset = 0.5 / ladder[depth]
     pots = []
     for j in range(1, depth + 1):

@@ -155,7 +155,7 @@ def ergodic_series_run(
     """
     coeffs = tuple(coeffs)
     spec = SeriesSpec(coeffs, tuple(2**k for k in range(len(coeffs))), f)
-    diag = oscillation_diagnostic(spec, checkpoints, sample_size, seed, label="ergodic-doubling")
+    diag = oscillation_diagnostic(spec, checkpoints, sample_size, seed)
     # enough L-steps to exhaust the spectrum, capped at 40 for lacunary
     # generators with astronomically high modes
     n_dec = max(8, min(40, f.max_frequency.bit_length() + 1))

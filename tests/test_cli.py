@@ -395,6 +395,12 @@ def test_riesz_sample_aliasing_is_config_error(tmp_path):
     # a generator with non-zero mean, and an explicit K past the frequencies
     ("ergodic", {"f": {"0": 1.0, "1": 0.5, "-1": 0.5}, "K": 64}),
     ("dilated", {"K": 100, "freqs": "pow:3:20"}),
+    # series keys beside gaposhkin_m, which fixes its own series: malformed
+    # values, and well-formed ones that could not apply either
+    ("ergodic", {"gaposhkin_m": 1, "K": 64, "f": {"0": 1.0, "1": 0.5, "-1": 0.5}, "coeffs": [1.0]}),
+    ("dilated", {"gaposhkin_m": 1, "K": 64, "generator": {"0": 1.0, "1": 0.5}, "freqs": [5, 3], "coeffs": [1.0]}),
+    ("ergodic", {"gaposhkin_m": 1, "f": "sin"}),
+    ("dilated", {"gaposhkin_m": 1, "coeffs": "geom:0.5"}),
 ])
 def test_series_kind_parameters_are_config_errors(tmp_path, kind, params):
     assert run_raw(tmp_path, {"kind": kind, "parameters": params}) == 2

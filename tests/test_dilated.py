@@ -110,12 +110,12 @@ def test_oscillation_csv_columns():
 
 def test_verdict_rules_unit():
     cps = np.array([16, 32, 64, 128, 256, 512, 1024, 2048, 4096], dtype=float)
+    ones = np.ones(len(cps))
     falling = 1.0 / np.sqrt(cps)
-    assert dl.oscillation_verdict(cps, falling)[0] == "converging"
-    flat = np.ones(len(cps))
-    assert dl.oscillation_verdict(cps, flat)[0] == "diverging"
+    assert dl.oscillation_verdict(cps, falling, ones)[0] == "converging"
+    assert dl.oscillation_verdict(cps, ones, ones)[0] == "diverging"
     rising = np.linspace(1, 2, len(cps))
-    assert dl.oscillation_verdict(cps, rising)[0] == "diverging"
+    assert dl.oscillation_verdict(cps, rising, ones)[0] == "diverging"
     # slow decay outrunning the l2 window scale: the sharpness signature
     med = cps**-0.05
     scales = cps**-0.5
@@ -127,7 +127,7 @@ def test_verdict_rules_unit():
 @pytest.mark.parametrize("cps, med", [([16], [0.3]), ([16, 16], [0.3, 0.2]), ([16], [0.0]), ([8, 8, 8], [1.0, 2.0, 3.0])])
 def test_verdict_needs_two_distinct_checkpoints(cps, med):
     # one window has no trend: neither "monotone" nor "stagnation" applies
-    assert dl.oscillation_verdict(cps, med) == ("inconclusive", 0.0)
+    assert dl.oscillation_verdict(cps, med, [1.0] * len(cps)) == ("inconclusive", 0.0)
     assert dl.oscillation_verdict(cps, med, [0.1] * len(cps)) == ("inconclusive", 0.0)
 
 
@@ -273,10 +273,10 @@ def _complex_spec(K):
     (_complex_spec(64), [4, 8, 16, 32], 100, 3),
 ])
 def test_oscillation_matches_reference(spec, checkpoints, sample_size, seed):
-    diag = dl.oscillation_diagnostic(spec, checkpoints, sample_size, seed, label="x")
+    diag = dl.oscillation_diagnostic(spec, checkpoints, sample_size, seed)
     med, q90, verdict, slope = _oscillation_ref(spec, checkpoints, sample_size, seed)
     np.testing.assert_array_equal(diag.median, med)
     np.testing.assert_array_equal(diag.q90, q90)
     assert (diag.verdict, diag.fitted_slope) == (verdict, slope)
-    assert (diag.checkpoints, diag.sample_size, diag.seed, diag.label) == (tuple(sorted(checkpoints)), sample_size, seed, "x")
+    assert (diag.checkpoints, diag.sample_size, diag.seed, diag.label) == (tuple(sorted(checkpoints)), sample_size, seed, "")
 

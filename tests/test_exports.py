@@ -16,3 +16,12 @@ def test_all_lists_exactly_the_public_top_level_defs(module):
     exported = importlib.import_module(f"mgale.{module}").__all__
     assert len(exported) == len(set(exported))
     assert set(exported) - constants == defs
+
+
+def test_defaulted_parameters_stay_within_the_ratchet():
+    # every def and lambda default in the library; a new knob raises the
+    # bound here on purpose or replaces an old one
+    functions = (n for p in SRC.glob("*.py") for n in ast.walk(ast.parse(p.read_text()))
+                 if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)))
+    count = sum(len(n.args.defaults) + sum(d is not None for d in n.args.kw_defaults) for n in functions)
+    assert count <= 15
