@@ -31,12 +31,8 @@ from .torus import GridFunction, _lp_norm_array
 
 __all__ = [
     "AuditReport",
-    "DetailSequence",
     "CENTERING_TOL",
     "bounded_deltas",
-    "cond_exp",
-    "decompose",
-    "detail",
     "doob_audit_batch",
     "k_p",
     "paley_zygmund_audit",
@@ -104,7 +100,7 @@ def _p_prime(p: float) -> float:
 
 
 # --------------------------------------------------------------------------
-# conditional expectation and details (array core + GridFunction wrappers)
+# conditional expectation and details (array core)
 # --------------------------------------------------------------------------
 
 def _haar_means(arr: np.ndarray, J: int) -> list[np.ndarray]:
@@ -131,28 +127,6 @@ def _haar_details(means: list[np.ndarray]) -> list[np.ndarray]:
     return [means[n + 1] - np.repeat(means[n], 2, axis=-1) for n in range(len(means) - 1)]
 
 
-def cond_exp(f: GridFunction, n: int) -> GridFunction:
-    """Conditional expectation onto the level-n dyadic algebra.
-
-    Piecewise-constant block average over each I_{n,k}; idempotent and
-    mean preserving; the identity at n = J, the mean at n = 0.
-    """
-    J = f.resolution_log2
-    if not 0 <= n <= J:
-        raise ValueError(f"filtration level {n} outside [0, {J}]")
-    out = np.repeat(_haar_means(f.samples, J)[n], 2 ** (J - n), axis=-1)
-    return GridFunction(J, out, f.value_kind)
-
-
-def detail(f: GridFunction, n: int) -> GridFunction:
-    """Detail operator D_n f = E(f|F_{n+1}) - E(f|F_n); needs n <= J-1."""
-    J = f.resolution_log2
-    if not 0 <= n <= J - 1:
-        raise ValueError(f"detail level {n} outside [0, {J - 1}]")
-    out = np.repeat(_haar_details(_haar_means(f.samples, J))[n], 2 ** (J - n - 1), axis=-1)
-    return GridFunction(J, out, f.value_kind)
-
-
 def _doob_maximal(means: list[np.ndarray]) -> np.ndarray:
     """S* = max_{1<=m<=J} |E(.|F_m) - E(.|F_0)| on the full grid.
 
@@ -163,34 +137,6 @@ def _doob_maximal(means: list[np.ndarray]) -> np.ndarray:
     for m in range(1, len(means)):
         run = np.maximum(np.repeat(run, 2, axis=-1), np.abs(means[m] - means[0]))
     return run
-
-
-@dataclass(frozen=True)
-class DetailSequence:
-    """The full martingale decomposition of a centered grid function."""
-
-    base: GridFunction
-    details: tuple
-
-    def reconstruct(self) -> np.ndarray:
-        total = np.zeros_like(self.base.samples) + self.base.samples.mean()
-        for d in self.details:
-            total = total + d.samples
-        return total
-
-
-def decompose(f: GridFunction) -> DetailSequence:
-    """Decompose a centered f into its details D_0 f .. D_{J-1} f.
-
-    Rejects non-centered input (|mean| > 1e-12) instead of silently
-    recentering: the auditors downstream must not mask centering bugs.
-    """
-    if abs(f.mean()) > CENTERING_TOL:
-        raise ValueError(f"decompose requires a centered function, |mean| = {abs(f.mean()):.3e}")
-    J = f.resolution_log2
-    details = _haar_details(_haar_means(f.samples, J))
-    full = [np.repeat(d, 2 ** (J - n - 1), axis=-1) for n, d in enumerate(details)]
-    return DetailSequence(f, tuple(GridFunction(J, d, f.value_kind) for d in full))
 
 
 def telescope_check(f: GridFunction, N1: int, N2: int) -> AuditReport:
@@ -225,6 +171,34 @@ class DetailCriteriaResult:
     audit: AuditReport
 
 
+def _family(Z: list[GridFunction], levels) -> tuple[np.ndarray, list[int] | None]:
+    """Stack a non-empty family Z_0..Z_{N-1} into an (N, 2^J) array and
+    build its level map lv[0..N].
+
+    lv[j] = min(levels[j], J) for j < N and lv[N] = J, so the analysis
+    filtration A_j = F_{lv[j]} ends at F_J, past which every detail
+    vanishes.  ``levels`` must cover the family and be nonnegative and
+    nondecreasing; ``None`` skips the map.
+    """
+    if not Z:
+        raise ValueError("empty family")
+    stack = np.stack([z.samples for z in Z])
+    if levels is None:
+        return stack, None
+    N, J = stack.shape[0], Z[0].resolution_log2
+    if len(levels) < N:
+        raise ValueError(f"levels has {len(levels)} entries for a family of {N}")
+    raw = [int(levels[j]) for j in range(N)]
+    if raw[0] < 0 or any(b < a for a, b in zip(raw, raw[1:])):
+        raise ValueError("levels must be nonnegative and nondecreasing")
+    return stack, [min(m, J) for m in raw] + [J]
+
+
+def _partial_sum_maximal(stack: np.ndarray) -> np.ndarray:
+    """S* = max_N |Z_0 + ... + Z_N| on the grid, for a stacked family."""
+    return np.abs(np.cumsum(stack, axis=0)).max(axis=0)
+
+
 def detail_criteria(Z: list[GridFunction], levels, p: float) -> DetailCriteriaResult:
     """Evaluate the two detail-criteria sums for a finite family Z.
 
@@ -232,52 +206,49 @@ def detail_criteria(Z: list[GridFunction], levels, p: float) -> DetailCriteriaRe
     analysis filtration is A_n = F_{levels[n]}, nondecreasing); indices
     beyond the family are clamped to the grid resolution J, where all
     further details vanish identically, so both sums are finite exactly.
+    The slot F_0 -> A_0 below the filtration joins the lower-order sum
+    (offset group n + 1 for Z_n); it is empty when levels[0] = 0.
     """
     if p <= 1:
         raise ValueError("detail_criteria needs p > 1")
-    if not Z:
-        raise ValueError("empty family")
-    J = Z[0].resolution_log2
-    N = len(Z)
-    levels = [int(levels[n]) if not callable(levels) else int(levels(n)) for n in range(N)]
-    if levels[0] < 0 or any(b < a for a, b in zip(levels, levels[1:])):
-        raise ValueError("levels must be nonnegative and nondecreasing")
+    stack, lv = _family(Z, levels)
     for z in Z:
         if abs(z.mean()) > CENTERING_TOL:
             raise ValueError("every Z_n must be centered")
-
-    def lv(j: int) -> int:
-        return min(levels[j], J) if j < N else J
+    N, J = len(Z), lv[-1]
 
     pp = _p_prime(p)
-    means = _haar_means(np.stack([z.samples for z in Z]), J)
-    # norms[slot][n] = ||E(Z_n|F_lv(slot+1)) - E(Z_n|F_lv(slot))||_p, taken
-    # at resolution 2^hi, where both sides are constant on blocks
+    means = _haar_means(stack, J)
+    # norms[t][n] = ||E(Z_n|F_hi) - E(Z_n|F_lo)||_p over slot t: F_0 -> A_0
+    # at t = 0, A_(t-1) -> A_t after; taken at resolution 2^hi, where
+    # both sides are constant on blocks
+    bounds = [0] + lv
     norms = np.zeros((N + 1, N))
-    for slot in range(N + 1):
-        lo, hi = lv(slot), lv(slot + 1)
+    for t in range(N + 1):
+        lo, hi = bounds[t], bounds[t + 1]
         if lo < hi:
-            norms[slot] = _lp_norm_array(means[hi] - np.repeat(means[lo], 2 ** (hi - lo), axis=-1), p)
+            norms[t] = _lp_norm_array(means[hi] - np.repeat(means[lo], 2 ** (hi - lo), axis=-1), p)
     norms = norms.tolist()
 
-    s1 = 0.0
-    for k in range(0, N + 1):
-        inner = sum(norms[n + k][n] ** pp for n in range(N) if n + k <= N)
-        s1 += inner ** (1.0 / pp) if inner > 0 else 0.0
-    s2 = 0.0
-    for k in range(1, N + 1):
-        inner = sum(norms[n][n + k] ** pp for n in range(N - k))
-        s2 += inner ** (1.0 / pp) if inner > 0 else 0.0
+    def group(j: int) -> float:
+        # (sum_n ||slot n + j of Z_n||_p^p')^(1/p')
+        inner = sum(norms[n + j][n] ** pp for n in range(max(0, -j), min(N, N + 1 - j)))
+        return inner ** (1.0 / pp) if inner > 0 else 0.0
 
-    partial = np.cumsum(means[J], axis=0)
-    smax = np.abs(partial).max(axis=0)
-    lhs = float(_lp_norm_array(smax, p))
+    s1 = 0.0
+    for j in range(1, N + 1):
+        s1 += group(j)
+    s2 = 0.0
+    for j in range(0, -N, -1):
+        s2 += group(j)
+
+    lhs = float(_lp_norm_array(_partial_sum_maximal(stack), p))
     rhs = k_p(p) * (s1 + s2)
     audit = _bound_report(lhs, rhs, k_p(p), f"detail-criteria-maximal[p={p}]")
     return DetailCriteriaResult(s1, s2, audit)
 
 
-def bounded_deltas(Z: list[GridFunction], levels=None) -> tuple[float, float]:
+def bounded_deltas(Z: list[GridFunction], levels) -> tuple[float, float]:
     """Sup-norm criteria constants for uniformly bounded families.
 
     Delta_1 = sum_l ( sum_k ||Z_k - E^{l+k} Z_k||_inf^2 )^(1/2)
@@ -286,19 +257,9 @@ def bounded_deltas(Z: list[GridFunction], levels=None) -> tuple[float, float]:
     with E^j conditioning on F_{levels[j]} (identity once past J, which
     truncates both sums exactly).
     """
-    if not Z:
-        raise ValueError("empty family")
-    J = Z[0].resolution_log2
-    N = len(Z)
-    if levels is None:
-        levels = list(range(N))
-
-    def lv(j: int) -> int:
-        return min(levels[j] if j < N else J, J)
-
-    if any(lv(k) < 0 for k in range(N)):
-        raise ValueError("levels must be nonnegative")
-    means = _haar_means(np.stack([z.samples for z in Z]), J)
+    stack, lv = _family(Z, levels)
+    N, J = len(Z), lv[-1]
+    means = _haar_means(stack, J)
     # per level m and index k: ||Z_k - E(Z_k|F_m)||_inf (m < J) and ||E(Z_k|F_m)||_inf
     resid = [
         np.abs(means[J] - np.repeat(means[m], 2 ** (J - m), axis=-1)).max(axis=-1).tolist()
@@ -310,19 +271,18 @@ def bounded_deltas(Z: list[GridFunction], levels=None) -> tuple[float, float]:
     for ell in range(0, N + J + 1):
         inner = 0.0
         for k in range(N):
-            m = lv(ell + k)
+            m = lv[min(ell + k, N)]
             if m >= J:
                 continue
             inner += resid[m][k] ** 2
-        if inner == 0.0 and lv(ell) >= J:
+        if inner == 0.0 and lv[min(ell, N)] >= J:
             break
         d1 += math.sqrt(inner)
     d2 = 0.0
     for ell in range(0, N):
         inner = 0.0
         for k in range(ell, N):
-            m = lv(k + 1 - ell)
-            inner += sup[m][k] ** 2
+            inner += sup[lv[k + 1 - ell]][k] ** 2
         d2 += math.sqrt(inner)
     return d1, d2
 
@@ -336,10 +296,8 @@ def bounded_moment_audits(
     they imply is an infinite-dimensional statement and is reported by
     callers as a Monte Carlo figure, never asserted.
     """
-    if not Z:
-        raise ValueError("empty family")
-    partial = np.cumsum(np.stack([z.samples for z in Z]), axis=0)
-    smax = np.abs(partial).max(axis=0)
+    stack, _ = _family(Z, None)
+    smax = _partial_sum_maximal(stack)
     delta = delta1 + delta2
     reports = []
     for p in p_list:
@@ -375,7 +333,7 @@ def paley_zygmund_audit(values, probabilities, lam: float, q: float) -> AuditRep
     if q <= 1:
         raise ValueError("q must be > 1")
     ez = float(v @ pr)
-    prob = float(pr[v >= lam * ez - 1e-15].sum())
+    prob = float(pr[v >= lam * ez * (1.0 - 1e-15)].sum())  # ties to a relative 1e-15
     znorm = float((pr @ v**q) ** (1.0 / q))
     bound = 0.0 if znorm == 0 else ((1.0 - lam) * ez / znorm) ** (q / (q - 1.0))
     return _bound_report(bound, prob, q / (q - 1.0), f"paley-zygmund[lam={lam},q={q}]")

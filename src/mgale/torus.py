@@ -34,7 +34,6 @@ __all__ = [
     "FourierFunction",
     "GridFunction",
     "dilate",
-    "lp_norm",
     "render",
     "sine_series",
 ]
@@ -173,16 +172,9 @@ def render(f: FourierFunction, J: int) -> GridFunction:
     return GridFunction(J, samples, "complex")
 
 
-def lp_norm(f: GridFunction, p) -> float:
-    """L^p norm on ([0,1), Lebesgue) from the grid samples.
-
-    Returns (2^-J * sum |f_k|^p)^(1/p), the exact L^p norm of the
-    piecewise-constant extension; for p = inf the grid maximum.
-    """
-    return _lp_norm_array(f.samples, p)
-
-
 def _lp_norm_array(samples: np.ndarray, p) -> float | np.ndarray:
+    """(2^-J * sum |f_k|^p)^(1/p) along the last axis: the exact L^p norm
+    of the piecewise-constant extension; for p = inf the grid maximum."""
     if p != math.inf and p < 1:
         raise ValueError("p must satisfy p >= 1 or p == inf")
     a = np.abs(samples)
