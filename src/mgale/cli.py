@@ -18,9 +18,10 @@ Config schema (version 1):
 
 ``validate_config`` parses every key through its object's schema
 (``_CONFIG``, ``_OUTPUT``, ``SCHEMAS[kind]``); handlers read typed values.
-Each handler is a generator of ``(file name, body, passed)`` reports, and
-``run`` writes each one, header first, as soon as it is yielded: the
-only code that writes a file.
+Each handler is a generator of ``(file name, body, audits)`` reports,
+``audits`` being the tuple of ``AuditReport`` rows that decide the
+report's verdict (empty for a diagnostic), and ``run`` writes each one,
+header first, as soon as it is yielded: the only code that writes a file.
 
 Reports start with one header line carrying the config hash, seed,
 library version and a timestamp; everything after that line is
@@ -28,10 +29,10 @@ byte-identical across reruns with the same config and seed (the
 timestamp is confined to the header precisely so report bodies diff
 clean).
 
-Exit codes: 0 success, 1 a report did not pass (a universal-inequality
-audit or the Davenport quadrature check failed) or the run raised (the
-reports already written stay, beside a failure marker recording the
-error, its type and traceback), 2 config error.
+Exit codes: 0 success, 1 an audit row failed (a universal-inequality
+audit, or the Davenport quadrature check, which is one such row) or the
+run raised (the reports already written stay, beside a failure marker
+recording the error, its type and traceback), 2 config error.
 """
 
 from __future__ import annotations
@@ -121,15 +122,24 @@ def _header(config: ExperimentConfig) -> str:
     )
 
 
-def _audit_table(config: ExperimentConfig, name: str, reports) -> tuple[str, str, bool]:
-    """The report of audit rows in the configured format, and whether every row passed."""
+def _audit_table(config: ExperimentConfig, name: str, reports) -> tuple[str, str, tuple]:
+    """The report of audit rows in the configured format, with the rows.
+
+    One line or JSON object per row: lhs, rhs, constant, margin = rhs - lhs,
+    passed, context (and, in JSON, the seed).
+    """
+    reports = tuple(reports)
     if config.out_format == "json":
-        body = "[\n" + ",\n".join(r.to_json() for r in reports) + "\n]\n"
+        body = "[\n" + ",\n".join(
+            json.dumps({"lhs": r.lhs, "rhs": r.rhs, "constant": r.constant, "margin": r.margin,
+                        "passed": bool(r.passed), "context": r.context, "seed": r.seed})
+            for r in reports
+        ) + "\n]\n"
     else:
         body = "lhs,rhs,constant,margin,passed,context\n" + "".join(
             f"{r.lhs!r},{r.rhs!r},{r.constant!r},{r.margin!r},{int(r.passed)},{r.context}\n" for r in reports
         )
-    return f"{name}.{config.out_format}", body, all(r.passed for r in reports)
+    return f"{name}.{config.out_format}", body, reports
 
 
 # --------------------------------------------------------------------------
@@ -356,7 +366,7 @@ SUITES = {
 
 SCHEMAS: dict = {}  # kind -> {key: (parser, default)}
 _HANDLERS: dict = {}  # kind -> handler, looked up at run time
-_Reports = Iterator[tuple[str, str, bool]]  # (file name, body, passed) per report
+_Reports = Iterator[tuple[str, str, tuple]]  # (file name, body, audit rows) per report
 
 
 def _kind(name: str, schema: dict):
@@ -409,7 +419,7 @@ def _run_dilated(config: ExperimentConfig) -> _Reports:
             raise ConfigError(f"bad dilated series: {exc}") from None
     checkpoints = _checkpoints_for(p["checkpoints"], spec.length)
     diag = oscillation_diagnostic(spec, checkpoints, p["sample_size"], config.seed)
-    yield "dilated_oscillation.csv", diag.to_csv() + f"# verdict={diag.verdict} slope={diag.fitted_slope!r}\n", True
+    yield "dilated_oscillation.csv", diag.to_csv() + f"# verdict={diag.verdict} slope={diag.fitted_slope!r}\n", ()
 
 
 @_kind("davenport", {
@@ -432,9 +442,9 @@ def _run_davenport(config: ExperimentConfig) -> _Reports:
     if p["smoothness_p"] is not None and p["M"] >= 2 ** (smooth_J - 1):
         raise ConfigError(f"davenport smoothness_p: M={p['M']} aliases at J={smooth_J} (needs M < 2^{smooth_J - 1})")
     gm = gram_matrix(freqs, lam)
-    yield "davenport_gram.csv", gm.to_csv(), True
+    yield "davenport_gram.csv", gm.to_csv(), ()
     lines = [f"lambda,{lam!r}", f"min_eig,{gm.eigen_bounds[0]!r}", f"max_eig,{gm.eigen_bounds[1]!r}"]
-    passed = True
+    audits = ()
     if gm.eigen_bounds[0] > SINGULAR_EIG:
         lo, hi = riesz_constants(gm)
         lines += [f"riesz_lower,{lo!r}", f"riesz_upper,{hi!r}"]
@@ -442,11 +452,11 @@ def _run_davenport(config: ExperimentConfig) -> _Reports:
         quad = gram_quadrature(freqs, lam, M=p["M"], J=quad_J)
         err = float(np.abs(gm.entries - quad).max())
         lines.append(f"quadrature_max_err,{err!r}")
-        passed = err <= 1e-6
+        audits = (mg._tolerance_report(err, 1e-6, "davenport-quadrature"),)
     if p["smoothness_p"] is not None:
         est = smoothness_estimate(DavenportSpec(lam, p["M"]), p["smoothness_p"], smooth_J)
         lines.append(f"smoothness_exponent,{est!r}")
-    yield "davenport_summary.csv", "\n".join(lines) + "\n", passed
+    yield "davenport_summary.csv", "\n".join(lines) + "\n", audits
 
 
 @_kind("ergodic", {
@@ -471,8 +481,8 @@ def _run_ergodic(config: ExperimentConfig) -> _Reports:
         coeffs = _coeffs_for(rule, K)
     checkpoints = _checkpoints_for(p["checkpoints"], len(coeffs))
     diag, decay = ergodic_series_run(f, coeffs, checkpoints, p["sample_size"], config.seed)
-    yield "ergodic_decay.csv", decay.to_csv(), True
-    yield "ergodic_oscillation.csv", diag.to_csv() + f"# verdict={diag.verdict}\n", True
+    yield "ergodic_decay.csv", decay.to_csv(), ()
+    yield "ergodic_oscillation.csv", diag.to_csv() + f"# verdict={diag.verdict}\n", ()
 
 
 @_kind("riesz", {
@@ -503,12 +513,12 @@ def _run_riesz(config: ExperimentConfig) -> _Reports:
         for k in [spec.lambdas[0]] if p["k"] is None else p["k"]:
             c = complex(riesz_fourier_coeff(spec, N, k))
             lines.append(f"{k},{c.real!r},{c.imag!r}")
-        yield "riesz_coeff.csv", "\n".join(lines) + "\n", True
+        yield "riesz_coeff.csv", "\n".join(lines) + "\n", ()
     elif p["action"] == "sample":
         if sum(spec.lambdas[: N + 1]) >= 2 ** (J - 1):
             raise ConfigError(f"riesz partial product at depth {N} aliases at J={J}")
         xs = sample_mu(spec, N, J, p["count"], config.seed)
-        yield "riesz_sample.csv", "x\n" + "\n".join(repr(float(x)) for x in xs) + "\n", True
+        yield "riesz_sample.csv", "x\n" + "\n".join(repr(float(x)) for x in xs) + "\n", ()
     else:
         # the hypothesis modulus is read alias-free at J = bits(max mode) + 1,
         # a shift scan of O(4^J): 2^16 grid points at most
@@ -520,7 +530,7 @@ def _run_riesz(config: ExperimentConfig) -> _Reports:
         coeffs = _coeffs_for(p["coeffs"], N + 1)
         checkpoints = _checkpoints_for(p["checkpoints"], N + 1)
         diag = riesz_series_run(spec, lambda n: p["fn"], coeffs, checkpoints, p["sample_size"], config.seed)
-        yield "riesz_series.csv", diag.to_csv() + f"# verdict={diag.verdict} label={diag.label}\n", True
+        yield "riesz_series.csv", diag.to_csv() + f"# verdict={diag.verdict} label={diag.label}\n", ()
 
 
 @_kind("symbolic", {
@@ -570,9 +580,7 @@ def _run_symbolic(config: ExperimentConfig) -> _Reports:
     ints = riesz_cylinder_integrals(spec_check, levels_check - 1, n_check)
     mu_n = w_c.sum(axis=tuple(range(n_check, depth)))
     err = float(np.abs(ints - mu_n).max())
-    reports.append(
-        mg.AuditReport(err, 1e-6, 1.0, 1e-6 - err, err <= 1e-6, f"cylinder-crosscheck[n={n_check}]")
-    )
+    reports.append(mg._tolerance_report(err, 1e-6, f"cylinder-crosscheck[n={n_check}]"))
     yield _audit_table(config, "symbolic_audit", reports)
 
 
@@ -607,9 +615,9 @@ def run(config: ExperimentConfig) -> int:
 
     failed = False
     try:
-        for name, body, passed in _HANDLERS[config.kind](config):
+        for name, body, audits in _HANDLERS[config.kind](config):
             write(name, body)
-            failed = failed or not passed
+            failed = failed or not all(r.passed for r in audits)
     except ConfigError:
         raise
     except Exception as exc:  # a marker beside the reports already written

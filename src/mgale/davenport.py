@@ -42,7 +42,6 @@ __all__ = [
     "gram_matrix",
     "gram_quadrature",
     "riesz_constants",
-    "sawtooth_values",
     "smoothness_estimate",
 ]
 
@@ -80,15 +79,6 @@ def eval_davenport(spec: DavenportSpec, J: int) -> GridFunction:
     AliasingError (see torus.render).
     """
     return render(davenport_fourier(spec.lam, spec.truncation), J)
-
-
-def sawtooth_values(x) -> np.ndarray:
-    """pi * (1/2 - frac(x)) for frac(x) != 0 and 0 at the jump: the
-    pointwise sum of the lambda = 1 Davenport series."""
-    x = np.asarray(x, dtype=np.float64)
-    fr = x - np.floor(x)
-    out = np.pi * (0.5 - fr)
-    return np.where(fr == 0.0, 0.0, out)
 
 
 def smoothness_estimate(spec: DavenportSpec, p, J: int) -> float:
@@ -156,7 +146,7 @@ def gram_matrix(freqs, lam: float) -> GramMatrix:
 
 
 def gram_quadrature(
-    freqs, lam: float, M: int = 4096, J: int = 16, tail_corrected: bool = True
+    freqs, lam: float, M: int, J: int, tail_corrected: bool = True
 ) -> np.ndarray:
     """Grid-quadrature oracle for the Gram matrix.
 

@@ -21,7 +21,6 @@ repair bad inputs (non-centered data).
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -57,35 +56,31 @@ class AuditReport:
     """Outcome of a single inequality audit.
 
     ``passed`` means lhs <= rhs up to the audit's stated numerical
-    tolerance (for equality-type audits, |lhs - rhs| within tolerance).
+    tolerance (for equality-type audits, |lhs - rhs| within tolerance);
+    ``margin`` = rhs - lhs is the slack of the bound.
     """
 
     lhs: float
     rhs: float
     constant: float
-    margin: float
     passed: bool
     context: str
     seed: int | None = None
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "lhs": self.lhs,
-                "rhs": self.rhs,
-                "constant": self.constant,
-                "margin": self.margin,
-                "passed": bool(self.passed),
-                "context": self.context,
-                "seed": self.seed,
-            }
-        )
+    @property
+    def margin(self) -> float:
+        return self.rhs - self.lhs
 
 
 def _bound_report(lhs, rhs, constant, context, seed=None, tol=1e-12) -> AuditReport:
     lhs, rhs = float(lhs), float(rhs)
     scale = max(abs(lhs), abs(rhs), 1.0)
-    return AuditReport(lhs, rhs, float(constant), rhs - lhs, lhs <= rhs + tol * scale, context, seed)
+    return AuditReport(lhs, rhs, float(constant), lhs <= rhs + tol * scale, context, seed)
+
+
+def _tolerance_report(err, tol, context) -> AuditReport:
+    """The row of an err <= tol check: lhs err, rhs tol."""
+    return AuditReport(err, tol, 1.0, err <= tol, context)
 
 
 def k_p(p: float) -> float:
@@ -153,8 +148,7 @@ def telescope_check(f: GridFunction, N1: int, N2: int) -> AuditReport:
     diff = means[N2 + 1] - np.repeat(means[N1], 2 ** (N2 + 1 - N1))
     lhs, rhs = float(lhs), float(_lp_norm_array(diff, 2) ** 2)
     scale = max(abs(lhs), abs(rhs), 1e-30)
-    return AuditReport(lhs, rhs, 1.0, rhs - lhs, abs(lhs - rhs) <= 1e-10 * scale,
-                       f"telescoping-parseval[{N1},{N2}]")
+    return AuditReport(lhs, rhs, 1.0, abs(lhs - rhs) <= 1e-10 * scale, f"telescoping-parseval[{N1},{N2}]")
 
 
 # --------------------------------------------------------------------------

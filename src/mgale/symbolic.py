@@ -228,10 +228,7 @@ def potential_variation_check(
             need = v * (m - n) ** alpha
             if need > a_star:
                 a_star, witness = need, (n, m)
-    return AuditReport(
-        a_star, float(A), alpha, float(A) - a_star, a_star <= A,
-        f"potential-variation[alpha={alpha},witness={witness}]",
-    )
+    return AuditReport(a_star, float(A), alpha, a_star <= A, f"potential-variation[alpha={alpha},witness={witness}]")
 
 
 def averaging_decay_audit(
@@ -291,10 +288,7 @@ def averaging_decay_audit(
     ]
     c_fit = max(positive) if positive else 0.0
     bound = -alpha + 0.2
-    rep = AuditReport(
-        slope, bound, alpha, bound - slope, slope <= bound,
-        f"averaging-decay[alpha={alpha},C_fit={c_fit:.4g}]",
-    )
+    rep = AuditReport(slope, bound, alpha, slope <= bound, f"averaging-decay[alpha={alpha},C_fit={c_fit:.4g}]")
     return rep, decay
 
 

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dilated import OscillationDiagnostic, SeriesSpec, oscillation_diagnostic
-from .martingale import AuditReport
+from .martingale import AuditReport, _tolerance_report
 from .torus import FourierFunction, GridFunction, render
 
 __all__ = [
@@ -76,7 +76,7 @@ def transfer_pointwise_check(f: FourierFunction, J: int) -> AuditReport:
     via_point = transfer_pointwise(render(f, J + 1)).samples
     err = float(np.abs(via_coeff.astype(np.complex128) - via_point.astype(np.complex128)).max())
     scale = max(float(np.abs(via_coeff).max()), 1.0)
-    return AuditReport(err, 1e-12 * scale, 1.0, 1e-12 * scale - err, err <= 1e-12 * scale, f"transfer-two-forms[J={J}]")
+    return _tolerance_report(err, 1e-12 * scale, f"transfer-two-forms[J={J}]")
 
 
 def duality_audit(f: FourierFunction, g: FourierFunction, J: int) -> AuditReport:
@@ -90,10 +90,7 @@ def duality_audit(f: FourierFunction, g: FourierFunction, J: int) -> AuditReport
     rhs = complex(np.mean(gg * lf))
     err = abs(lhs - rhs)
     scale = max(abs(lhs), abs(rhs), 1.0)
-    return AuditReport(
-        err, 1e-10 * scale, 1.0, 1e-10 * scale - err, err <= 1e-10 * scale,
-        f"perron-frobenius-duality[J={J}]",
-    )
+    return _tolerance_report(err, 1e-10 * scale, f"perron-frobenius-duality[J={J}]")
 
 
 def l2_norm_exact(f: FourierFunction) -> float:

@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from mgale import cli
+from mgale.martingale import AuditReport
 from mgale.transfer import l2_norm_exact, transfer_power
 
 
@@ -181,6 +182,19 @@ def test_davenport_quadrature_run(tmp_path):
     assert "quadrature_max_err" in summary
     err = float([l for l in summary.splitlines() if l.startswith("quadrature_max_err")][0].split(",")[1])
     assert err < 1e-6
+
+
+def test_davenport_quadrature_error_past_1e_6_exits_1(tmp_path, monkeypatch):
+    # an oracle off by 1e-3 fails the quadrature row; the summary keeps its lines
+    monkeypatch.setattr(cli, "gram_quadrature", lambda freqs, lam, M, J: cli.gram_matrix(freqs, lam).entries + 1e-3)
+    raw = {"kind": "davenport", "parameters": {"lambda": 0.75, "freqs": "pow:2:8", "quadrature_check": True},
+           "resolution": 16}
+    assert run_raw(tmp_path, raw) == 1
+    out = tmp_path / "out"
+    assert sorted(p.name for p in out.iterdir()) == ["davenport_gram.csv", "davenport_summary.csv"]
+    rows = dict(line.split(",") for line in body_of(out / "davenport_summary.csv").splitlines())
+    assert list(rows) == ["lambda", "min_eig", "max_eig", "riesz_lower", "riesz_upper", "quadrature_max_err"]
+    assert float(rows["quadrature_max_err"]) == pytest.approx(1e-3, rel=1e-3)
 
 
 def test_riesz_coeff_and_sample_runs(tmp_path):
@@ -500,9 +514,13 @@ def test_ergodic_decay_of_a_mode_past_2_40_is_exact(tmp_path):
     assert [float(r[1]) for r in rows] == [l2_norm_exact(transfer_power(fourier, n)) for n in range(41)]
 
 
+def audit_row(passed: bool):
+    return AuditReport(1.0, 2.0 if passed else 0.5, 1.0, passed, "fake")
+
+
 def test_reports_yielded_before_a_raise_stay_beside_the_marker(tmp_path, monkeypatch):
     def handler(config):
-        yield "dilated_first.csv", "a,b\n1,2\n", True
+        yield "dilated_first.csv", "a,b\n1,2\n", (audit_row(True),)
         raise RuntimeError("boom")
 
     monkeypatch.setitem(cli._HANDLERS, "dilated", handler)
@@ -514,15 +532,26 @@ def test_reports_yielded_before_a_raise_stay_beside_the_marker(tmp_path, monkeyp
 
 
 def test_a_failing_report_sets_exit_1_and_later_reports_are_written(tmp_path, monkeypatch):
+    # one failing row among passing ones fails the run
     def handler(config):
-        yield "dilated_failing.csv", "x\n", False
-        yield "dilated_passing.csv", "y\n", True
+        yield "dilated_failing.csv", "x\n", (audit_row(True), audit_row(False))
+        yield "dilated_passing.csv", "y\n", (audit_row(True),)
 
     monkeypatch.setitem(cli._HANDLERS, "dilated", handler)
     assert run_raw(tmp_path, {"kind": "dilated", "parameters": {}}) == 1
     out = tmp_path / "out"
     assert sorted(p.name for p in out.iterdir()) == ["dilated_failing.csv", "dilated_passing.csv"]
     assert (body_of(out / "dilated_failing.csv"), body_of(out / "dilated_passing.csv")) == ("x", "y")
+
+
+def test_reports_without_audit_rows_exit_0(tmp_path, monkeypatch):
+    def handler(config):
+        yield "dilated_first.csv", "x\n", ()
+        yield "dilated_second.csv", "y\n", ()
+
+    monkeypatch.setitem(cli._HANDLERS, "dilated", handler)
+    assert run_raw(tmp_path, {"kind": "dilated", "parameters": {}}) == 0
+    assert sorted(p.name for p in (tmp_path / "out").iterdir()) == ["dilated_first.csv", "dilated_second.csv"]
 
 
 def test_failure_marker_records_type_and_traceback(tmp_path, monkeypatch):

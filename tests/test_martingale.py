@@ -468,6 +468,21 @@ def test_bounded_moments_margin_grows_like_sqrt_p(rng):
     assert 0.3 < slope < 0.7  # trend check only: rhs ~ 2 K_p Delta ~ sqrt(p)
 
 
+# ------------------------------------------------------------ report rows
+
+def test_margin_is_rhs_minus_lhs():
+    rep = mg.AuditReport(1.25, 3.5, 2.0, True, "row")
+    assert rep.margin == 2.25
+    assert mg._bound_report(4.0, 1.0, 1.0, "row").margin == -3.0
+
+
+def test_tolerance_report_passes_at_the_tolerance_and_fails_on_nan():
+    rep = mg._tolerance_report(1e-6, 1e-6, "at-tol")
+    assert rep.passed and (rep.lhs, rep.rhs, rep.constant, rep.margin) == (1e-6, 1e-6, 1.0, 0.0)
+    rep = mg._tolerance_report(math.nan, 1e-6, "nan")
+    assert not rep.passed and math.isnan(rep.margin)
+
+
 # ---------------------------------------------------------- paley-zygmund
 
 def test_paley_zygmund_constant():
