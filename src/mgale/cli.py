@@ -29,10 +29,15 @@ byte-identical across reruns with the same config and seed (the
 timestamp is confined to the header precisely so report bodies diff
 clean).
 
+Size rule: before any work, each handler states the cell count (entries,
+whatever the dtype) of the largest array its run will build, and
+``_check_size`` refuses a run past ``MAX_CELLS`` = 2^24 cells.
+
 Exit codes: 0 success, 1 an audit row failed (a universal-inequality
 audit, or the Davenport quadrature check, which is one such row) or the
 run raised (the reports already written stay, beside a failure marker
-recording the error, its type and traceback), 2 config error.
+recording the error, its type and traceback), 2 config error, raised
+before any work is done: no report and no marker is written.
 """
 
 from __future__ import annotations
@@ -63,20 +68,32 @@ from .davenport import (
     smoothness_estimate,
 )
 from .dilated import (
+    _SPARE_BITS,
     GENERAL_PATH_MAX_MODE,
     SeriesSpec,
+    _dyadic_path,
+    _fft_size,
     contraction_audit,
     contraction_refined_audit,
     gaposhkin_example,
     oscillation_diagnostic,
 )
-from .modulus import dyadic_approx_audit_all
-from .riesz import RieszProductSpec, riesz_fourier_coeff, riesz_series_run, sample_mu, series_resolution
+from .modulus import _curve_cells, dyadic_approx_audit_all
+from .riesz import (
+    RieszProductSpec,
+    _hypothesis_resolution,
+    riesz_fourier_coeff,
+    riesz_series_run,
+    sample_mu,
+    series_resolution,
+)
 from .symbolic import (
     CylinderFunction,
     DecayHypothesisError,
+    _check_decay_hypothesis,
     _digit_ladder,
     _digit_points,
+    _digit_space,
     potential_variation_check,
     equilibrium_weights,
     averaging_decay_audit,
@@ -86,11 +103,24 @@ from .symbolic import (
 from .torus import FourierFunction, GridFunction, sine_series
 from .transfer import ergodic_series_run
 
-__all__ = ["ExperimentConfig", "ConfigError", "main", "run", "validate_config"]
+__all__ = ["MAX_CELLS", "ExperimentConfig", "ConfigError", "main", "run", "validate_config"]
 
 
 class ConfigError(ValueError):
     """Invalid experiment configuration (exit code 2)."""
+
+
+#: the most cells one array of a run may hold: entries, whatever the dtype;
+#: an exact integer the run builds counts one cell per 64-bit word
+MAX_CELLS = 2**24
+
+
+def _check_size(arrays: dict) -> None:
+    """Refuse a run whose largest array holds more than MAX_CELLS cells;
+    ``arrays`` maps a name to the cell count of each array it will build."""
+    name, cells = max(arrays.items(), key=lambda item: item[1])
+    if cells > MAX_CELLS:
+        raise ConfigError(f"the {name} would hold {cells} cells > 2^24, the size limit")
 
 
 @dataclass(frozen=True)
@@ -220,10 +250,11 @@ def _checkpoints(v) -> list:
 
 
 def _generator(g) -> FourierFunction:
-    """"sin", "davenport:lambda:M" (lambda > 0, 1 <= M <= 2^20) or a mode object {"m": c}.
+    """"sin", "davenport:lambda:M" (lambda > 0, 1 <= M <= 83886) or a mode object {"m": c}.
 
-    M past 2^20 is refused before the M modes are built: the series
-    evaluation refuses such a generator anyway (GENERAL_PATH_MAX_MODE).
+    M past 83886 is refused (exit 2) before the M modes are built: with
+    M >= 3 a series takes the general path, whose outer product of at
+    least 100 samples by 2M modes would pass the size limit.
     """
     if g == "sin":
         return sine_series({1: 1.0})
@@ -231,8 +262,7 @@ def _generator(g) -> FourierFunction:
         return FourierFunction({int(m): _COMPLEX(c) for m, c in g.items()})
     if isinstance(g, str) and g.startswith("davenport:"):
         _, lam, M = g.split(":")
-        if int(M) > GENERAL_PATH_MAX_MODE:
-            raise ConfigError(f"davenport generator M={int(M)} > 2^20, the series evaluation's mode cap")
+        _check_size({"general-path outer product": 100 * 2 * int(M)})
         if math.isfinite(float(lam)) and float(lam) > 0 and int(M) >= 1:
             return davenport_fourier(float(lam), int(M))
     raise ConfigError(f"must be \"sin\", \"davenport:lambda:M\" or a mode object, got {g!r}")
@@ -274,11 +304,60 @@ def _checkpoints_for(cps, length: int) -> list:
     return cps
 
 
-def _gaposhkin(p: dict, series_keys: tuple) -> SeriesSpec:
-    """The sharpness example of ``gaposhkin_m`` with K (default 4096) terms.
+def _ladder_words(K: int) -> int:
+    """64-bit words of the exact integers 2^0, ..., 2^(K-1): 2^k spans k // 64 + 1."""
+    q, r = divmod(K, 64)
+    return 64 * q * (q + 1) // 2 + r * (q + 1)
+
+
+def _term_block(sample_size: int, terms: int, top_bits: int, dyadic: bool, kernel: int, modes: int) -> dict:
+    """The largest array of the term values of a dilated or ergodic run.
+
+    They are evaluated over ``terms`` terms at ``sample_size`` points of
+    ``top_bits`` + _SPARE_BITS bits, ``top_bits`` being the bits of
+    n_terms times the top generator mode: on the dyadic path in an FFT
+    block of sample_size x _fft_size(bits, kernel) cells (``kernel`` the
+    octave span of the positive generator modes), else in a block of
+    sample_size x max(bits, terms, modes).
+    """
+    bits = top_bits + _SPARE_BITS
+    if dyadic:
+        return {"dyadic-path FFT block": sample_size * _fft_size(bits, kernel)}
+    return {"general-path term block": sample_size * max(bits, terms, modes)}
+
+
+def _check_generator_series(generator: FourierFunction, freqs, length: int, checkpoints: list,
+                            sample_size: int) -> None:
+    """Refuse a series of ``length`` terms of ``generator`` past the size
+    limit, or whose general path would lose phase precision.
+
+    ``freqs`` lists the frequencies, or is None for the default powers of
+    two 2^0, ..., 2^(length-1), which the run builds as exact integers.
+    """
+    terms = min(2 * max(checkpoints), length)
+    top = max(generator.max_frequency, 1)
+    if freqs is None:
+        dyadic, top_bits = _dyadic_path((), generator), terms - 1 + top.bit_length()
+    else:
+        dyadic, top_bits = _dyadic_path(freqs[:terms], generator), (freqs[terms - 1] * top).bit_length()
+    if not dyadic and generator.max_frequency > GENERAL_PATH_MAX_MODE:
+        raise ConfigError(f"a general-path generator mode {generator.max_frequency} > 2^20 loses phase precision")
+    pos = [m for m in generator.frequencies if m > 0]
+    kernel = pos[-1].bit_length() - pos[0].bit_length() + 1 if pos else 1
+    arrays = _term_block(sample_size, terms, top_bits, dyadic, kernel, len(generator.coeffs))
+    if freqs is None:
+        arrays["frequency ladder"] = _ladder_words(length)
+    _check_size(arrays)
+
+
+def _gaposhkin(p: dict, series_keys: tuple, first: int) -> tuple[SeriesSpec, list]:
+    """The sharpness example of ``gaposhkin_m`` with K (default 4096) terms,
+    and the checkpoints of its run.
 
     It fixes its own series, so each of ``series_keys`` given beside it
-    is a config error rather than a value silently ignored.
+    is a config error rather than a value silently ignored.  The run
+    dilates its generator (modes +-2^1..+-2^K) by 2^first, ..., 2^(first + K - 1);
+    its size is checked before the example is built.
     """
     given = [key for key in series_keys if p[key] is not None]
     if given:
@@ -286,7 +365,11 @@ def _gaposhkin(p: dict, series_keys: tuple) -> SeriesSpec:
     K = 4096 if p["K"] is None else p["K"]
     if K < 2:
         raise ConfigError(f"gaposhkin_m needs K >= 2, got {K}")
-    return gaposhkin_example(p["gaposhkin_m"], K)
+    checkpoints = _checkpoints_for(p["checkpoints"], K)
+    terms = min(2 * max(checkpoints), K)
+    _check_size({**_term_block(p["sample_size"], terms, first + terms + K, True, K, 2 * K),
+                 "generator modes": 2 * (_ladder_words(K + 1) - 1)})
+    return gaposhkin_example(p["gaposhkin_m"], K), checkpoints
 
 
 # the batch audits are looked up on ``mg`` at call time, so a patched or
@@ -330,6 +413,22 @@ def _audit_telescoping(cases, p_values, J, seed):
     return [mg.telescope_check(GridFunction(J, arr[i], "real"), 0, J - 1) for i in range(cases)]
 
 
+def _grid_cells(cases, p_values, J) -> dict:
+    """The arrays of a batch of ``cases`` test functions on the 2^J grid."""
+    return {"test-function batch": cases * 2**J}
+
+
+def _scan_cells(cases, p_values, J) -> dict:
+    """The batch, and the shift scan of the p values the cases use."""
+    scan = _curve_cells(2**J, p_values[:cases]) if cases else 0
+    return {**_grid_cells(cases, p_values, J), "shift-scan block": scan}
+
+
+def _render_cells(cases, p_values, J) -> dict:
+    """One render on the 2^J grid at a time."""
+    return {"render": 2**J}
+
+
 def _moment_p(p) -> bool:
     return 1 < p < math.inf
 
@@ -340,11 +439,13 @@ def _norm_p(p) -> bool:
 
 @dataclass(frozen=True)
 class _Suite:
-    """An audit suite: its runner, the rule its exponents p must pass
-    (None: p is unused) and its least resolution J."""
+    """An audit suite: its runner, the arrays a run of it builds (a map
+    of name to cells, from cases, p values and J), the rule its exponents
+    p must pass (None: p is unused) and its least resolution J."""
 
     description: str
     runner: Callable
+    cells: Callable
     p_rule: Callable | None = None
     min_resolution: int = 1
 
@@ -352,11 +453,12 @@ class _Suite:
 #: the suites the audit kind runs.  The contraction generators reach
 #: frequency 63, which renders alias-free from J = 7.
 SUITES = {
-    "telescoping": _Suite("detail energies sum to the centered L2 energy", _audit_telescoping),
-    "rio": _Suite("moment bound with constant max(1, sqrt(p-1))", _audit_rio, _moment_p),
-    "doob": _Suite("maximal inequality with constant p/(p-1)", _audit_doob, _moment_p),
-    "dyadic_approx": _Suite("factor-2 block-average approximation bound", _audit_dyadic_approx, _norm_p),
-    "contraction": _Suite("dilation averaging bound 2^n/m", _audit_contraction, _norm_p, 7),
+    "telescoping": _Suite("detail energies sum to the centered L2 energy", _audit_telescoping, _grid_cells),
+    "rio": _Suite("moment bound with constant max(1, sqrt(p-1))", _audit_rio, _grid_cells, _moment_p),
+    "doob": _Suite("maximal inequality with constant p/(p-1)", _audit_doob, _grid_cells, _moment_p),
+    "dyadic_approx": _Suite("factor-2 block-average approximation bound", _audit_dyadic_approx, _scan_cells,
+                            _norm_p),
+    "contraction": _Suite("dilation averaging bound 2^n/m", _audit_contraction, _render_cells, _norm_p, 7),
 }
 
 
@@ -390,6 +492,7 @@ def _run_audit(config: ExperimentConfig) -> _Reports:
         raise ConfigError(f"audit {name} needs resolution >= {suite.min_resolution}, got {config.resolution}")
     if suite.p_rule is not None and not all(map(suite.p_rule, p["p"])):
         raise ConfigError(f"audit p={p['p']!r} outside the range suite {name} admits")
+    _check_size(suite.cells(p["cases"], p["p"], config.resolution))
     yield _audit_table(config, f"audit_{name}", suite.runner(p["cases"], p["p"], config.resolution, config.seed))
 
 
@@ -405,19 +508,22 @@ def _run_audit(config: ExperimentConfig) -> _Reports:
 def _run_dilated(config: ExperimentConfig) -> _Reports:
     p = config.parameters
     if p["gaposhkin_m"] is not None:
-        spec = _gaposhkin(p, ("generator", "freqs", "coeffs"))
+        spec, checkpoints = _gaposhkin(p, ("generator", "freqs", "coeffs"), 1)
     else:
         K = 64 if p["K"] is None else p["K"]
-        freqs = tuple([2**k for k in range(K)] if p["freqs"] is None else p["freqs"])[:K]
-        if p["K"] is not None and len(freqs) < K:
-            raise ConfigError(f"dilated K={K} exceeds the {len(freqs)} frequencies of freqs")
-        rule = _coeffs("geom:0.5") if p["coeffs"] is None else p["coeffs"]
+        given = None if p["freqs"] is None else p["freqs"][:K]
+        if p["K"] is not None and given is not None and len(given) < K:
+            raise ConfigError(f"dilated K={K} exceeds the {len(given)} frequencies of freqs")
+        length = K if given is None else len(given)
+        checkpoints = _checkpoints_for(p["checkpoints"], length)
         generator = _generator("sin") if p["generator"] is None else p["generator"]
+        _check_generator_series(generator, given, length, checkpoints, p["sample_size"])
+        rule = _coeffs("geom:0.5") if p["coeffs"] is None else p["coeffs"]
+        freqs = tuple([2**k for k in range(K)] if given is None else given)
         try:
-            spec = SeriesSpec(_coeffs_for(rule, len(freqs)), freqs, generator)
+            spec = SeriesSpec(_coeffs_for(rule, length), freqs, generator)
         except ValueError as exc:
             raise ConfigError(f"bad dilated series: {exc}") from None
-    checkpoints = _checkpoints_for(p["checkpoints"], spec.length)
     diag = oscillation_diagnostic(spec, checkpoints, p["sample_size"], config.seed)
     yield "dilated_oscillation.csv", diag.to_csv() + f"# verdict={diag.verdict} slope={diag.fitted_slope!r}\n", ()
 
@@ -432,15 +538,16 @@ def _run_dilated(config: ExperimentConfig) -> _Reports:
 def _run_davenport(config: ExperimentConfig) -> _Reports:
     p = config.parameters
     lam, freqs = p["lambda"], p["freqs"]
-    if len(freqs) > 4096:
-        raise ConfigError(f"davenport freqs: {len(freqs)} frequencies > 4096 (a Gram matrix past 2^24 entries)")
     # the quadrature grid must leave alias-free room for the largest dilate
     quad_J = max(config.resolution, 16, max(freqs).bit_length() + 2)
-    if p["quadrature_check"] and quad_J > 24:
-        raise ConfigError(f"davenport quadrature_check at freqs up to {max(freqs)} needs J={quad_J} > 24")
     smooth_J = max(config.resolution, 14)
     if p["smoothness_p"] is not None and p["M"] >= 2 ** (smooth_J - 1):
         raise ConfigError(f"davenport smoothness_p: M={p['M']} aliases at J={smooth_J} (needs M < 2^{smooth_J - 1})")
+    _check_size({
+        "Gram matrix": len(freqs) ** 2,
+        "quadrature grid": 2**quad_J if p["quadrature_check"] else 0,
+        "smoothness shift scan": 0 if p["smoothness_p"] is None else _curve_cells(2**smooth_J, [p["smoothness_p"]]),
+    })
     gm = gram_matrix(freqs, lam)
     yield "davenport_gram.csv", gm.to_csv(), ()
     lines = [f"lambda,{lam!r}", f"min_eig,{gm.eigen_bounds[0]!r}", f"max_eig,{gm.eigen_bounds[1]!r}"]
@@ -470,7 +577,7 @@ def _run_davenport(config: ExperimentConfig) -> _Reports:
 def _run_ergodic(config: ExperimentConfig) -> _Reports:
     p = config.parameters
     if p["gaposhkin_m"] is not None:
-        base = _gaposhkin(p, ("f", "coeffs"))
+        base, checkpoints = _gaposhkin(p, ("f", "coeffs"), 0)
         f, coeffs = base.generator, base.coeffs
     else:
         f = _generator("sin") if p["f"] is None else p["f"]
@@ -478,8 +585,10 @@ def _run_ergodic(config: ExperimentConfig) -> _Reports:
         if not f.has_zero_mean():
             raise ConfigError("ergodic f: generator must have zero mean")
         K = p["K"] if p["K"] is not None else (len(rule) if isinstance(rule, tuple) else 256)
+        checkpoints = _checkpoints_for(p["checkpoints"], K)
+        # the run dilates f by the powers of two 2^0, ..., 2^(K-1)
+        _check_generator_series(f, None, K, checkpoints, p["sample_size"])
         coeffs = _coeffs_for(rule, K)
-    checkpoints = _checkpoints_for(p["checkpoints"], len(coeffs))
     diag, decay = ergodic_series_run(f, coeffs, checkpoints, p["sample_size"], config.seed)
     yield "ergodic_decay.csv", decay.to_csv(), ()
     yield "ergodic_oscillation.csv", diag.to_csv() + f"# verdict={diag.verdict}\n", ()
@@ -509,6 +618,7 @@ def _run_riesz(config: ExperimentConfig) -> _Reports:
     if N >= spec.depth:
         raise ConfigError(f"riesz N={N} outside the spec depth {spec.depth}")
     if p["action"] == "coeff":
+        _check_size({"prefix sums": N + 2})
         lines = ["k,re,im"]
         for k in [spec.lambdas[0]] if p["k"] is None else p["k"]:
             c = complex(riesz_fourier_coeff(spec, N, k))
@@ -517,16 +627,15 @@ def _run_riesz(config: ExperimentConfig) -> _Reports:
     elif p["action"] == "sample":
         if sum(spec.lambdas[: N + 1]) >= 2 ** (J - 1):
             raise ConfigError(f"riesz partial product at depth {N} aliases at J={J}")
+        _check_size({"density grid": 2**J, "sample": p["count"]})
         xs = sample_mu(spec, N, J, p["count"], config.seed)
         yield "riesz_sample.csv", "x\n" + "\n".join(repr(float(x)) for x in xs) + "\n", ()
     else:
-        # the hypothesis modulus is read alias-free at J = bits(max mode) + 1,
-        # a shift scan of O(4^J): 2^16 grid points at most
-        if p["fn"].max_frequency >= 2**15:
-            raise ConfigError(f"riesz fn: mode {p['fn'].max_frequency} needs a hypothesis grid past 2^16 points")
-        series_J = series_resolution(spec, N)
-        if series_J > 24:
-            raise ConfigError(f"riesz series at depth {N} samples on 2^{series_J} grid points > 2^24")
+        _check_size({
+            "sampling grid": 2 ** series_resolution(spec, N),
+            "term matrix": p["sample_size"] * (N + 1),
+            "hypothesis shift scan": _curve_cells(2 ** _hypothesis_resolution(p["fn"]), [math.inf]),
+        })
         coeffs = _coeffs_for(p["coeffs"], N + 1)
         checkpoints = _checkpoints_for(p["checkpoints"], N + 1)
         diag = riesz_series_run(spec, lambda n: p["fn"], coeffs, checkpoints, p["sample_size"], config.seed)
@@ -553,30 +662,32 @@ def _run_symbolic(config: ExperimentConfig) -> _Reports:
         raise ConfigError(f"symbolic needs lambda_0 = 1 and depth >= {len(lambdas)} (one level per lambda), "
                           f"got lambda_0 = {lambdas[0]} and depth {depth}")
     ladder = _digit_ladder(lambdas, depth)
-    if ladder[depth] > 2**24:  # the digit box of coordinates 1..depth
-        raise ConfigError(f"symbolic depth {depth}: the digit box has {ladder[depth]} cells > 2^24")
-    space, pots = riesz_potentials(spec, depth)
-    weights = equilibrium_weights(space, pots)
-    reports = [potential_variation_check(space, pots, alpha, p["A"])]
+    # cylinder cross-check against the torus density: the deepest
+    # oscillating level needs >= 4 digit levels of padding below it for
+    # the midpoint truncation to sit well under the 1e-6 tolerance
+    levels_check, n_check = max(1, depth - 4), min(6, depth - 1)
+    # its phase table: the depth-n_check cylinders by the nonzero frequencies of P_(levels_check - 1)
+    frequencies = 3 ** sum(c != 0 for c in cs[:levels_check]) - 1
+    phases = _digit_ladder(lambdas[:levels_check], n_check)[n_check] * frequencies
+    _check_size({"digit box": ladder[depth], "cylinder phase table": phases})
     # default audit family: depth-truncated oscillations above each level,
     # cos(2 pi lambda_n x) at the cylinder midpoints of coordinates n+1..depth
     fns = [
         CylinderFunction(n + 1, np.cos(2 * math.pi * ladder[n] * _digit_points(ladder, n + 1, depth, 0.5 / ladder[depth])))
         for n in range(1, min(5, depth - 2) + 1)
     ]
-    try:
-        rep, _ = averaging_decay_audit(space, pots, fns, alpha, p["B"], weights=weights)
+    try:  # the family is checked on the digit box, before the potentials are built
+        _check_decay_hypothesis(_digit_space(ladder, depth), fns, alpha, p["B"])
     except DecayHypothesisError as exc:
         raise ConfigError(f"symbolic B={p['B']:g} does not bound the audit family: {exc}") from None
+    space, pots = riesz_potentials(spec, depth)
+    weights = equilibrium_weights(space, pots)
+    reports = [potential_variation_check(space, pots, alpha, p["A"])]
+    rep, _ = averaging_decay_audit(space, pots, fns, alpha, p["B"], weights=weights)
     reports.append(rep)
-    # cylinder cross-check against the torus density: the deepest
-    # oscillating level needs >= 4 digit levels of padding below it for
-    # the midpoint truncation to sit well under the 1e-6 tolerance
-    levels_check = max(1, depth - 4)
     spec_check = RieszProductSpec(lambdas[:levels_check], cs[:levels_check])
     space_c, pots_c = riesz_potentials(spec_check, depth)
     w_c = equilibrium_weights(space_c, pots_c)
-    n_check = min(6, depth - 1)
     ints = riesz_cylinder_integrals(spec_check, levels_check - 1, n_check)
     mu_n = w_c.sum(axis=tuple(range(n_check, depth)))
     err = float(np.abs(ints - mu_n).max())

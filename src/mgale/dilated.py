@@ -151,6 +151,23 @@ def _is_pow2(n: int) -> bool:
     return n > 0 and (n & (n - 1)) == 0
 
 
+def _dyadic_path(freqs, generator: FourierFunction) -> bool:
+    """Whether series_values_at_points takes its dyadic FFT path for these
+    frequencies: every one of them and every positive generator mode a
+    power of two, and a real-valued generator."""
+    return (
+        all(_is_pow2(n) for n in freqs)
+        and all(_is_pow2(m) for m in generator.frequencies if m > 0)
+        and generator.is_real_valued()
+    )
+
+
+def _fft_size(bits: int, kernel: int) -> int:
+    """Length of the dyadic path's FFTs: the least power of two holding an
+    orbit of ``bits`` points and a generator kernel ``kernel`` wide."""
+    return 1 << (bits + kernel - 1).bit_length()
+
+
 def series_values_at_points(
     spec: SeriesSpec, K: int, bitmat: np.ndarray, ints: list
 ) -> np.ndarray:
@@ -167,12 +184,10 @@ def series_values_at_points(
     freqs = spec.freqs[:K]
     gen = spec.generator
     gen_ms = gen.frequencies
-    pos_ms = [m for m in gen_ms if m > 0]
-    dyadic = all(_is_pow2(n) for n in freqs) and all(_is_pow2(m) for m in pos_ms)
     coeffs = np.array(spec.coeffs[:K])
-    if dyadic and gen.is_real_valued():
+    if _dyadic_path(freqs, gen):
         # f(2^e x) = sum_j b_j sin(2 pi frac(2^(e+j) x)) for sine amplitudes b_j
-        amps = {m.bit_length() - 1: (2j * gen.coeffs[m]).real for m in pos_ms}
+        amps = {m.bit_length() - 1: (2j * gen.coeffs[m]).real for m in gen_ms if m > 0}
         jmin, jmax = min(amps), max(amps)
         kern = np.array([amps.get(j, 0.0) for j in range(jmin, jmax + 1)])
         exps = np.array([n.bit_length() - 1 for n in freqs])
@@ -182,7 +197,7 @@ def series_values_at_points(
         sins = np.sin(2 * np.pi * _doubling_orbit_fracs(bitmat))
         # correlation over the orbit: f_at[e] = sum_j kern[j] * sins[:, e + jmin + j]
         m = sins.shape[1]
-        size = int(2 ** math.ceil(math.log2(m + kern.size)))
+        size = _fft_size(m, kern.size)
         sf = np.fft.rfft(sins, size, axis=1)
         kf = np.fft.rfft(kern[::-1], size)
         corr = np.fft.irfft(sf * kf[None, :], size, axis=1)[:, kern.size - 1 : m]
@@ -314,11 +329,15 @@ def oscillation_diagnostic(
     return _window_oscillation(sums, amps, checkpoints, seed, "")
 
 
+#: sample bits past those of n_K times the top generator mode
+_SPARE_BITS = 64
+
+
 def _sampled_partial_sums(spec: SeriesSpec, K: int, sample_size: int, seed: int) -> np.ndarray:
     """(sample_size, K) partial sums S_1..S_K at seeded exact dyadic points
-    with 64 bits to spare past n_K times the top generator mode."""
+    with _SPARE_BITS bits to spare past n_K times the top generator mode."""
     max_gen = max((abs(m) for m in spec.generator.coeffs), default=1)
-    bits = (spec.freqs[K - 1] * max_gen).bit_length() + 64
+    bits = (spec.freqs[K - 1] * max_gen).bit_length() + _SPARE_BITS
     bitmat, ints = sample_dyadic_points(sample_size, bits, seed)
     return np.cumsum(series_values_at_points(spec, K, bitmat, ints), axis=1)
 

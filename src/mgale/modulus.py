@@ -55,8 +55,26 @@ def _circular_corr(g: np.ndarray, h: np.ndarray) -> np.ndarray:
     return np.fft.irfft(np.fft.rfft(g) * np.conj(np.fft.rfft(h)), g.shape[-1])
 
 
+#: shift rows per block of the generic-p scan: a block holds chunk x n cells
+_SCAN_CHUNK = 256
+
+
+def _fft_path(p, real: bool) -> bool:
+    """Whether shift_norm_curve reads the curve of p off FFT correlations
+    (p = 2, and p = 4 on real data) rather than scanning the shifts."""
+    return p == 2 or (p == 4 and real)
+
+
+def _curve_cells(n: int, p_values) -> int:
+    """Cells of the largest array shift_norm_curve builds for the full
+    curve of n real samples: the scan block when some p needs the scan,
+    else a curve of n + 1 values."""
+    scan = not all(_fft_path(p, True) for p in p_values)
+    return max(n + 1, min(_SCAN_CHUNK, n // 2 + 1) * n if scan else 0)
+
+
 def shift_norm_curve(
-    samples: np.ndarray, p_values, max_shift: int | None = None, chunk: int = 256
+    samples: np.ndarray, p_values, max_shift: int | None = None, chunk: int = _SCAN_CHUNK
 ) -> dict:
     """||tau_t f - f||_p for every shift t = 0..max_shift, per p.
 
@@ -77,12 +95,14 @@ def shift_norm_curve(
     ts_all = np.arange(max_shift + 1) % n
     remaining = []
     for p in p_values:
-        if p == 2:
+        if not _fft_path(p, not np.iscomplexobj(s)):
+            remaining.append(p)
+        elif p == 2:
             spec = np.fft.fft(s)
             acorr = np.fft.ifft(np.abs(spec) ** 2).real / n
             sq = 2.0 * acorr[0] - 2.0 * acorr
             curves[2] = np.sqrt(np.maximum(sq[ts_all], 0.0))
-        elif p == 4 and not np.iscomplexobj(s):
+        else:  # p == 4 on real data
             s2, s3 = s * s, s * s * s
             m4 = float((s2 * s2).sum())
             c31 = _circular_corr(s3, s)
@@ -90,8 +110,6 @@ def shift_norm_curve(
             c22 = _circular_corr(s2, s2)
             fourth = (2.0 * m4 - 4.0 * (c31 + c13) + 6.0 * c22) / n
             curves[4] = np.maximum(fourth[ts_all], 0.0) ** 0.25
-        else:
-            remaining.append(p)
     if not remaining:
         return curves
     last = min(max_shift, n // 2)

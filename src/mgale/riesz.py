@@ -172,6 +172,12 @@ def series_resolution(spec: RieszProductSpec, N: int) -> int:
     return max(12, int(math.ceil(math.log2(sum(spec.lambdas[: N + 1])))) + 2)
 
 
+def _hypothesis_resolution(fn: FourierFunction) -> int:
+    """J' = max(12, bits(max mode) + 1), the least grid that renders fn
+    alias-free, on which riesz_series_run reads fn's sup-modulus."""
+    return max(12, fn.max_frequency.bit_length() + 1)
+
+
 def riesz_series_run(
     spec: RieszProductSpec,
     fn_family,
@@ -214,7 +220,7 @@ def riesz_series_run(
         key = tuple(sorted(fn.coeffs.items()))
         if key not in hyp_cache:
             octs = min(10, max(4, fn.max_frequency.bit_length() - 1))
-            om = grid_inf_modulus(fn, octs, max(12, fn.max_frequency.bit_length() + 1))
+            om = grid_inf_modulus(fn, octs, _hypothesis_resolution(fn))
             ts = 2.0 ** -np.arange(1, octs + 1)
             prod = om[1:] * np.abs(np.log(ts)) ** 0.75
             hyp_cache[key] = bool(np.ptp(prod) > 0 and prod[-1] > 2.0 * prod[0] + 1e-12)

@@ -5,8 +5,7 @@ Representation: everything lives on the dense digit box
 S_1 x ... x S_D (depth D), as numpy arrays indexed by the digits.  A
 cylinder function depending on coordinates start..start+d-1 is stored
 as a d-dimensional array and broadcast into the box on demand, so every
-operation is exact enumeration over the box (the CLI caps it at 2^24
-cells).
+operation is exact enumeration over the box.
 
 Key structural fact used throughout: for exactly normalized potentials
 the operators satisfy P_n(P_m f) = P_m f for n <= m, hence the adjoint
@@ -231,6 +230,24 @@ def potential_variation_check(
     return AuditReport(a_star, float(A), alpha, a_star <= A, f"potential-variation[alpha={alpha},witness={witness}]")
 
 
+def _check_decay_hypothesis(space: SymbolicSpace, fns: list[CylinderFunction], alpha: float, B: float) -> None:
+    """Raise unless each f_n depends only on coordinates > n, with
+    ||f_n||_inf <= B and var_m(f_n) <= B/(m-n)^alpha (DecayHypothesisError
+    for a broken bound).  It reads the digit box only, not the potentials."""
+    for n, f in enumerate(fns, start=1):
+        if f.start <= n:
+            raise ValueError(f"f_{n} must depend only on coordinates > {n}")
+        sup = sup_norm(space, f)
+        if sup > B + 1e-12:
+            raise DecayHypothesisError(f"hypothesis violated: ||f_{n}||_inf = {sup:.6g} > B = {B:g}")
+        for m in range(n + 1, space.depth + 1):
+            var, bound = var_m(space, f, m), B / (m - n) ** alpha
+            if var > bound + 1e-12:
+                raise DecayHypothesisError(
+                    f"hypothesis violated: var_{m}(f_{n}) = {var:.6g} > B/(m-n)^alpha = {bound:.6g}"
+                )
+
+
 def averaging_decay_audit(
     space: SymbolicSpace,
     pots: PotentialSeq,
@@ -249,21 +266,11 @@ def averaging_decay_audit(
     theorem's constant is existential, so no fixed C is asserted); the
     fitted C and the decay table ride along for inspection.
     """
+    _check_decay_hypothesis(space, fns, alpha, B)
     floor = 1e-12 * max(B, 1.0)  # below this, P_m f_n has decayed to roundoff
     pairs = []
     decay: dict = {}
     for n, f in enumerate(fns, start=1):
-        if f.start <= n:
-            raise ValueError(f"f_{n} must depend only on coordinates > {n}")
-        sup = sup_norm(space, f)
-        if sup > B + 1e-12:
-            raise DecayHypothesisError(f"hypothesis violated: ||f_{n}||_inf = {sup:.6g} > B = {B:g}")
-        for m in range(n + 1, space.depth + 1):
-            var, bound = var_m(space, f, m), B / (m - n) ** alpha
-            if var > bound + 1e-12:
-                raise DecayHypothesisError(
-                    f"hypothesis violated: var_{m}(f_{n}) = {var:.6g} > B/(m-n)^alpha = {bound:.6g}"
-                )
         centered = CylinderFunction(f.start, f.values - mu_integral(space, weights, f))
         for m in range(n + 1, min(space.depth - 1, len(pots)) + 1):
             val = sup_norm(space, pn_apply(space, pots, centered, m))
@@ -328,6 +335,11 @@ def _digit_ladder(lambdas, depth: int) -> list:
     return ladder
 
 
+def _digit_space(ladder, depth: int) -> SymbolicSpace:
+    """The digit box of coordinates 1..depth, |S_j| = lambda_j / lambda_(j-1)."""
+    return SymbolicSpace(tuple(ladder[j] // ladder[j - 1] for j in range(1, depth + 1)))
+
+
 def _digit_points(ladder, first: int, depth: int, offset: float = 0.0) -> np.ndarray:
     """x = offset + sum_{c=first..depth} d_c / lambda_c over the digit box
     of coordinates first..depth, d_c in range(lambda_c / lambda_(c-1)).
@@ -361,12 +373,11 @@ def riesz_potentials(spec: RieszProductSpec, depth: int) -> tuple[SymbolicSpace,
     if depth < spec.depth:
         raise ValueError("depth must cover every nontrivial potential")
     ladder = _digit_ladder(spec.lambdas, depth)
-    sizes = tuple(ladder[j] // ladder[j - 1] for j in range(1, depth + 1))
-    space = SymbolicSpace(sizes)
+    space = _digit_space(ladder, depth)
     offset = 0.5 / ladder[depth]
     pots = []
     for j in range(1, depth + 1):
-        ell = sizes[j - 1]
+        ell = space.sizes[j - 1]
         if j - 1 < len(spec.cs) and spec.cs[j - 1] != 0:
             c = spec.cs[j - 1]
             # x restricted to digits j..depth plus the midpoint offset

@@ -242,8 +242,11 @@ def test_symbolic_run_and_failure_exit(tmp_path):
 
 
 @pytest.mark.parametrize("B, rc", [(1.0, 2), (8.0, 0)])
-def test_symbolic_budget_below_the_audit_family_is_config_error(tmp_path, capsys, B, rc):
-    # the default family has var_2(f_1) = 1.49875 > B/(2-1)^1 at B = 1
+def test_symbolic_budget_below_the_audit_family_is_config_error(tmp_path, monkeypatch, capsys, B, rc):
+    # the default family has var_2(f_1) = 1.49875 > B/(2-1)^1 at B = 1,
+    # refused before the potentials are built
+    if rc == 2:
+        monkeypatch.setattr(cli, "riesz_potentials", lambda *args: pytest.fail("riesz_potentials was called"))
     raw = {"kind": "symbolic", "parameters": {"depth": 8, "B": B}}
     assert run_raw(tmp_path, raw) == rc
     assert (tmp_path / "out").exists() == (rc == 0)
@@ -415,6 +418,9 @@ def test_riesz_sample_aliasing_is_config_error(tmp_path):
     ("dilated", {"gaposhkin_m": 1, "K": 64, "generator": {"0": 1.0, "1": 0.5}, "freqs": [5, 3], "coeffs": [1.0]}),
     ("ergodic", {"gaposhkin_m": 1, "f": "sin"}),
     ("dilated", {"gaposhkin_m": 1, "coeffs": "geom:0.5"}),
+    # a general-path generator mode past 2^20 loses phase precision
+    ("dilated", {"K": 16, "generator": {"3000000": [0.0, -0.5], "-3000000": [0.0, 0.5]}, "sample_size": 100}),
+    ("ergodic", {"K": 16, "f": {"3000000": [0.0, -0.5], "-3000000": [0.0, 0.5]}, "sample_size": 100}),
 ])
 def test_series_kind_parameters_are_config_errors(tmp_path, kind, params):
     assert run_raw(tmp_path, {"kind": kind, "parameters": params}) == 2
@@ -441,19 +447,39 @@ def test_series_kind_well_formed_parameters_run(tmp_path, kind, params):
     assert run_raw(tmp_path, {"kind": kind, "parameters": params}) == 0
 
 
-@pytest.mark.parametrize("kind, params, first_work", [
-    ("symbolic", {"depth": 15}, "riesz_potentials"),
-    ("davenport", {"freqs": list(range(1, 4097))}, "gram_matrix"),
+@pytest.mark.parametrize("kind, params, first_work, resolution", [
+    pytest.param("symbolic", {"depth": 15}, "riesz_potentials", 12, id="symbolic-params0-riesz_potentials"),
+    pytest.param("davenport", {"freqs": list(range(1, 4097))}, "gram_matrix", 12, id="davenport-params1-gram_matrix"),
     # 3^0..3^13 sum to (3^14 - 1) / 2 < 2^22: a series sampled on 2^24 points
-    ("riesz", {"action": "series", "lambdas": "pow:3:13", "cs": [0.5] * 14}, "riesz_series_run"),
+    pytest.param("riesz", {"action": "series", "lambdas": "pow:3:13", "cs": [0.5] * 14}, "riesz_series_run", 12,
+                 id="riesz-params2-riesz_series_run"),
+    # the largest accepted config at each boundary of the size rule:
+    # 4096 test functions of 2^12 points
+    pytest.param("audit", {"suite": "rio", "cases": 4096}, "mg.rio_audit_batch", 12, id="audit-rio-batch"),
+    # a shift-scan block of 256 x 2^16
+    pytest.param("audit", {"suite": "dyadic_approx"}, "mg.random_grid_functions", 16, id="audit-dyadic-scan"),
+    pytest.param("davenport", {"freqs": "pow:2:4", "smoothness_p": 1.5}, "gram_matrix", 16, id="davenport-scan"),
+    # 729 depth-6 cylinders by 3^9 - 1 frequencies
+    pytest.param("symbolic", {"lambdas": "pow:3:8", "cs": [0.5] * 9, "depth": 15}, "riesz_potentials", 12,
+                 id="symbolic-phase-table"),
+    # 3355443 samples by 5 terms
+    pytest.param("riesz", {"action": "series", "lambdas": "pow:3:4", "cs": [0.5] * 5, "sample_size": 3355443},
+                 "riesz_series_run", 12, id="riesz-term-matrix"),
+    # 2^16 samples by an FFT of 256
+    pytest.param("dilated", {"K": 64, "sample_size": 2**16}, "oscillation_diagnostic", 12, id="dilated-fft-block"),
+    # 200 samples by 2 x 41943 general-path modes
+    pytest.param("dilated", {"generator": "davenport:0.75:41943"}, "oscillation_diagnostic", 12,
+                 id="dilated-outer-product"),
+    # 200 samples by an FFT of 2^16, and the 64-bit words of 2^0..2^46307
+    pytest.param("ergodic", {"K": 46308}, "ergodic_series_run", 12, id="ergodic-ladder"),
 ])
-def test_largest_sizes_pass_the_caps(tmp_path, monkeypatch, kind, params, first_work):
+def test_largest_sizes_pass_the_caps(tmp_path, monkeypatch, kind, params, first_work, resolution):
     # a full run at these sizes takes minutes: stop at the first piece of work
     def stop(*args, **kwargs):
         raise RuntimeError("reached the work")
 
-    monkeypatch.setattr(cli, first_work, stop)
-    assert run_raw(tmp_path, {"kind": kind, "parameters": params}) == 1
+    monkeypatch.setattr(f"mgale.cli.{first_work}", stop)
+    assert run_raw(tmp_path, {"kind": kind, "parameters": params, "resolution": resolution}) == 1
     assert "reached the work" in (tmp_path / "out" / f"{kind}_FAILED.txt").read_text()
 
 
@@ -467,19 +493,52 @@ def test_riesz_series_grid_past_2_24_is_config_error(tmp_path, monkeypatch, K):
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("M, accepted", [(2**20, True), (2**20 + 1, False), (10**12, False)])
-def test_davenport_generator_past_2_20_modes_is_config_error(monkeypatch, M, accepted):
-    # past 2^20 modes the series evaluation refuses the generator: refuse it
-    # before its M modes are built
+@pytest.mark.parametrize("M, accepted", [
+    (83886, True), (83887, False), (2**20, False), (2**20 + 1, False), (10**12, False),
+])
+def test_davenport_generator_past_the_size_limit_is_config_error(monkeypatch, M, accepted):
+    # a series on M >= 3 modes takes the general path, whose outer product of
+    # at least 100 samples by 2M modes passes 2^24 cells for M > 83886: refuse
+    # such a generator before its M modes are built
     built = []
     monkeypatch.setattr(cli, "davenport_fourier", lambda lam, m: built.append(m) or cli.sine_series({1: 1.0}))
     raw = {"kind": "dilated", "parameters": {"generator": f"davenport:0.75:{M}"}}
     if accepted:
         cli.validate_config(raw)
     else:
-        with pytest.raises(cli.ConfigError, match="2\\^20"):
+        with pytest.raises(cli.ConfigError, match="2\\^24"):
             cli.validate_config(raw)
     assert built == ([M] if accepted else [])
+
+
+@pytest.mark.parametrize("kind, params, first_work, resolution", [
+    # 100 test functions of 2^24 points
+    ("audit", {"suite": "rio"}, "mg.rio_audit_batch", 24),
+    # a shift-scan block of 256 x 2^17, and of 256 x 2^24
+    ("audit", {"suite": "dyadic_approx", "cases": 1}, "mg.random_grid_functions", 17),
+    ("audit", {"suite": "dyadic_approx"}, "mg.random_grid_functions", 24),
+    ("davenport", {"freqs": "pow:2:4", "smoothness_p": 1.5}, "gram_matrix", 24),
+    # a cylinder phase table of 729 x (3^11 - 1)
+    ("symbolic", {"lambdas": "pow:3:10", "cs": [0.5] * 11, "depth": 15}, "riesz_potentials", 12),
+    # a term matrix of 2^23 samples by 5 terms
+    ("riesz", {"action": "series", "lambdas": "pow:3:4", "cs": [0.5] * 5, "sample_size": 2**23},
+     "riesz_series_run", 12),
+    # a dyadic-path FFT block of 2^20 x 256
+    ("dilated", {"K": 64, "sample_size": 2**20}, "oscillation_diagnostic", 12),
+    # a general-path outer product of 200 x 131072
+    ("dilated", {"generator": "davenport:0.75:65536"}, "oscillation_diagnostic", 12),
+    # an FFT block of 200 x 2^17; at K = 10^6 the ladder 2^k alone is 62 GB
+    ("ergodic", {"K": 65536}, "ergodic_series_run", 12),
+    ("ergodic", {"K": 10**6}, "ergodic_series_run", 12),
+    # one window, but the whole ladder 2^0..2^(2^20 - 1): 2^39 words
+    ("ergodic", {"K": 2**20, "checkpoints": [16]}, "ergodic_series_run", 12),
+    ("ergodic", {"gaposhkin_m": 1, "K": 10**6}, "gaposhkin_example", 12),
+])
+def test_runs_past_the_size_limit_are_config_errors(tmp_path, monkeypatch, kind, params, first_work, resolution):
+    # each config would build an array past 2^24 cells: refused before any work
+    monkeypatch.setattr(f"mgale.cli.{first_work}", lambda *args: pytest.fail(f"{first_work} was called"))
+    assert run_raw(tmp_path, {"kind": kind, "parameters": params, "resolution": resolution}) == 2
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("count, accepted", [(2**24, True), (2**24 + 1, False)])
