@@ -31,7 +31,9 @@ clean).
 
 Size rule: before any work, each handler states the cell count (entries,
 whatever the dtype) of the largest array its run will build, and
-``_check_size`` refuses a run past ``MAX_CELLS`` = 2^24 cells.
+``_check_size`` refuses a run past ``MAX_CELLS`` = 2^24 cells.  The
+dilated and ergodic series read their counts from
+``mgale.dilated._series_cells``, beside the code that builds the arrays.
 
 Exit codes: 0 success, 1 an audit row failed (a universal-inequality
 audit, or the Davenport quadrature check, which is one such row) or the
@@ -68,11 +70,10 @@ from .davenport import (
     smoothness_estimate,
 )
 from .dilated import (
-    _SPARE_BITS,
-    GENERAL_PATH_MAX_MODE,
     SeriesSpec,
-    _dyadic_path,
-    _fft_size,
+    _general_cells,
+    _pow2_ladder,
+    _series_cells,
     contraction_audit,
     contraction_refined_audit,
     gaposhkin_example,
@@ -253,8 +254,8 @@ def _generator(g) -> FourierFunction:
     """"sin", "davenport:lambda:M" (lambda > 0, 1 <= M <= 83886) or a mode object {"m": c}.
 
     M past 83886 is refused (exit 2) before the M modes are built: with
-    M >= 3 a series takes the general path, whose outer product of at
-    least 100 samples by 2M modes would pass the size limit.
+    M >= 3 a series takes the general path, whose block of at least 100
+    samples by 2M modes would pass the size limit.
     """
     if g == "sin":
         return sine_series({1: 1.0})
@@ -262,7 +263,7 @@ def _generator(g) -> FourierFunction:
         return FourierFunction({int(m): _COMPLEX(c) for m, c in g.items()})
     if isinstance(g, str) and g.startswith("davenport:"):
         _, lam, M = g.split(":")
-        _check_size({"general-path outer product": 100 * 2 * int(M)})
+        _check_size({"general-path term block": _general_cells(100, 0, 0, 2 * int(M))})
         if math.isfinite(float(lam)) and float(lam) > 0 and int(M) >= 1:
             return davenport_fourier(float(lam), int(M))
     raise ConfigError(f"must be \"sin\", \"davenport:lambda:M\" or a mode object, got {g!r}")
@@ -285,9 +286,12 @@ def _coeffs(rule):
 
 
 def _coeffs_for(rule, K: int) -> tuple:
-    """The first K coefficients of a parsed rule; a list must hold K."""
+    """The first K coefficients of a parsed rule, all finite; a list must hold K."""
     if callable(rule):
-        return rule(K)
+        with np.errstate(over="ignore"):  # an overflow is refused below, not warned about
+            rule = rule(K)
+        if not all(map(math.isfinite, rule)):
+            raise ConfigError(f"the coefficient rule overflows within {K} terms")
     if len(rule) < K:
         raise ConfigError(f"coefficient list must hold at least {K} numbers, got {len(rule)}")
     return rule[:K]
@@ -304,50 +308,13 @@ def _checkpoints_for(cps, length: int) -> list:
     return cps
 
 
-def _ladder_words(K: int) -> int:
-    """64-bit words of the exact integers 2^0, ..., 2^(K-1): 2^k spans k // 64 + 1."""
-    q, r = divmod(K, 64)
-    return 64 * q * (q + 1) // 2 + r * (q + 1)
-
-
-def _term_block(sample_size: int, terms: int, top_bits: int, dyadic: bool, kernel: int, modes: int) -> dict:
-    """The largest array of the term values of a dilated or ergodic run.
-
-    They are evaluated over ``terms`` terms at ``sample_size`` points of
-    ``top_bits`` + _SPARE_BITS bits, ``top_bits`` being the bits of
-    n_terms times the top generator mode: on the dyadic path in an FFT
-    block of sample_size x _fft_size(bits, kernel) cells (``kernel`` the
-    octave span of the positive generator modes), else in a block of
-    sample_size x max(bits, terms, modes).
-    """
-    bits = top_bits + _SPARE_BITS
-    if dyadic:
-        return {"dyadic-path FFT block": sample_size * _fft_size(bits, kernel)}
-    return {"general-path term block": sample_size * max(bits, terms, modes)}
-
-
-def _check_generator_series(generator: FourierFunction, freqs, length: int, checkpoints: list,
-                            sample_size: int) -> None:
-    """Refuse a series of ``length`` terms of ``generator`` past the size
-    limit, or whose general path would lose phase precision.
-
-    ``freqs`` lists the frequencies, or is None for the default powers of
-    two 2^0, ..., 2^(length-1), which the run builds as exact integers.
-    """
-    terms = min(2 * max(checkpoints), length)
-    top = max(generator.max_frequency, 1)
-    if freqs is None:
-        dyadic, top_bits = _dyadic_path((), generator), terms - 1 + top.bit_length()
-    else:
-        dyadic, top_bits = _dyadic_path(freqs[:terms], generator), (freqs[terms - 1] * top).bit_length()
-    if not dyadic and generator.max_frequency > GENERAL_PATH_MAX_MODE:
-        raise ConfigError(f"a general-path generator mode {generator.max_frequency} > 2^20 loses phase precision")
-    pos = [m for m in generator.frequencies if m > 0]
-    kernel = pos[-1].bit_length() - pos[0].bit_length() + 1 if pos else 1
-    arrays = _term_block(sample_size, terms, top_bits, dyadic, kernel, len(generator.coeffs))
-    if freqs is None:
-        arrays["frequency ladder"] = _ladder_words(length)
-    _check_size(arrays)
+def _check_series(*args) -> None:
+    """Refuse an oscillation run of ``mgale.dilated._series_cells(*args)`` past
+    the size limit or losing phase precision."""
+    try:
+        _check_size(_series_cells(*args))
+    except ValueError as exc:  # a ConfigError among them
+        raise ConfigError(str(exc)) from None
 
 
 def _gaposhkin(p: dict, series_keys: tuple, first: int) -> tuple[SeriesSpec, list]:
@@ -355,9 +322,8 @@ def _gaposhkin(p: dict, series_keys: tuple, first: int) -> tuple[SeriesSpec, lis
     and the checkpoints of its run.
 
     It fixes its own series, so each of ``series_keys`` given beside it
-    is a config error rather than a value silently ignored.  The run
-    dilates its generator (modes +-2^1..+-2^K) by 2^first, ..., 2^(first + K - 1);
-    its size is checked before the example is built.
+    is a config error rather than a value silently ignored.  Its size, on
+    the ladder from 2^first, is checked before the example is built.
     """
     given = [key for key in series_keys if p[key] is not None]
     if given:
@@ -366,9 +332,7 @@ def _gaposhkin(p: dict, series_keys: tuple, first: int) -> tuple[SeriesSpec, lis
     if K < 2:
         raise ConfigError(f"gaposhkin_m needs K >= 2, got {K}")
     checkpoints = _checkpoints_for(p["checkpoints"], K)
-    terms = min(2 * max(checkpoints), K)
-    _check_size({**_term_block(p["sample_size"], terms, first + terms + K, True, K, 2 * K),
-                 "generator modes": 2 * (_ladder_words(K + 1) - 1)})
+    _check_series((K, first), None, K, checkpoints, p["sample_size"])
     return gaposhkin_example(p["gaposhkin_m"], K), checkpoints
 
 
@@ -517,9 +481,9 @@ def _run_dilated(config: ExperimentConfig) -> _Reports:
         length = K if given is None else len(given)
         checkpoints = _checkpoints_for(p["checkpoints"], length)
         generator = _generator("sin") if p["generator"] is None else p["generator"]
-        _check_generator_series(generator, given, length, checkpoints, p["sample_size"])
+        _check_series(generator, given, length, checkpoints, p["sample_size"])
         rule = _coeffs("geom:0.5") if p["coeffs"] is None else p["coeffs"]
-        freqs = tuple([2**k for k in range(K)] if given is None else given)
+        freqs = _pow2_ladder(0, K) if given is None else tuple(given)
         try:
             spec = SeriesSpec(_coeffs_for(rule, length), freqs, generator)
         except ValueError as exc:
@@ -587,7 +551,7 @@ def _run_ergodic(config: ExperimentConfig) -> _Reports:
         K = p["K"] if p["K"] is not None else (len(rule) if isinstance(rule, tuple) else 256)
         checkpoints = _checkpoints_for(p["checkpoints"], K)
         # the run dilates f by the powers of two 2^0, ..., 2^(K-1)
-        _check_generator_series(f, None, K, checkpoints, p["sample_size"])
+        _check_series(f, None, K, checkpoints, p["sample_size"])
         coeffs = _coeffs_for(rule, K)
     diag, decay = ergodic_series_run(f, coeffs, checkpoints, p["sample_size"], config.seed)
     yield "ergodic_decay.csv", decay.to_csv(), ()
@@ -645,7 +609,7 @@ def _run_riesz(config: ExperimentConfig) -> _Reports:
 @_kind("symbolic", {
     "lambdas": (freqs_from_rule, "pow:3:7"),
     "cs": (_list(_COMPLEX), None),
-    "depth": (_int(1), 8),
+    "depth": (_int(5), 8),
     "alpha": (_FLOAT, 1.0),
     "A": (_FLOAT, 8.0),
     "B": (_FLOAT, 8.0),
@@ -665,7 +629,7 @@ def _run_symbolic(config: ExperimentConfig) -> _Reports:
     # cylinder cross-check against the torus density: the deepest
     # oscillating level needs >= 4 digit levels of padding below it for
     # the midpoint truncation to sit well under the 1e-6 tolerance
-    levels_check, n_check = max(1, depth - 4), min(6, depth - 1)
+    levels_check, n_check = depth - 4, min(6, depth - 1)
     # its phase table: the depth-n_check cylinders by the nonzero frequencies of P_(levels_check - 1)
     frequencies = 3 ** sum(c != 0 for c in cs[:levels_check]) - 1
     phases = _digit_ladder(lambdas[:levels_check], n_check)[n_check] * frequencies

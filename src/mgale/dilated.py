@@ -146,26 +146,85 @@ def _fracs_of_multiples(ints: list, freqs, bits: int) -> np.ndarray:
 #: exactly, but the generator phases m * frac(...) are float64 products
 GENERAL_PATH_MAX_MODE = 2**20
 
+#: sample bits past those of n_K times the top generator mode
+_SPARE_BITS = 64
 
-def _is_pow2(n: int) -> bool:
-    return n > 0 and (n & (n - 1)) == 0
+
+def _sample_bits(n: int, top: int, shift: int) -> int:
+    """B = bits(2^shift n x the top generator mode) + _SPARE_BITS; a ladder's 2^shift stays unbuilt."""
+    return (n * max(top, 1)).bit_length() + shift + _SPARE_BITS
+
+
+def _pow2_ladder(first: int, count: int) -> tuple:
+    """The exact integers 2^first, ..., 2^(first + count - 1)."""
+    return tuple(1 << k for k in range(first, first + count))
+
+
+def _ladder_words(first: int, count: int) -> int:
+    """64-bit words of _pow2_ladder(first, count): 2^k spans k // 64 + 1."""
+    def words(n):  # of 2^0, ..., 2^(n - 1): 64 each of 1, ..., n // 64 words, the rest n // 64 + 1
+        return 32 * (n // 64) * (n // 64 + 1) + n % 64 * (n // 64 + 1)
+    return words(first + count) - words(first)
 
 
 def _dyadic_path(freqs, generator: FourierFunction) -> bool:
     """Whether series_values_at_points takes its dyadic FFT path for these
     frequencies: every one of them and every positive generator mode a
-    power of two, and a real-valued generator."""
+    power of two, and a real-valued generator with no cosine part."""
     return (
-        all(_is_pow2(n) for n in freqs)
-        and all(_is_pow2(m) for m in generator.frequencies if m > 0)
+        all(n > 0 and not n & (n - 1) for n in freqs)
+        and all(not m & (m - 1) and c.real == 0 for m, c in generator.coeffs.items() if m > 0)
         and generator.is_real_valued()
     )
+
+
+def _octaves(generator: FourierFunction) -> range:
+    """The octaves of the positive generator modes, least to top: the dyadic path's kernel."""
+    pos = [m for m in generator.frequencies if m > 0] or [1]
+    return range(pos[0].bit_length() - 1, pos[-1].bit_length())
 
 
 def _fft_size(bits: int, kernel: int) -> int:
     """Length of the dyadic path's FFTs: the least power of two holding an
     orbit of ``bits`` points and a generator kernel ``kernel`` wide."""
     return 1 << (bits + kernel - 1).bit_length()
+
+
+def _general_cells(sample_size: int, bits: int, terms: int, modes: int) -> int:
+    """The general path's largest block: sample bits, term values or samples x generator modes."""
+    return sample_size * max(bits, terms, modes)
+
+
+def _check_phase_precision(generator: FourierFunction) -> None:
+    if generator.max_frequency > GENERAL_PATH_MAX_MODE:
+        raise ValueError(f"a general-path generator mode {generator.max_frequency} > 2^20 loses phase "
+                         "precision; use dyadic frequencies or a truncated generator")
+
+
+def _series_cells(generator, freqs, length: int, checkpoints, sample_size: int) -> dict:
+    """The cells of each array a run of oscillation_diagnostic builds, before any is built: ``length``
+    terms of ``generator`` at ``freqs`` (None: the ladder from 2^0), or of the pair (K, first), the
+    generator of gaposhkin_example(m, K) on the ladder from 2^first.  A general path past
+    GENERAL_PATH_MAX_MODE raises ValueError."""
+    terms, arrays = min(2 * max(checkpoints), length), {}
+    if isinstance(generator, tuple):  # sine modes +-2^1, ..., +-2^K: the top one 2^K, a kernel K wide
+        K, first = generator
+        top, shift, kernel, dyadic = 1, K, K, True
+        arrays["generator modes"] = 2 * _ladder_words(1, K)
+    else:
+        first, top, shift, kernel = 0, generator.max_frequency, 0, len(_octaves(generator))
+        dyadic = _dyadic_path(() if freqs is None else freqs[:terms], generator)
+    if freqs is None:
+        arrays["frequency ladder"] = _ladder_words(first, length)
+        bits = _sample_bits(1, top, shift + first + terms - 1)
+    else:
+        bits = _sample_bits(freqs[terms - 1], top, shift)
+    if dyadic:
+        arrays["dyadic-path FFT block"] = sample_size * _fft_size(bits, kernel)
+    else:
+        _check_phase_precision(generator)
+        arrays["general-path term block"] = _general_cells(sample_size, bits, terms, len(generator.coeffs))
+    return arrays
 
 
 def series_values_at_points(
@@ -187,27 +246,22 @@ def series_values_at_points(
     coeffs = np.array(spec.coeffs[:K])
     if _dyadic_path(freqs, gen):
         # f(2^e x) = sum_j b_j sin(2 pi frac(2^(e+j) x)) for sine amplitudes b_j
-        amps = {m.bit_length() - 1: (2j * gen.coeffs[m]).real for m in gen_ms if m > 0}
-        jmin, jmax = min(amps), max(amps)
-        kern = np.array([amps.get(j, 0.0) for j in range(jmin, jmax + 1)])
+        octaves = _octaves(gen)
+        kern = np.array([(2j * gen.coeffs.get(1 << j, 0)).real for j in octaves])
         exps = np.array([n.bit_length() - 1 for n in freqs])
-        need = exps.max() + jmax + 1
+        need = exps.max() + octaves[-1] + 1
         if need > bitmat.shape[1]:
             raise ValueError(f"need at least {need} sample bits, have {bitmat.shape[1]}")
         sins = np.sin(2 * np.pi * _doubling_orbit_fracs(bitmat))
-        # correlation over the orbit: f_at[e] = sum_j kern[j] * sins[:, e + jmin + j]
+        # correlation over the orbit: f_at[e] = sum_j kern[j] * sins[:, e + octaves[j]]
         m = sins.shape[1]
         size = _fft_size(m, kern.size)
         sf = np.fft.rfft(sins, size, axis=1)
         kf = np.fft.rfft(kern[::-1], size)
         corr = np.fft.irfft(sf * kf[None, :], size, axis=1)[:, kern.size - 1 : m]
-        vals = corr[:, exps + jmin]
+        vals = corr[:, exps + octaves[0]]
         return vals * coeffs.real[None, :] if np.all(coeffs.imag == 0) else vals * coeffs[None, :]
-    if gen.max_frequency > GENERAL_PATH_MAX_MODE:
-        raise ValueError(
-            "general-path generator modes above 2^20 lose phase precision; "
-            "use dyadic frequencies or a truncated generator"
-        )
+    _check_phase_precision(gen)
     ys = _fracs_of_multiples(ints, freqs, bitmat.shape[1])
     out = np.zeros((len(ints), K), dtype=np.complex128)
     ms = np.array(gen_ms)
@@ -329,15 +383,10 @@ def oscillation_diagnostic(
     return _window_oscillation(sums, amps, checkpoints, seed, "")
 
 
-#: sample bits past those of n_K times the top generator mode
-_SPARE_BITS = 64
-
-
 def _sampled_partial_sums(spec: SeriesSpec, K: int, sample_size: int, seed: int) -> np.ndarray:
     """(sample_size, K) partial sums S_1..S_K at seeded exact dyadic points
-    with _SPARE_BITS bits to spare past n_K times the top generator mode."""
-    max_gen = max((abs(m) for m in spec.generator.coeffs), default=1)
-    bits = (spec.freqs[K - 1] * max_gen).bit_length() + _SPARE_BITS
+    of _sample_bits bits."""
+    bits = _sample_bits(spec.freqs[K - 1], spec.generator.max_frequency, 0)
     bitmat, ints = sample_dyadic_points(sample_size, bits, seed)
     return np.cumsum(series_values_at_points(spec, K, bitmat, ints), axis=1)
 
@@ -486,6 +535,6 @@ def gaposhkin_example(m: int, K: int) -> SeriesSpec:
     denom_gen = ks.copy()
     for i in range(m + 1):
         denom_gen *= iterated_log(i, ks)
-    amps = {2**k: 1.0 / denom_gen[k - 1] for k in range(1, K + 1)}
-    a = gaposhkin_coefficients(m, K)
-    return SeriesSpec(tuple(a), tuple(2**k for k in range(1, K + 1)), sine_series(amps))
+    ladder = _pow2_ladder(1, K)
+    amps = dict(zip(ladder, 1.0 / denom_gen))
+    return SeriesSpec(tuple(gaposhkin_coefficients(m, K)), ladder, sine_series(amps))

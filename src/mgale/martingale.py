@@ -74,6 +74,8 @@ class AuditReport:
 
 def _bound_report(lhs, rhs, constant, context, seed=None, tol=1e-12) -> AuditReport:
     lhs, rhs = float(lhs), float(rhs)
+    if not (math.isfinite(lhs) and math.isfinite(rhs)):  # inf <= inf would pass
+        raise ValueError(f"{context}: a non-finite side, lhs={lhs!r}, rhs={rhs!r}")
     scale = max(abs(lhs), abs(rhs), 1.0)
     return AuditReport(lhs, rhs, float(constant), lhs <= rhs + tol * scale, context, seed)
 

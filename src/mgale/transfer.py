@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dilated import OscillationDiagnostic, SeriesSpec, oscillation_diagnostic
+from .dilated import OscillationDiagnostic, SeriesSpec, _pow2_ladder, oscillation_diagnostic
 from .martingale import AuditReport, _tolerance_report
 from .torus import FourierFunction, GridFunction, render
 
@@ -151,7 +151,7 @@ def ergodic_series_run(
     decay is attached.
     """
     coeffs = tuple(coeffs)
-    spec = SeriesSpec(coeffs, tuple(2**k for k in range(len(coeffs))), f)
+    spec = SeriesSpec(coeffs, _pow2_ladder(0, len(coeffs)), f)
     diag = oscillation_diagnostic(spec, checkpoints, sample_size, seed)
     # enough L-steps to exhaust the spectrum, capped at 40 for lacunary
     # generators with astronomically high modes

@@ -421,6 +421,14 @@ def test_riesz_sample_aliasing_is_config_error(tmp_path):
     # a general-path generator mode past 2^20 loses phase precision
     ("dilated", {"K": 16, "generator": {"3000000": [0.0, -0.5], "-3000000": [0.0, 0.5]}, "sample_size": 100}),
     ("ergodic", {"K": 16, "f": {"3000000": [0.0, -0.5], "-3000000": [0.0, 0.5]}, "sample_size": 100}),
+    # coefficient rules that overflow to inf within the series
+    ("dilated", {"K": 64, "coeffs": "geom:1e10"}),
+    ("ergodic", {"K": 64, "coeffs": "invpow:-400"}),
+    ("riesz", {"action": "series", "lambdas": [1, 3, 9, 27], "cs": [0.5] * 4, "coeffs": "geom:1e300"}),
+    # symbolic below depth 5: the cylinder cross-check lacks its 4 levels of padding
+    ("symbolic", {"lambdas": [1, 3], "cs": [0.5, 0.95], "depth": 4}),
+    ("symbolic", {"lambdas": [1, 5], "cs": [0.5, 0.5], "depth": 2}),
+    ("symbolic", {"lambdas": [1], "cs": [0.5], "depth": 1}),
 ])
 def test_series_kind_parameters_are_config_errors(tmp_path, kind, params):
     assert run_raw(tmp_path, {"kind": kind, "parameters": params}) == 2
@@ -549,6 +557,15 @@ def test_riesz_sample_count_past_2_24_is_config_error(count, accepted):
     else:
         with pytest.raises(cli.ConfigError, match="count"):
             cli.validate_config(raw)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize("suite", ["rio", "doob", "dyadic_approx", "contraction"])
+def test_an_audit_norm_overflowing_to_inf_fails_the_run(tmp_path, suite):
+    # ||.||_1000 overflows: a row of inf <= inf is no passed audit
+    raw = {"kind": "audit", "parameters": {"suite": suite, "p": [1000], "cases": 4}, "resolution": 8}
+    assert run_raw(tmp_path, raw) == 1
+    assert "non-finite side" in (tmp_path / "out" / "audit_FAILED.txt").read_text()
 
 
 @pytest.mark.parametrize("kind, params, report", [

@@ -48,6 +48,25 @@ def test_fast_path_matches_general_path():
     np.testing.assert_allclose(gen_path[:, 0], 0.9 * gen_eval(xs), atol=1e-12)
 
 
+@pytest.mark.parametrize("coeffs", [
+    {1: 0.5, -1: 0.5},                                  # cos 2 pi x
+    {1: 0.5 - 0.5j, -1: 0.5 + 0.5j},                    # cos 2 pi x + sin 2 pi x
+    {2: 0.25, -2: 0.25, 8: -0.1j, -8: 0.1j},            # a cosine mode beside a sine mode
+])
+def test_term_values_keep_the_cosine_part(coeffs):
+    # on a dyadic ladder the FFT path reads sine amplitudes only, so a
+    # cosine part must send it down the general path, as off the ladder
+    gen = FourierFunction(coeffs)
+    for freqs in [(1, 2, 4, 8), (1, 3, 4, 8)]:
+        spec = dl.SeriesSpec((0.9, -0.4, 0.2, 0.1), freqs, gen)
+        bits = (freqs[-1] * gen.max_frequency).bit_length() + 64
+        bitmat, ints = dl.sample_dyadic_points(17, bits, seed=3)
+        got = dl.series_values_at_points(spec, len(freqs), bitmat, ints)
+        for k, n in enumerate(freqs):
+            xs = np.array([_frac_of_multiple(v, n, bits) for v in ints])
+            np.testing.assert_allclose(got[:, k], spec.coeffs[k] * gen(xs), atol=1e-12)
+
+
 @pytest.mark.parametrize("freqs", [
     [3**k for k in range(200)],                # multiply recurrence throughout
     list(range(1, 150)),                       # consecutive: add recurrence

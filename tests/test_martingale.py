@@ -483,6 +483,13 @@ def test_tolerance_report_passes_at_the_tolerance_and_fails_on_nan():
     assert not rep.passed and math.isnan(rep.margin)
 
 
+@pytest.mark.parametrize("lhs, rhs", [(math.inf, math.inf), (0.0, math.inf), (math.nan, 1.0), (-math.inf, 0.0)])
+def test_bound_report_refuses_a_non_finite_side(lhs, rhs):
+    # inf <= inf would read as a passed row
+    with pytest.raises(ValueError, match="non-finite"):
+        mg._bound_report(lhs, rhs, 1.0, "bound")
+
+
 # ---------------------------------------------------------- paley-zygmund
 
 def test_paley_zygmund_constant():
