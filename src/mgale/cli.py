@@ -285,8 +285,16 @@ def _coeffs(rule):
     raise ConfigError(f"must be a list of numbers, \"geom:r\", \"invsqrt\" or \"invpow:s\", got {rule!r}")
 
 
-def _coeffs_for(rule, K: int) -> tuple:
-    """The first K coefficients of a parsed rule, all finite; a list must hold K."""
+def _coeffs_for(rule, K: int, generator: FourierFunction, checkpoints) -> tuple:
+    """The first K coefficients of a parsed rule, all finite; a list must hold K.
+
+    Their series must stay finite too.  A run sums the terms a_k g(n_k x)
+    (riesz centres them: a_k (g - E g)) up to k = min(2 x the largest
+    checkpoint, K), each at most 2 |a_k| sum_m |c_m| in modulus, c_m the
+    modes of g.  A window oscillation, a difference of two partial sums,
+    is then at most 4 sum_k |a_k| sum_m |c_m|.  Coefficients that make
+    this bound overflow are refused: their sums would read NaN.
+    """
     if callable(rule):
         with np.errstate(over="ignore"):  # an overflow is refused below, not warned about
             rule = rule(K)
@@ -294,6 +302,10 @@ def _coeffs_for(rule, K: int) -> tuple:
             raise ConfigError(f"the coefficient rule overflows within {K} terms")
     if len(rule) < K:
         raise ConfigError(f"coefficient list must hold at least {K} numbers, got {len(rule)}")
+    terms = min(2 * max(checkpoints), K)
+    bound = 4.0 * sum(abs(a) for a in rule[:terms]) * sum(abs(c) for c in generator.coeffs.values())
+    if not math.isfinite(bound):
+        raise ConfigError(f"the partial sums overflow: 4 sum|a_k| sum|c_m| over {terms} terms is {bound!r}")
     return rule[:K]
 
 
@@ -485,7 +497,7 @@ def _run_dilated(config: ExperimentConfig) -> _Reports:
         rule = _coeffs("geom:0.5") if p["coeffs"] is None else p["coeffs"]
         freqs = _pow2_ladder(0, K) if given is None else tuple(given)
         try:
-            spec = SeriesSpec(_coeffs_for(rule, length), freqs, generator)
+            spec = SeriesSpec(_coeffs_for(rule, length, generator, checkpoints), freqs, generator)
         except ValueError as exc:
             raise ConfigError(f"bad dilated series: {exc}") from None
     diag = oscillation_diagnostic(spec, checkpoints, p["sample_size"], config.seed)
@@ -552,7 +564,7 @@ def _run_ergodic(config: ExperimentConfig) -> _Reports:
         checkpoints = _checkpoints_for(p["checkpoints"], K)
         # the run dilates f by the powers of two 2^0, ..., 2^(K-1)
         _check_series(f, None, K, checkpoints, p["sample_size"])
-        coeffs = _coeffs_for(rule, K)
+        coeffs = _coeffs_for(rule, K, f, checkpoints)
     diag, decay = ergodic_series_run(f, coeffs, checkpoints, p["sample_size"], config.seed)
     yield "ergodic_decay.csv", decay.to_csv(), ()
     yield "ergodic_oscillation.csv", diag.to_csv() + f"# verdict={diag.verdict}\n", ()
@@ -600,8 +612,8 @@ def _run_riesz(config: ExperimentConfig) -> _Reports:
             "term matrix": p["sample_size"] * (N + 1),
             "hypothesis shift scan": _curve_cells(2 ** _hypothesis_resolution(p["fn"]), [math.inf]),
         })
-        coeffs = _coeffs_for(p["coeffs"], N + 1)
         checkpoints = _checkpoints_for(p["checkpoints"], N + 1)
+        coeffs = _coeffs_for(p["coeffs"], N + 1, p["fn"], checkpoints)
         diag = riesz_series_run(spec, lambda n: p["fn"], coeffs, checkpoints, p["sample_size"], config.seed)
         yield "riesz_series.csv", diag.to_csv() + f"# verdict={diag.verdict} label={diag.label}\n", ()
 

@@ -18,6 +18,8 @@ compares f against its translates by 0 <= t < 2^(J-n) ticks), so
 from __future__ import annotations
 
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,8 +57,14 @@ def _circular_corr(g: np.ndarray, h: np.ndarray) -> np.ndarray:
     return np.fft.irfft(np.fft.rfft(g) * np.conj(np.fft.rfft(h)), g.shape[-1])
 
 
-#: shift rows per block of the generic-p scan: a block holds chunk x n cells
+#: shift rows per task of the generic-p scan; the size rule counts a task
+#: as chunk x n cells, though it is scanned in smaller buffered blocks
 _SCAN_CHUNK = 256
+#: a block holds at most 64 rows and 2^16 cells (512 KiB of float64), so a
+#: block's three buffers stay within a per-core L2 cache
+_SCAN_BLOCK_ROWS, _SCAN_BLOCK_CELLS = 64, 2**16
+#: the most threads one scan runs on, whatever the input size
+_SCAN_THREADS = 2
 
 
 def _fft_path(p, real: bool) -> bool:
@@ -66,11 +74,54 @@ def _fft_path(p, real: bool) -> bool:
 
 
 def _curve_cells(n: int, p_values) -> int:
-    """Cells of the largest array shift_norm_curve builds for the full
-    curve of n real samples: the scan block when some p needs the scan,
-    else a curve of n + 1 values."""
+    """Cells the size rule counts for shift_norm_curve's full curve of n
+    real samples: one scan task of the default chunk x n when some p needs
+    the scan, else a curve of n + 1 values."""
     scan = not all(_fft_path(p, True) for p in p_values)
     return max(n + 1, min(_SCAN_CHUNK, n // 2 + 1) * n if scan else 0)
+
+
+def _scan_threads() -> int:
+    """Threads for the generic-p scan: at most _SCAN_THREADS, and no more
+    than the CPUs this process may use."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity on this platform
+        cpus = os.cpu_count() or 1
+    return min(_SCAN_THREADS, cpus)
+
+
+def _scan_tasks(shifted, s, ps, tasks, buffers, scan) -> None:
+    """scan[p][lo:hi] = ||tau_t f - f||_p for t in each (lo, hi) task.
+
+    Each task is scanned in blocks of as many rows as the (difference,
+    abs, work) ``buffers`` hold, in place.  Every row keeps its own
+    reduction, so a value does not depend on the blocking.  This runs on
+    scan threads: it calls numpy only.
+    """
+    diff, absd, work = buffers
+    rows = diff.shape[0]
+    for task_lo, task_hi in tasks:
+        for lo in range(task_lo, task_hi, rows):
+            hi = min(lo + rows, task_hi)
+            d, a, w = diff[: hi - lo], absd[: hi - lo], work[: hi - lo]
+            np.subtract(shifted[lo:hi], s, out=d)
+            np.abs(d, out=a)
+            for p in ps:
+                if p == math.inf:
+                    vals = a.max(axis=1)
+                elif p == 1:
+                    vals = a.mean(axis=1)
+                elif p == 1.5:
+                    np.multiply(a, np.sqrt(a, out=w), out=w)
+                    vals = w.mean(axis=1) ** (1 / 1.5)
+                elif p == 4:
+                    np.square(a, out=w)
+                    np.multiply(w, w, out=w)
+                    vals = w.mean(axis=1) ** 0.25
+                else:
+                    vals = np.power(a, p, out=w).mean(axis=1) ** (1.0 / p)
+                scan[p][lo:hi] = vals
 
 
 def shift_norm_curve(
@@ -80,11 +131,17 @@ def shift_norm_curve(
 
     p = 2 always, and p = 4 for real data, go through O(N log N)
     circular correlations (the fourth power expands into correlations
-    of f, f^2, f^3).  Remaining p values share one chunked pass over
-    the (shift, sample) difference matrix.  That pass uses the symmetry
+    of f, f^2, f^3).  Remaining p values share one pass over the
+    (shift, sample) difference matrix.  That pass uses the symmetry
     ||tau_t f - f||_p = ||tau_(N-t) f - f||_p (substitute k -> k + t in
     the sum over grid points), so it scans only t <= N/2 and reads the
     other shifts off as N - t.
+
+    The pass splits the rows t into tasks of ``chunk`` rows and scans a
+    task in blocks of at most 64 rows (and 2^16 cells) through
+    preallocated buffers.  Tasks go round-robin to up to two threads (one when the process may
+    use one CPU or there is one task).  Each row is reduced on its own,
+    so the curve is bit-identical whatever the chunk and thread count.
     """
     s = np.asarray(samples)
     n = s.shape[-1]
@@ -116,22 +173,23 @@ def shift_norm_curve(
     # shifted[t] = tau_t f as a contiguous view of one period-doubled copy
     shifted = np.lib.stride_tricks.sliding_window_view(np.concatenate([s, s]), n)
     scan = {p: np.empty(last + 1) for p in remaining}
-    for lo in range(0, last + 1, chunk):
-        hi = min(lo + chunk, last + 1)
-        a = np.abs(shifted[lo:hi] - s)
-        for p in remaining:
-            if p == math.inf:
-                vals = a.max(axis=1)
-            elif p == 1:
-                vals = a.mean(axis=1)
-            elif p == 1.5:
-                vals = (a * np.sqrt(a)).mean(axis=1) ** (1 / 1.5)
-            elif p == 4:
-                sq = np.square(a)
-                vals = (sq * sq).mean(axis=1) ** 0.25
-            else:
-                vals = np.power(a, p).mean(axis=1) ** (1.0 / p)
-            scan[p][lo:hi] = vals
+    tasks = [(lo, min(lo + chunk, last + 1)) for lo in range(0, last + 1, chunk)]
+    threads = min(_scan_threads(), len(tasks))
+    # the buffers are made here, not on the threads, whose malloc arenas
+    # would keep the freed blocks
+    rows = min(_SCAN_BLOCK_ROWS, max(1, _SCAN_BLOCK_CELLS // n), chunk, last + 1)
+    buffers = [(np.empty((rows, n), s.dtype), np.empty((rows, n)), np.empty((rows, n))) for _ in range(threads)]
+    if threads == 1:
+        _scan_tasks(shifted, s, remaining, tasks, buffers[0], scan)
+    else:
+        # a pool per call: threads inherited across a fork would hang the child
+        with ThreadPoolExecutor(threads) as pool:
+            jobs = [
+                pool.submit(_scan_tasks, shifted, s, remaining, tasks[w::threads], buffers[w], scan)
+                for w in range(threads)
+            ]
+            for job in jobs:
+                job.result()
     folded = np.minimum(ts_all, n - ts_all)
     for p in remaining:
         curves[p] = scan[p][folded]

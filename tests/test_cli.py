@@ -3,6 +3,7 @@ import json
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from mgale import cli
@@ -429,6 +430,10 @@ def test_riesz_sample_aliasing_is_config_error(tmp_path):
     ("symbolic", {"lambdas": [1, 3], "cs": [0.5, 0.95], "depth": 4}),
     ("symbolic", {"lambdas": [1, 5], "cs": [0.5, 0.5], "depth": 2}),
     ("symbolic", {"lambdas": [1], "cs": [0.5], "depth": 1}),
+    # finite coefficients whose partial sums overflow: 4 sum|a_k| sum|c_m| is inf
+    ("dilated", {"K": 64, "coeffs": [1e308] * 64}),
+    ("ergodic", {"K": 64, "coeffs": [1e308] * 64}),
+    ("riesz", {"action": "series", "lambdas": [1, 3, 9, 27], "cs": [0.5] * 4, "coeffs": [1e308] * 4}),
 ])
 def test_series_kind_parameters_are_config_errors(tmp_path, kind, params):
     assert run_raw(tmp_path, {"kind": kind, "parameters": params}) == 2
@@ -566,6 +571,22 @@ def test_an_audit_norm_overflowing_to_inf_fails_the_run(tmp_path, suite):
     raw = {"kind": "audit", "parameters": {"suite": suite, "p": [1000], "cases": 4}, "resolution": 8}
     assert run_raw(tmp_path, raw) == 1
     assert "non-finite side" in (tmp_path / "out" / "audit_FAILED.txt").read_text()
+
+
+# the window l2 scales square the coefficients: 1e400 overflows to inf
+@pytest.mark.filterwarnings("ignore:overflow encountered in square:RuntimeWarning")
+def test_huge_coefficients_with_finite_sums_still_run(tmp_path):
+    # 4 x 64 x 1e200 is finite: the run goes ahead, its medians 1e200 x those of a_k = 1
+    def medians(a):
+        out = tmp_path / str(a)
+        raw = {"kind": "dilated", "parameters": {"K": 64, "coeffs": [a] * 64}, "output": {"path": str(out)}}
+        assert cli.main(["run", str(write_config(tmp_path, raw))]) == 0
+        rows = body_of(out / "dilated_oscillation.csv").splitlines()[1:-1]
+        return np.array([float(r.split(",")[1]) for r in rows])
+
+    huge = medians(1e200)
+    assert np.all(np.isfinite(huge))
+    np.testing.assert_allclose(huge, 1e200 * medians(1.0), rtol=1e-12)
 
 
 @pytest.mark.parametrize("kind, params, report", [

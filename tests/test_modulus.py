@@ -1,4 +1,7 @@
 import math
+import multiprocessing
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -156,3 +159,114 @@ def test_shift_norm_curve_generic_p_complex_default_range(rng):
     curves = mo.shift_norm_curve(arr, [1.5, 4])
     for p in (1.5, 4):
         np.testing.assert_allclose(curves[p], _rolled_scan(arr, p, 32), rtol=1e-12, atol=1e-15)
+
+
+def _unblocked_scan(s, ps):
+    """The reference generic-p pass: one thread, one full-size difference
+    matrix per 256 rows, each p by its per-chunk expression, then folded
+    to every shift t = 0..N."""
+    n = s.size
+    shifted = np.lib.stride_tricks.sliding_window_view(np.concatenate([s, s]), n)
+    scan = {p: np.empty(n // 2 + 1) for p in ps}
+    for lo in range(0, n // 2 + 1, 256):
+        hi = min(lo + 256, n // 2 + 1)
+        a = np.abs(shifted[lo:hi] - s)
+        for p in ps:
+            if p == math.inf:
+                vals = a.max(axis=1)
+            elif p == 1:
+                vals = a.mean(axis=1)
+            elif p == 1.5:
+                vals = (a * np.sqrt(a)).mean(axis=1) ** (1 / 1.5)
+            elif p == 4:
+                sq = np.square(a)
+                vals = (sq * sq).mean(axis=1) ** 0.25
+            else:
+                vals = np.power(a, p).mean(axis=1) ** (1.0 / p)
+            scan[p][lo:hi] = vals
+    ts = np.arange(n + 1) % n
+    return {p: scan[p][np.minimum(ts, n - ts)] for p in ps}
+
+
+@pytest.fixture(scope="module")
+def scan_inputs():
+    """J = 12 rows, real and complex, with their reference curves."""
+    rng = np.random.default_rng(12)
+    real = rng.standard_normal(2**12)
+    cplx = real + 1j * rng.standard_normal(2**12)
+    ps = {"real": [1, 1.5, 3, 8, math.inf], "complex": [1, 1.5, 3, 4, 8, math.inf]}
+    return {k: (s, ps[k], _unblocked_scan(s, ps[k])) for k, s in (("real", real), ("complex", cplx))}
+
+
+@pytest.mark.parametrize("kind", ["real", "complex"])
+@pytest.mark.parametrize("chunk", [1, 7, 63, 64, 65, 256, 512, 2049])
+def test_shift_norm_curve_is_bit_identical_to_the_unblocked_scan(scan_inputs, kind, chunk):
+    s, ps, reference = scan_inputs[kind]
+    curves = mo.shift_norm_curve(s, ps, chunk=chunk)
+    for p in ps:
+        assert np.array_equal(curves[p], reference[p]), p
+
+
+def test_more_scan_threads_than_cores_keep_every_row(monkeypatch, scan_inputs):
+    # four threads on two or fewer cores, switching often: no row is lost or mixed
+    monkeypatch.setattr(mo, "_SCAN_THREADS", 4)
+    monkeypatch.setattr(mo.os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for s, ps, reference in scan_inputs.values():
+            curves = mo.shift_norm_curve(s, ps, chunk=7)
+            for p in ps:
+                assert np.array_equal(curves[p], reference[p]), p
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_scan_threads_stay_bounded_and_are_joined(monkeypatch, rng):
+    opened = []
+
+    class RecordingPool(mo.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            opened.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(mo, "ThreadPoolExecutor", RecordingPool)
+    baseline = threading.active_count()
+    for J in range(4, 15):
+        mo.shift_norm_curve(rng.standard_normal(2**J), [math.inf], chunk=1)
+        assert threading.active_count() == baseline
+    if mo._scan_threads() == 1:
+        assert opened == []
+    else:
+        assert len(opened) == 11 and all(w == 2 for w in opened)
+    # one task, or one CPU, keeps the scan in the calling thread
+    opened.clear()
+    mo.shift_norm_curve(rng.standard_normal(2**10), [1.5], chunk=513)
+    monkeypatch.setattr(mo.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    mo.shift_norm_curve(rng.standard_normal(2**10), [1.5], chunk=1)
+    assert opened == []
+
+
+def _scan_in_child(conn, s):
+    conn.send(mo.shift_norm_curve(s, [1.5, math.inf], chunk=512))
+    conn.close()
+
+
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(), reason="no fork start method")
+def test_a_forked_child_scans_after_the_parent(rng):
+    s = rng.standard_normal(2**12)
+    parent = mo.shift_norm_curve(s, [1.5, math.inf], chunk=512)
+    ctx = multiprocessing.get_context("fork")
+    recv, send = ctx.Pipe(duplex=False)
+    child = ctx.Process(target=_scan_in_child, args=(send, s))
+    child.start()
+    try:
+        assert recv.poll(60), "the forked scan did not finish within 60 s"
+        curves = recv.recv()
+    finally:
+        child.join(5)
+        if child.is_alive():
+            child.kill()
+    assert child.exitcode == 0
+    for p in (1.5, math.inf):
+        assert np.array_equal(curves[p], parent[p])
