@@ -391,6 +391,18 @@ def _sampled_partial_sums(spec: SeriesSpec, K: int, sample_size: int, seed: int)
     return np.cumsum(series_values_at_points(spec, K, bitmat, ints), axis=1)
 
 
+def _l2_scale(amps) -> float:
+    """sqrt(sum |a_k|^2).  When the squares of finite |a_k| overflow
+    (|a_k| > about 1.3e154 squares to inf), the sum is taken relative to
+    max |a_k|, so the scale is inf only past the float range."""
+    with np.errstate(over="ignore"):
+        scale = float(np.sqrt((amps**2).sum()))
+        if math.isinf(scale) and np.isfinite(amps).all():
+            top = amps.max()
+            scale = float(top * np.sqrt(((amps / top) ** 2).sum()))
+    return scale
+
+
 def _window_oscillation(sums, amps, checkpoints, seed: int, label: str) -> OscillationDiagnostic:
     """The diagnostic of sampled partial sums, sums[:, k - 1] = S_k(x).
 
@@ -412,7 +424,7 @@ def _window_oscillation(sums, amps, checkpoints, seed: int, label: str) -> Oscil
             osc = 2.0 * np.abs(window - center).max(axis=1)
         med.append(float(np.median(osc)))
         q90.append(float(np.quantile(osc, 0.9)))
-        scales.append(float(np.sqrt((amps[cp - 1 : hi] ** 2).sum())))
+        scales.append(_l2_scale(amps[cp - 1 : hi]))
     verdict, slope = oscillation_verdict(checkpoints, med, scales)
     return OscillationDiagnostic(
         tuple(checkpoints), np.array(med), np.array(q90), verdict, slope, sums.shape[0], seed, label

@@ -63,7 +63,8 @@ _SCAN_CHUNK = 256
 #: a block holds at most 64 rows and 2^16 cells (512 KiB of float64), so a
 #: block's three buffers stay within a per-core L2 cache
 _SCAN_BLOCK_ROWS, _SCAN_BLOCK_CELLS = 64, 2**16
-#: the most threads one scan runs on, whatever the input size
+#: the most threads one kernel call runs on, whatever the input size: the
+#: generic-p shift scan here and riesz.riesz_partial_density share the rule
 _SCAN_THREADS = 2
 
 
@@ -82,13 +83,27 @@ def _curve_cells(n: int, p_values) -> int:
 
 
 def _scan_threads() -> int:
-    """Threads for the generic-p scan: at most _SCAN_THREADS, and no more
-    than the CPUs this process may use."""
+    """Threads for the generic-p scan and the Riesz density: at most
+    _SCAN_THREADS, and no more than the CPUs this process may use."""
     try:
         cpus = len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity on this platform
         cpus = os.cpu_count() or 1
     return min(_SCAN_THREADS, cpus)
+
+
+def _on_threads(target, thread_args) -> None:
+    """target(*args) for each tuple of ``thread_args``, one thread each:
+    in the calling thread when there is one tuple, else on a pool
+    opened for this call (threads inherited across a fork would hang
+    the child)."""
+    if len(thread_args) == 1:
+        target(*thread_args[0])
+        return
+    with ThreadPoolExecutor(len(thread_args)) as pool:
+        jobs = [pool.submit(target, *args) for args in thread_args]
+        for job in jobs:
+            job.result()
 
 
 def _scan_tasks(shifted, s, ps, tasks, buffers, scan) -> None:
@@ -179,17 +194,7 @@ def shift_norm_curve(
     # would keep the freed blocks
     rows = min(_SCAN_BLOCK_ROWS, max(1, _SCAN_BLOCK_CELLS // n), chunk, last + 1)
     buffers = [(np.empty((rows, n), s.dtype), np.empty((rows, n)), np.empty((rows, n))) for _ in range(threads)]
-    if threads == 1:
-        _scan_tasks(shifted, s, remaining, tasks, buffers[0], scan)
-    else:
-        # a pool per call: threads inherited across a fork would hang the child
-        with ThreadPoolExecutor(threads) as pool:
-            jobs = [
-                pool.submit(_scan_tasks, shifted, s, remaining, tasks[w::threads], buffers[w], scan)
-                for w in range(threads)
-            ]
-            for job in jobs:
-                job.result()
+    _on_threads(_scan_tasks, [(shifted, s, remaining, tasks[w::threads], buffers[w], scan) for w in range(threads)])
     folded = np.minimum(ts_all, n - ts_all)
     for p in remaining:
         curves[p] = scan[p][folded]

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dilated import OscillationDiagnostic, _window_oscillation
-from .modulus import modulus_profile
+from .modulus import _on_threads, _scan_threads, modulus_profile
 from .torus import FourierFunction, GridFunction, render
 
 __all__ = [
@@ -69,6 +69,43 @@ class RieszProductSpec:
         return len(self.lambdas)
 
 
+#: grid points per block of the density; a block's three buffers (128 KiB
+#: each at 2^14 points) stay within a per-core L2 cache
+_DENSITY_BLOCK = 2**14
+
+
+def _density_blocks(levels, n_grid, starts, offsets, buffers, dens) -> None:
+    """dens[lo:lo + block] = P_N at each block start lo, clipped at 0.
+
+    Every level goes through the (phase, theta, factor) ``buffers`` in
+    place, by the same per-point operations in the same order as one
+    pass over the whole grid, so a value does not depend on the blocking.
+    This runs on density threads: it calls numpy only.
+    """
+    phase, theta, factor = buffers
+    size = phase.shape[0]
+    step = 2.0 * np.pi / n_grid
+    for lo in starts:
+        hi = min(lo + size, n_grid)
+        ph, th, fa, d = phase[: hi - lo], theta[: hi - lo], factor[: hi - lo], dens[lo:hi]
+        d.fill(1.0)
+        for lam, c in levels:
+            np.add(offsets[: hi - lo], lo, out=ph)
+            np.multiply(ph, lam % n_grid, out=ph)
+            np.bitwise_and(ph, n_grid - 1, out=ph)
+            np.copyto(th, ph)  # a mixed-type ufunc would malloc a cast buffer on the thread
+            np.multiply(th, step, out=th)
+            np.cos(th, out=fa)
+            np.multiply(fa, c.real, out=fa)
+            if c.imag != 0.0:
+                np.sin(th, out=th)
+                np.multiply(th, c.imag, out=th)
+                np.subtract(fa, th, out=fa)
+            np.add(fa, 1.0, out=fa)
+            np.multiply(d, fa, out=d)
+        np.maximum(d, 0.0, out=d)  # clip -0.0 roundoff at zeros
+
+
 def riesz_partial_density(spec: RieszProductSpec, N: int, J: int) -> GridFunction:
     """P_N on the 2^J grid; nonnegative with grid mean exactly 1.
 
@@ -80,22 +117,30 @@ def riesz_partial_density(spec: RieszProductSpec, N: int, J: int) -> GridFunctio
     integer phase, theta = (2 pi / 2^J) * ((lambda mod 2^J) * k mod 2^J),
     and the factor is the real form 1 + Re(c e^(i theta)) =
     1 + c.real cos(theta) - c.imag sin(theta) (sin skipped for real c).
+
+    The grid is split into blocks of 2^14 points, each taken through
+    all levels in three preallocated buffers, and the blocks go
+    round-robin to the threads of modulus's scan rule (up to two; one
+    when the process may use one CPU or there is one block).  Every
+    point is computed on its own, so P_N is bit-identical to the
+    one-pass product over the whole grid, whatever the blocking.
     """
     if not 0 <= N < spec.depth:
         raise ValueError(f"N={N} outside the spec depth {spec.depth}")
     if sum(spec.lambdas[: N + 1]) >= 2 ** (J - 1):
         raise ValueError(f"partial product at depth {N} aliases at J={J}")
     n_grid = 2**J
-    ks = np.arange(n_grid, dtype=np.int64)
-    step = 2.0 * np.pi / n_grid
-    dens = np.ones(n_grid)
-    for lam, c in zip(spec.lambdas[: N + 1], spec.cs[: N + 1]):
-        theta = step * (((lam % n_grid) * ks) & (n_grid - 1))
-        factor = c.real * np.cos(theta)
-        if c.imag != 0.0:
-            factor -= c.imag * np.sin(theta)
-        dens *= 1.0 + factor
-    dens = np.maximum(dens, 0.0)  # clip -0.0 roundoff at zeros
+    levels = list(zip(spec.lambdas[: N + 1], spec.cs[: N + 1]))
+    dens = np.empty(n_grid)
+    size = min(_DENSITY_BLOCK, n_grid)
+    starts = range(0, n_grid, size)
+    threads = min(_scan_threads(), len(starts))
+    # the buffers are made here, not on the threads, whose malloc arenas
+    # would keep the freed blocks
+    offsets = np.arange(size, dtype=np.int64)
+    buffers = [(np.empty(size, np.int64), np.empty(size), np.empty(size)) for _ in range(threads)]
+    work = [(levels, n_grid, starts[w::threads], offsets, buffers[w], dens) for w in range(threads)]
+    _on_threads(_density_blocks, work)
     return GridFunction(J, dens, "real")
 
 

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from mgale import cli
+from mgale import dilated as dl
 from mgale.martingale import AuditReport
 from mgale.transfer import l2_norm_exact, transfer_power
 
@@ -573,8 +574,6 @@ def test_an_audit_norm_overflowing_to_inf_fails_the_run(tmp_path, suite):
     assert "non-finite side" in (tmp_path / "out" / "audit_FAILED.txt").read_text()
 
 
-# the window l2 scales square the coefficients: 1e400 overflows to inf
-@pytest.mark.filterwarnings("ignore:overflow encountered in square:RuntimeWarning")
 def test_huge_coefficients_with_finite_sums_still_run(tmp_path):
     # 4 x 64 x 1e200 is finite: the run goes ahead, its medians 1e200 x those of a_k = 1
     def medians(a):
@@ -587,6 +586,30 @@ def test_huge_coefficients_with_finite_sums_still_run(tmp_path):
     huge = medians(1e200)
     assert np.all(np.isfinite(huge))
     np.testing.assert_allclose(huge, 1e200 * medians(1.0), rtol=1e-12)
+
+
+@pytest.mark.parametrize("kind, params", [
+    ("dilated", {"K": 64}),
+    ("ergodic", {"K": 64}),
+    ("riesz", {"action": "series", "lambdas": "pow:3:4", "cs": [0.5] * 5, "checkpoints": [1, 2]}),
+])
+def test_window_scales_of_huge_coefficients_stay_finite(tmp_path, monkeypatch, kind, params):
+    # 1e200 squares to inf: the window l2 scales are 1e200 x those of a_k = 1,
+    # so rho = median / scale stays readable and "outruns l2" can fire
+    seen = []
+
+    def spy(checkpoints, medians, scales):
+        seen.append(np.array(scales))
+        return verdict(checkpoints, medians, scales)
+
+    verdict = dl.oscillation_verdict
+    monkeypatch.setattr(dl, "oscillation_verdict", spy)
+    for a in (1e200, 1.0):
+        raw = {"kind": kind, "parameters": dict(params, coeffs=[a] * 64, sample_size=100)}
+        assert run_raw(tmp_path, raw) == 0
+    huge, ones = seen
+    assert np.all(np.isfinite(huge))
+    np.testing.assert_allclose(huge, 1e200 * ones, rtol=1e-12)
 
 
 @pytest.mark.parametrize("kind, params, report", [

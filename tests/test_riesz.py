@@ -1,9 +1,13 @@
 import math
+import multiprocessing
+import sys
+import threading
 
 import numpy as np
 import pytest
 from scipy.stats import chi2 as chi2_dist
 
+from mgale import modulus as mo
 from mgale import riesz as rz
 from mgale.dilated import oscillation_verdict
 from mgale.modulus import shift_norm_curve
@@ -195,6 +199,108 @@ def test_partial_density_matches_float_phase_product(cs):
         ref *= 1.0 + (c * np.exp(2j * np.pi * lam * x)).real
     got = rz.riesz_partial_density(spec, 4, J).samples
     assert np.abs(got - np.maximum(ref, 0.0)).max() <= 1e-10 * ref.max()
+
+
+def _one_pass_density(spec, N, J):
+    """The reference P_N: one product over the whole grid, a full-grid
+    temporary per operation, clipped at the end."""
+    n_grid = 2**J
+    ks = np.arange(n_grid, dtype=np.int64)
+    step = 2.0 * np.pi / n_grid
+    dens = np.ones(n_grid)
+    for lam, c in zip(spec.lambdas[: N + 1], spec.cs[: N + 1]):
+        theta = step * (((lam % n_grid) * ks) & (n_grid - 1))
+        factor = c.real * np.cos(theta)
+        if c.imag != 0.0:
+            factor -= c.imag * np.sin(theta)
+        dens *= 1.0 + factor
+    return np.maximum(dens, 0.0)
+
+
+def _density_spec(complex_cs):
+    """Ratios 3, 4, 5 in turn and amplitudes up to 1; every fourth c_n
+    has modulus 1, so P_N has zeros (and, for complex c, roundoff below
+    them for the clip)."""
+    rng = np.random.default_rng(21)
+    lambdas = [1]
+    for n in range(14):
+        lambdas.append(lambdas[-1] * (3 + n % 3))
+    cs = rng.uniform(-1.0, 1.0, 15)
+    if complex_cs:
+        cs = cs * np.exp(2j * np.pi * rng.random(15))
+        cs[::4] = np.exp(2j * np.pi * 26 / 1024)  # from J = 10 a factor reads -2.2e-16
+    else:
+        cs[::4] = -1.0  # the factor is exactly 0 at theta = 0
+    return rz.RieszProductSpec(tuple(lambdas), tuple(cs))
+
+
+def _deepest_level(spec, J):
+    """The largest N whose partial product fits the 2^J grid, or None."""
+    fits = [N for N in range(spec.depth) if sum(spec.lambdas[: N + 1]) < 2 ** (J - 1)]
+    return fits[-1] if fits else None
+
+
+@pytest.mark.parametrize("complex_cs", [False, True])
+@pytest.mark.parametrize("threads", [1, 2, 4])
+def test_partial_density_is_bit_identical_to_the_one_pass_product(monkeypatch, complex_cs, threads):
+    # blocks of 97 points: from J = 7 on there are many, and the last is ragged;
+    # four threads on two or fewer cores switch often, and no point is lost or mixed
+    opened = []
+
+    class RecordingPool(mo.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            opened.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(mo, "ThreadPoolExecutor", RecordingPool)
+    monkeypatch.setattr(rz, "_DENSITY_BLOCK", 97)
+    monkeypatch.setattr(mo, "_SCAN_THREADS", threads)
+    monkeypatch.setattr(mo.os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
+    spec = _density_spec(complex_cs)
+    baseline = threading.active_count()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for J in range(17):
+            N = _deepest_level(spec, J)
+            if N is None:  # no level fits below J = 2
+                with pytest.raises(ValueError):
+                    rz.riesz_partial_density(spec, 0, J)
+                continue
+            opened.clear()
+            got = rz.riesz_partial_density(spec, N, J).samples
+            assert np.array_equal(got, _one_pass_density(spec, N, J)), J
+            assert threading.active_count() == baseline
+            blocks = -(-(2**J) // 97)
+            assert opened == ([min(threads, blocks)] if threads > 1 and blocks > 1 else []), J
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def _density_in_child(conn, spec):
+    conn.send(rz.riesz_partial_density(spec, spec.depth - 1, 16).samples)
+    conn.close()
+
+
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(), reason="no fork start method")
+def test_a_forked_child_tabulates_the_density_after_the_parent():
+    spec = _density_spec(True)
+    spec = rz.RieszProductSpec(spec.lambdas[:8], spec.cs[:8])
+    parent = rz.riesz_partial_density(spec, 7, 16).samples  # four blocks
+    assert np.array_equal(parent, _one_pass_density(spec, 7, 16))
+    ctx = multiprocessing.get_context("fork")
+    recv, send = ctx.Pipe(duplex=False)
+    child = ctx.Process(target=_density_in_child, args=(send, spec))
+    child.start()
+    try:
+        assert recv.poll(60), "the forked density did not finish within 60 s"
+        dens = recv.recv()
+    finally:
+        child.join(5)
+        if child.is_alive():
+            child.kill()
+    assert child.exitcode == 0
+    assert np.array_equal(dens, parent)
 
 
 def test_series_run_means_match_expansion(monkeypatch):
