@@ -642,10 +642,7 @@ def _run_symbolic(config: ExperimentConfig) -> _Reports:
     # oscillating level needs >= 4 digit levels of padding below it for
     # the midpoint truncation to sit well under the 1e-6 tolerance
     levels_check, n_check = depth - 4, min(6, depth - 1)
-    # its phase table: the depth-n_check cylinders by the nonzero frequencies of P_(levels_check - 1)
-    frequencies = 3 ** sum(c != 0 for c in cs[:levels_check]) - 1
-    phases = _digit_ladder(lambdas[:levels_check], n_check)[n_check] * frequencies
-    _check_size({"digit box": ladder[depth], "cylinder phase table": phases})
+    _check_size({"digit box": ladder[depth]})
     # default audit family: depth-truncated oscillations above each level,
     # cos(2 pi lambda_n x) at the cylinder midpoints of coordinates n+1..depth
     fns = [
@@ -656,11 +653,12 @@ def _run_symbolic(config: ExperimentConfig) -> _Reports:
         _check_decay_hypothesis(_digit_space(ladder, depth), fns, alpha, p["B"])
     except DecayHypothesisError as exc:
         raise ConfigError(f"symbolic B={p['B']:g} does not bound the audit family: {exc}") from None
+    except (OverflowError, ZeroDivisionError):  # (m - n)^alpha overflows or underflows to 0
+        raise ConfigError(f"symbolic alpha={alpha:g} gives no finite bound B/(m-n)^alpha") from None
     space, pots = riesz_potentials(spec, depth)
     weights = equilibrium_weights(space, pots)
-    reports = [potential_variation_check(space, pots, alpha, p["A"])]
-    rep, _ = averaging_decay_audit(space, pots, fns, alpha, p["B"], weights=weights)
-    reports.append(rep)
+    reports = [potential_variation_check(space, pots, alpha, p["A"]),
+               averaging_decay_audit(space, pots, fns, alpha, p["B"], weights=weights)[0]]
     spec_check = RieszProductSpec(lambdas[:levels_check], cs[:levels_check])
     space_c, pots_c = riesz_potentials(spec_check, depth)
     w_c = equilibrium_weights(space_c, pots_c)

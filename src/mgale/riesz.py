@@ -197,8 +197,9 @@ def sample_mu(spec: RieszProductSpec, N: int, J: int, count: int, seed: int) -> 
     dens = riesz_partial_density(spec, N, J).samples
     if count == 0:
         return np.empty(0)
-    probs = dens / dens.sum()
-    cdf = np.cumsum(probs)
+    cdf = dens / dens.sum()  # one new grid array, accumulated in place
+    del dens
+    np.cumsum(cdf, out=cdf)
     rng = np.random.default_rng(seed)
     u = rng.random(count)
     idx = np.searchsorted(cdf, u, side="right")

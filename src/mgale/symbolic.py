@@ -1,11 +1,11 @@
 """Non-homogeneous full shifts, normalized potentials, averaging
 operators P_n and equilibrium states, truncated to a finite depth.
 
-Representation: everything lives on the dense digit box
-S_1 x ... x S_D (depth D), as numpy arrays indexed by the digits.  A
-cylinder function depending on coordinates start..start+d-1 is stored
-as a d-dimensional array and broadcast into the box on demand, so every
-operation is exact enumeration over the box.
+Representation: a cylinder function of coordinates start..start+d-1
+is a d-dimensional numpy array indexed by those digits, and is reduced
+on its own values.  Only the potentials' running product G_n = g_1 ...
+g_n and the integrals against the cylinder weights touch the dense
+digit box S_1 x ... x S_D (depth D), by exact enumeration.
 
 Key structural fact used throughout: for exactly normalized potentials
 the operators satisfy P_n(P_m f) = P_m f for n <= m, hence the adjoint
@@ -87,13 +87,16 @@ class CylinderFunction:
     def end(self) -> int:
         return self.start + self.values.ndim - 1
 
-    def to_box(self, space: SymbolicSpace) -> np.ndarray:
-        """Broadcast into the full digit box."""
+    def _values_within(self, space: SymbolicSpace) -> np.ndarray:
         if self.end > space.depth:
             raise ValueError("cylinder function exceeds the space depth")
+        return self.values
+
+    def to_box(self, space: SymbolicSpace) -> np.ndarray:
+        """Broadcast into the full digit box."""
         shape = [1] * space.depth
         shape[self.start - 1 : self.end] = self.values.shape
-        return np.broadcast_to(self.values.reshape(shape), space.sizes)
+        return np.broadcast_to(self._values_within(space).reshape(shape), space.sizes)
 
 
 @dataclass(frozen=True)
@@ -120,7 +123,7 @@ class PotentialSeq:
         """max_n max over tails |sum_{y_n} g_n - 1|; raises past 1e-12."""
         worst = 0.0
         for n in range(1, len(self) + 1):
-            sums = self[n].to_box(space).sum(axis=n - 1)
+            sums = self[n]._values_within(space).sum(axis=0)
             worst = max(worst, float(np.abs(sums - 1.0).max()))
         if worst > 1e-12:
             raise ValueError(f"potentials not normalized (deviation {worst:.3e})")
@@ -130,12 +133,17 @@ class PotentialSeq:
         return min(float(np.min(g.values.real)) for g in self.potentials)
 
 
-def _g_box(space: SymbolicSpace, pots: PotentialSeq, upto: int) -> np.ndarray:
-    """G_n = prod_{j<=n} g_j broadcast over the box."""
-    out = np.ones(space.sizes)
-    for j in range(1, upto + 1):
-        out = out * pots[j].to_box(space).real
-    return out
+def _prefix_products(space: SymbolicSpace, pots: PotentialSeq, upto: int):
+    """G_n = G_(n-1) g_n over the box, n = 1..upto: one box, updated in place."""
+    g = np.ones(space.sizes)
+    for n in range(1, upto + 1):
+        g *= pots[n].to_box(space).real
+        yield g
+
+
+def _average(space: SymbolicSpace, g: np.ndarray, f: CylinderFunction, n: int) -> CylinderFunction:
+    """P_n f from the prefix product g = G_n: the sum of G_n f over digits 1..n."""
+    return CylinderFunction(n + 1, (g * f.to_box(space)).sum(axis=tuple(range(n))))
 
 
 def pn_apply(space: SymbolicSpace, pots: PotentialSeq, f: CylinderFunction, n: int) -> CylinderFunction:
@@ -143,24 +151,22 @@ def pn_apply(space: SymbolicSpace, pots: PotentialSeq, f: CylinderFunction, n: i
     coordinates n+1..depth (trailing dependence may be trivial)."""
     if n < 1 or n > len(pots) or n >= space.depth:
         raise ValueError(f"need 1 <= n <= {min(len(pots), space.depth - 1)}")
-    if f.end > space.depth:
-        raise ValueError("depth exceeded by the argument function")
-    box = _g_box(space, pots, n) * f.to_box(space)
-    return CylinderFunction(n + 1, box.sum(axis=tuple(range(n))))
+    *_, g = _prefix_products(space, pots, n)  # each item is the one box, G_n at the end
+    return _average(space, g, f, n)
 
 
 def sup_norm(space: SymbolicSpace, f: CylinderFunction) -> float:
-    """sup |f| over the box."""
-    return float(np.abs(f.to_box(space)).max())
+    """sup |f| over the box, read off f's own values."""
+    return float(np.abs(f._values_within(space)).max())
 
 
 def var_m(space: SymbolicSpace, f: CylinderFunction, m: int) -> float:
-    """sup{ |f(x) - f(y)| : x_1 = y_1, ..., x_m = y_m }, exact."""
+    """sup{ |f(x) - f(y)| : x_1 = y_1, ..., x_m = y_m }, exact, on f's own values."""
     if m >= f.end:
         return 0.0
-    box = f.to_box(space).real
-    axes = tuple(range(max(m, 0), space.depth))
-    return float((box.max(axis=axes) - box.min(axis=axes)).max())
+    vals = f._values_within(space).real
+    axes = tuple(range(max(m - f.start + 1, 0), vals.ndim))
+    return float((vals.max(axis=axes) - vals.min(axis=axes)).max())
 
 
 def equilibrium_weights(space: SymbolicSpace, pots: PotentialSeq) -> np.ndarray:
@@ -178,8 +184,7 @@ def equilibrium_weights(space: SymbolicSpace, pots: PotentialSeq) -> np.ndarray:
     nu = np.full(space.sizes, 1.0 / math.prod(space.sizes))
     for _ in range(64):
         prev = nu
-        for n in range(1, n_max + 1):
-            g = _g_box(space, pots, n)
+        for n, g in enumerate(_prefix_products(space, pots, n_max), start=1):
             marg = nu.sum(axis=tuple(range(n)))
             nu = g * np.broadcast_to(marg, space.sizes)
         delta = float(np.abs(nu - prev).max())
@@ -217,11 +222,8 @@ def potential_variation_check(
     if pots.positivity_floor() <= 0:
         raise ValueError("log g_n undefined: potentials touch zero")
     a_star, witness = 0.0, (0, 0)
-    for n in range(2, space.depth):
-        g = pots[n] if n <= len(pots) else None
-        if g is None:
-            continue
-        logg = CylinderFunction(g.start, np.log(g.values.real))
+    for n in range(2, min(space.depth, len(pots) + 1)):
+        logg = CylinderFunction(n, np.log(pots[n].values.real))
         for m in range(n + 1, space.depth + 1):
             v = var_m(space, logg, m)
             need = v * (m - n) ** alpha
@@ -268,15 +270,13 @@ def averaging_decay_audit(
     """
     _check_decay_hypothesis(space, fns, alpha, B)
     floor = 1e-12 * max(B, 1.0)  # below this, P_m f_n has decayed to roundoff
-    pairs = []
-    decay: dict = {}
-    for n, f in enumerate(fns, start=1):
-        centered = CylinderFunction(f.start, f.values - mu_integral(space, weights, f))
-        for m in range(n + 1, min(space.depth - 1, len(pots)) + 1):
-            val = sup_norm(space, pn_apply(space, pots, centered, m))
-            decay[(n, m)] = val
-            if m - n >= 2 and val > floor:
-                pairs.append((m - n, val))
+    centered = [CylinderFunction(f.start, f.values - mu_integral(space, weights, f)) for f in fns]
+    by_m = {}  # one walk of G_m; each centered f_n averaged at every m > n
+    for m, g in enumerate(_prefix_products(space, pots, min(space.depth - 1, len(pots))), start=1):
+        for n, f in enumerate(centered[: m - 1], start=1):
+            by_m[(n, m)] = sup_norm(space, _average(space, g, f, m))
+    decay = dict(sorted(by_m.items()))
+    pairs = [(m - n, val) for (n, m), val in decay.items() if m - n >= 2 and val > floor]
     if len(pairs) >= 2:
         xs = np.log([g for g, _ in pairs])
         ys = np.log([v for _, v in pairs])
@@ -340,7 +340,7 @@ def _digit_space(ladder, depth: int) -> SymbolicSpace:
     return SymbolicSpace(tuple(ladder[j] // ladder[j - 1] for j in range(1, depth + 1)))
 
 
-def _digit_points(ladder, first: int, depth: int, offset: float = 0.0) -> np.ndarray:
+def _digit_points(ladder, first: int, depth: int, offset: float) -> np.ndarray:
     """x = offset + sum_{c=first..depth} d_c / lambda_c over the digit box
     of coordinates first..depth, d_c in range(lambda_c / lambda_(c-1)).
 
@@ -393,22 +393,24 @@ def riesz_potentials(spec: RieszProductSpec, depth: int) -> tuple[SymbolicSpace,
 def riesz_cylinder_integrals(spec: RieszProductSpec, N: int, digits_depth: int) -> np.ndarray:
     """Exact integral of P_N over every depth-n cylinder image.
 
-    The cylinder of digits (w_1..w_n) maps to [a, a + w) with
-    a = sum w_j / lambda_j and w = 1/lambda_n; the integral is evaluated
-    in closed form from the coefficient expansion of P_N,
+    The cylinder of digits (w_1..w_n) maps to [k, k + 1) / lambda_n with
+    k = sum w_j lambda_n / lambda_j; its integral, in closed form from
+    the coefficient expansion of P_N, is
 
-        w c_0 + sum_{s != 0} Re c_s (e^{2 pi i s (a + w)} - e^{2 pi i s a}) / (2 pi i s),
+        c_0 / lambda_n + Re(F((k + 1) / lambda_n) - F(k / lambda_n)),
+        F(x) = sum_{s != 0} c_s e^{2 pi i s x} / (2 pi i s).
 
-    as one product of the cells x frequencies phase tables with the
-    vector c_s / (2 pi i s).
+    On the 1/lambda_n grid e^{2 pi i s x} depends on s mod lambda_n only,
+    so F there is one inverse FFT of the terms folded into lambda_n bins.
     """
     if spec.lambdas[0] != 1:
         raise ValueError("the digit expansion needs lambda_0 = 1")
     ladder = _digit_ladder(spec.lambdas, digits_depth)
-    width = 1.0 / ladder[digits_depth]
-    a = _digit_points(ladder, 1, digits_depth)
+    lam = ladder[digits_depth]
     coeffs = partial_density_coeffs(spec, N)
-    s = np.array([k for k in coeffs if k != 0], dtype=np.float64)
-    v = np.array([coeffs[k] for k in coeffs if k != 0], dtype=np.complex128)
-    phases = np.exp(2j * np.pi * np.multiply.outer(a + width, s)) - np.exp(2j * np.pi * np.multiply.outer(a, s))
-    return coeffs.get(0, 0.0).real * width + (phases @ (v / (2j * np.pi * s))).real
+    s = [k for k in coeffs if k != 0]
+    bins = np.zeros(lam, dtype=np.complex128)  # the terms c_s / (2 pi i s) of F, folded mod lambda_n
+    np.add.at(bins, np.array([k % lam for k in s], dtype=np.int64),
+              np.array([coeffs[k] for k in s], dtype=np.complex128) / (2j * np.pi * np.array(s, dtype=np.float64)))
+    F = np.fft.ifft(bins, norm="forward")  # F(k / lambda_n), k = 0..lambda_n - 1
+    return (coeffs.get(0, 0.0).real / lam + (np.roll(F, -1) - F).real).reshape(_digit_space(ladder, digits_depth).sizes)

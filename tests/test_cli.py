@@ -435,6 +435,10 @@ def test_riesz_sample_aliasing_is_config_error(tmp_path):
     ("dilated", {"K": 64, "coeffs": [1e308] * 64}),
     ("ergodic", {"K": 64, "coeffs": [1e308] * 64}),
     ("riesz", {"action": "series", "lambdas": [1, 3, 9, 27], "cs": [0.5] * 4, "coeffs": [1e308] * 4}),
+    # an alpha whose bound B/(m-n)^alpha overflows, or divides by an underflowed 0
+    ("symbolic", {"alpha": 1e308}),
+    ("symbolic", {"alpha": -1e308}),
+    ("symbolic", {"alpha": -400}),
 ])
 def test_series_kind_parameters_are_config_errors(tmp_path, kind, params):
     assert run_raw(tmp_path, {"kind": kind, "parameters": params}) == 2
@@ -473,9 +477,9 @@ def test_series_kind_well_formed_parameters_run(tmp_path, kind, params):
     # a shift-scan block of 256 x 2^16
     pytest.param("audit", {"suite": "dyadic_approx"}, "mg.random_grid_functions", 16, id="audit-dyadic-scan"),
     pytest.param("davenport", {"freqs": "pow:2:4", "smoothness_p": 1.5}, "gram_matrix", 16, id="davenport-scan"),
-    # 729 depth-6 cylinders by 3^9 - 1 frequencies
-    pytest.param("symbolic", {"lambdas": "pow:3:8", "cs": [0.5] * 9, "depth": 15}, "riesz_potentials", 12,
-                 id="symbolic-phase-table"),
+    # a 3^15-cell digit box whose cylinder cross-check folds 3^11 - 1 frequencies
+    pytest.param("symbolic", {"lambdas": "pow:3:10", "cs": [0.5] * 11, "depth": 15}, "riesz_potentials", 12,
+                 id="symbolic-cross-check-frequencies"),
     # 3355443 samples by 5 terms
     pytest.param("riesz", {"action": "series", "lambdas": "pow:3:4", "cs": [0.5] * 5, "sample_size": 3355443},
                  "riesz_series_run", 12, id="riesz-term-matrix"),
@@ -532,8 +536,8 @@ def test_davenport_generator_past_the_size_limit_is_config_error(monkeypatch, M,
     ("audit", {"suite": "dyadic_approx", "cases": 1}, "mg.random_grid_functions", 17),
     ("audit", {"suite": "dyadic_approx"}, "mg.random_grid_functions", 24),
     ("davenport", {"freqs": "pow:2:4", "smoothness_p": 1.5}, "gram_matrix", 24),
-    # a cylinder phase table of 729 x (3^11 - 1)
-    ("symbolic", {"lambdas": "pow:3:10", "cs": [0.5] * 11, "depth": 15}, "riesz_potentials", 12),
+    # a 3^16-cell digit box under the ladder that admits 3^10 - 1 cross-check frequencies at depth 15
+    ("symbolic", {"lambdas": "pow:3:9", "cs": [0.5] * 10, "depth": 16}, "riesz_potentials", 12),
     # a term matrix of 2^23 samples by 5 terms
     ("riesz", {"action": "series", "lambdas": "pow:3:4", "cs": [0.5] * 5, "sample_size": 2**23},
      "riesz_series_run", 12),

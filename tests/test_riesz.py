@@ -106,6 +106,20 @@ def test_sampling_deterministic():
     np.testing.assert_array_equal(a, b)
 
 
+@pytest.mark.parametrize("spec, N, J, count, seed", [
+    (std_spec(4), 3, 10, 500, 11),
+    (std_spec(6, 0.9), 5, 14, 20_000, 3),
+    (rz.RieszProductSpec((1, 3, 15, 45), (0.5 + 0.3j, -0.4j, 0.7, 0.2 - 0.6j)), 3, 12, 5000, 0),
+])
+def test_sampling_matches_the_three_array_form(spec, N, J, count, seed):
+    # the density, its normalised copy and their cumulative sum held at once
+    dens = rz.riesz_partial_density(spec, N, J).samples
+    probs = dens / dens.sum()
+    cdf = np.cumsum(probs)
+    ref = np.searchsorted(cdf, np.random.default_rng(seed).random(count), side="right") / 2.0**J
+    assert np.array_equal(rz.sample_mu(spec, N, J, count, seed), ref)
+
+
 def test_series_run_l2_converging():
     spec = rz.RieszProductSpec(tuple(3**k for k in range(13)), tuple([0.6] * 13))
     fam = lambda n: FourierFunction({1: 1.0})

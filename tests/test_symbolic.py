@@ -15,6 +15,14 @@ def riesz_setup(depth=8, c=0.8, levels=None):
     return spec, space, pots
 
 
+def _g_box_ref(space, pots, upto):
+    """G_n = prod_{j<=n} g_j broadcast over the box, rebuilt from g_1."""
+    out = np.ones(space.sizes)
+    for j in range(1, upto + 1):
+        out = out * pots[j].to_box(space).real
+    return out
+
+
 def osc_fn(space, n, lam_ladder, mult=1, depth=None):
     depth = depth or space.depth
     lam = mult * lam_ladder[n]
@@ -120,7 +128,7 @@ def test_pn_positivity_and_projection(rng):
 def test_equilibrium_is_product_weights():
     _, space, pots = riesz_setup(6, 0.7, 6)
     w = sy.equilibrium_weights(space, pots)
-    expected = sy._g_box(space, pots, 6)
+    expected = _g_box_ref(space, pots, 6)
     np.testing.assert_allclose(w, expected, atol=1e-14)
     assert w.sum() == pytest.approx(1.0, abs=1e-12)
 
@@ -272,7 +280,7 @@ def test_equilibrium_product_identity_property(seed, c):
     spec = RieszProductSpec(tuple(3**k for k in range(depth)), tuple([c] * depth))
     space, pots = sy.riesz_potentials(spec, depth)
     w = sy.equilibrium_weights(space, pots)
-    np.testing.assert_allclose(w, sy._g_box(space, pots, depth), atol=1e-13)
+    np.testing.assert_allclose(w, _g_box_ref(space, pots, depth), atol=1e-13)
 
 
 # ------------------------------------------------------ kernel equivalence
@@ -333,6 +341,11 @@ EQUIVALENCE_SPECS = [
     # mixed ratios and complex amplitudes
     ((1, 3, 15, 45), (0.5 + 0.3j, -0.4j, 0.7, 0.2 - 0.6j), 6),
     ((1, 4, 16), (0.6, 0.0, 1.0), 5),
+
+
+    # ratio 10 (sums of eight or more digits), and all amplitudes zero: P_N = 1
+    ((1, 10, 100), (0.6, 0.5j, 0.9), 5),
+    ((1, 3, 9), (0.0, 0.0, 0.0), 5),
 ]
 
 
@@ -388,3 +401,114 @@ def test_cli_symbolic_family_matches_ndindex_loop(tmp_path, monkeypatch, params)
             vals[idx] = math.cos(2 * math.pi * lad[n] * x)
         assert f.start == n + 1
         np.testing.assert_array_equal(f.values, vals)
+
+
+# ---------------------------------------------------- running prefix product
+# The box-broadcast forms that rebuilt G_n = g_1 ... g_n from g_1 for
+# every n, kept here as references: the running product G_(n-1) g_n and
+# the reductions on each function's own values must match them bit for bit.
+
+def _equilibrium_ref(space, pots):
+    n_max = min(len(pots), space.depth)
+    nu = np.full(space.sizes, 1.0 / math.prod(space.sizes))
+    for _ in range(64):
+        prev = nu
+        for n in range(1, n_max + 1):
+            marg = nu.sum(axis=tuple(range(n)))
+            nu = _g_box_ref(space, pots, n) * np.broadcast_to(marg, space.sizes)
+        if float(np.abs(nu - prev).max()) <= 1e-12:
+            break
+    return nu / nu.sum()
+
+
+def _pn_apply_ref(space, pots, f, n):
+    box = _g_box_ref(space, pots, n) * f.to_box(space)
+    return sy.CylinderFunction(n + 1, box.sum(axis=tuple(range(n))))
+
+
+def _sup_norm_ref(space, f):
+    return float(np.abs(f.to_box(space)).max())
+
+
+def _var_m_ref(space, f, m):
+    if m >= f.end:
+        return 0.0
+    box = f.to_box(space).real
+    axes = tuple(range(max(m, 0), space.depth))
+    return float((box.max(axis=axes) - box.min(axis=axes)).max())
+
+
+def _check_normalized_ref(space, pots):
+    return max(float(np.abs(pots[n].to_box(space).sum(axis=n - 1) - 1.0).max()) for n in range(1, len(pots) + 1))
+
+
+def _decay_audit_ref(space, pots, fns, alpha, B, weights):
+    """The (n, m) loop of one pn_apply per pair, and the fit after it."""
+    floor = 1e-12 * max(B, 1.0)
+    pairs, decay = [], {}
+    for n, f in enumerate(fns, start=1):
+        centered = sy.CylinderFunction(f.start, f.values - sy.mu_integral(space, weights, f))
+        for m in range(n + 1, min(space.depth - 1, len(pots)) + 1):
+            val = _sup_norm_ref(space, _pn_apply_ref(space, pots, centered, m))
+            decay[(n, m)] = val
+            if m - n >= 2 and val > floor:
+                pairs.append((m - n, val))
+    if len(pairs) >= 2:
+        slope = float(np.polyfit(np.log([g for g, _ in pairs]), np.log([v for _, v in pairs]), 1)[0])
+    else:
+        slope = -math.inf
+    positive = [v * (m - n) ** alpha / math.log(1 + m - n) ** (1 + alpha)
+                for (n, m), v in decay.items() if v > floor and m > n]
+    c_fit = max(positive) if positive else 0.0
+    return (slope, -alpha + 0.2, f"averaging-decay[alpha={alpha},C_fit={c_fit:.4g}]"), decay
+
+
+PREFIX_SPECS = [
+    (tuple(3**k for k in range(4)), (0.8,) * 4),
+    (tuple(3**k for k in range(4)), (0.5 + 0.3j, -0.4j, 0.7, 0.2 - 0.6j)),
+    ((1, 3, 15, 45), (0.5 + 0.3j, -0.4j, 0.7, 0.2 - 0.6j)),
+    ((1, 3, 15, 45), (0.6, 0.0, 0.9, 0.3)),
+]
+
+
+@pytest.mark.parametrize("depth", range(5, 11))
+@pytest.mark.parametrize("lambdas, cs", PREFIX_SPECS)
+def test_running_prefix_product_matches_the_box_rebuild(lambdas, cs, depth):
+    spec = RieszProductSpec(lambdas, cs)
+    space, pots = sy.riesz_potentials(spec, depth)
+    assert pots.check_normalized(space) == _check_normalized_ref(space, pots)
+    weights = sy.equilibrium_weights(space, pots)
+    assert np.array_equal(weights, _equilibrium_ref(space, pots))
+    ladder = sy._digit_ladder(lambdas, depth)
+    # the CLI's audit family, one complex function and the potentials' logs
+    fns = [
+        sy.CylinderFunction(n + 1, np.cos(2 * math.pi * ladder[n] * sy._digit_points(ladder, n + 1, depth, 0.5 / ladder[depth])))
+        for n in range(1, min(5, depth - 2) + 1)
+    ]
+    rng = np.random.default_rng(depth)
+    shape = space.sizes[2:depth]
+    wild = sy.CylinderFunction(3, rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    logs = [sy.CylinderFunction(n, np.log(pots[n].values.real)) for n in range(1, depth + 1)]
+    for f in [*fns, wild, *logs]:
+        assert sy.sup_norm(space, f) == _sup_norm_ref(space, f)
+        for m in range(-1, depth + 1):
+            assert sy.var_m(space, f, m) == _var_m_ref(space, f, m)
+    for f in [*fns, wild]:
+        for n in range(1, f.start):
+            got, ref = sy.pn_apply(space, pots, f, n), _pn_apply_ref(space, pots, f, n)
+            assert got.start == ref.start and np.array_equal(got.values, ref.values)
+    rep, decay = sy.averaging_decay_audit(space, pots, fns, 1.0, 8.0, weights)
+    ref_rep, ref_decay = _decay_audit_ref(space, pots, fns, 1.0, 8.0, weights)
+    assert list(decay.items()) == list(ref_decay.items())
+    assert (rep.lhs, rep.rhs, rep.context) == ref_rep
+
+
+def test_averages_past_the_space_depth_raise():
+    _, space, pots = riesz_setup(5, 0.6, 5)
+    # coordinates 4..6 of a depth-5 box, normalized: only the depth is wrong
+    deep = sy.CylinderFunction(4, np.full((3, 3, 3), 1 / 3))
+    for check in (lambda: sy.sup_norm(space, deep), lambda: sy.var_m(space, deep, 4),
+                  lambda: sy.pn_apply(space, pots, deep, 2),
+                  lambda: sy.PotentialSeq((*pots.potentials[:3], deep)).check_normalized(space)):
+        with pytest.raises(ValueError):
+            check()
