@@ -660,8 +660,7 @@ def _run_symbolic(config: ExperimentConfig) -> _Reports:
     reports = [potential_variation_check(space, pots, alpha, p["A"]),
                averaging_decay_audit(space, pots, fns, alpha, p["B"], weights=weights)[0]]
     spec_check = RieszProductSpec(lambdas[:levels_check], cs[:levels_check])
-    space_c, pots_c = riesz_potentials(spec_check, depth)
-    w_c = equilibrium_weights(space_c, pots_c)
+    w_c = weights if spec_check == spec else equilibrium_weights(*riesz_potentials(spec_check, depth))
     ints = riesz_cylinder_integrals(spec_check, levels_check - 1, n_check)
     mu_n = w_c.sum(axis=tuple(range(n_check, depth)))
     err = float(np.abs(ints - mu_n).max())

@@ -14,6 +14,8 @@ min(M, (2^(J-1)-1)/n)), the grid product is then an exact lattice head
 sum, and the truncated lattice tail is restored analytically with a
 Hurwitz zeta.  A wrong exponent or constant in the closed form would
 show up at the O(1) scale of the head, far above the audit tolerance.
+Each render keeps only the samples its dilations read, and the
+dilation 1 reads it with no gather.
 
 Frame bounds for finite families come from the Gram eigenvalues; they
 are the numeric stand-in for the Riesz-sequence hypotheses of the
@@ -24,13 +26,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 from scipy.special import zeta as _zeta
 
 from .modulus import modulus_profile
-from .torus import FourierFunction, GridFunction, render, sine_series
+from .torus import FourierFunction, GridFunction, _render_into, render, sine_series
 
 __all__ = [
     "DavenportSpec",
@@ -111,13 +112,24 @@ class GramMatrix:
     entries: np.ndarray
     eigen_bounds: tuple
 
+    def __post_init__(self):
+        if not np.array_equal(self.entries, self.entries.T):
+            raise ValueError("Gram entries must be symmetric")
+
     def to_csv(self) -> str:
         # one join per row: the text of a 4096-frequency matrix is built
-        # without holding all of its k^2 cell strings at once
+        # without holding all of its k^2 cell strings at once.  Each entry
+        # is repr'd once, right of the diagonal; row i takes its cells left
+        # of the diagonal from the rows above, each kept last column first
+        # and popped as it is used
         cols = [f",{j},{{}},{n}," for j, n in enumerate(self.freqs)]
         rows = ["i,j,freq_i,freq_j,entry\n"]
+        above = []
         for i, n in enumerate(self.freqs):
-            rows.append("".join([f"{i}{col.format(n)}{e!r}\n" for col, e in zip(cols, self.entries[i].tolist())]))
+            right = [repr(e) for e in self.entries[i, i:].tolist()]
+            cells = [row.pop() for row in above] + right
+            above.append(right[:0:-1])
+            rows.append("".join([f"{i}{col.format(n)}{e}\n" for col, e in zip(cols, cells)]))
         return "".join(rows)
 
 
@@ -145,6 +157,19 @@ def gram_matrix(freqs, lam: float) -> GramMatrix:
     return GramMatrix(freqs, lam, entries, (float(eigs[0]), float(eigs[-1])))
 
 
+def _dilated(a: int, samples: np.ndarray, shift: int, ts: np.ndarray, idx: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """f(a t / 2^J) for each grid point t of ``ts``, read from every
+    2^shift-th sample of f's render at (a t mod 2^J) >> shift: gathered
+    into ``out`` through the index buffer ``idx``, or ``samples`` itself
+    when a = 1."""
+    if a == 1:
+        return samples
+    np.multiply(ts, a, out=idx)
+    np.bitwise_and(idx, ts.shape[0] - 1, out=idx)
+    np.right_shift(idx, shift, out=idx)
+    return np.take(samples, idx, out=out, mode="clip")  # mode="raise" would buffer out
+
+
 def gram_quadrature(
     freqs, lam: float, M: int, J: int, tail_corrected: bool = True
 ) -> np.ndarray:
@@ -159,36 +184,49 @@ def gram_quadrature(
     (ab)^(-lam) * zeta(2 lam, t_max + 1) / 2 is restored analytically
     when tail_corrected (the head, which is what actually validates the
     gcd-lattice closed form, always comes from samples).
+
+    A render is read only at a*t mod 2^J for the dilations a of its cap,
+    so it is kept only at every 2^e-th point, 2^e the largest power of
+    two dividing all of them, and a = 1 reads it with no gather.  Each
+    head is the same dot product of the same samples as with whole
+    renders, so the entries do not depend on the strides.
     """
     freqs = tuple(int(n) for n in freqs)
     n_grid = 2**J
     limit = 2 ** (J - 1) - 1
-
-    @lru_cache(maxsize=None)
-    def rendered(cap: int) -> np.ndarray:
-        return render(davenport_fourier(lam, cap), J).samples
-
     k = len(freqs)
-    out = np.empty((k, k))
-    idx = np.arange(n_grid)
-    values = {}  # (a, b) -> entry: pairs with the same reduced pair share it
+    caps = {}  # cap -> e: the shift that keeps what its dilations read
+    pairs = {}  # (a, b) -> (head index, cap_a, cap_b): pairs with the same reduced pair share it
+    tails = []
+    where = np.empty((k, k), dtype=np.intp)
     for i in range(k):
         for j in range(i, k):
             g = math.gcd(freqs[i], freqs[j])
             a, b = freqs[i] // g, freqs[j] // g
-            if (a, b) not in values:
+            if (a, b) not in pairs:
                 cap_a, cap_b = min(M, limit // a), min(M, limit // b)
                 if cap_a < 1 or cap_b < 1:
                     raise ValueError(f"pair {(freqs[i], freqs[j])} unrenderable at J={J}")
-                fa = rendered(cap_a)[(a * idx) % n_grid]
-                fb = rendered(cap_b)[(b * idx) % n_grid]
-                val = float(fa @ fb) / n_grid
+                for cap, d in ((cap_a, a), (cap_b, b)):
+                    caps[cap] = min(caps.get(cap, J), (d & -d).bit_length() - 1)
+                pairs[a, b] = (len(pairs), cap_a, cap_b)
                 if tail_corrected:
                     t_max = min(cap_a // b, cap_b // a)
-                    val += (a * b) ** (-lam) * float(_zeta(2 * lam, t_max + 1)) / 2.0
-                values[a, b] = val
-            out[i, j] = out[j, i] = values[a, b]
-    return out
+                    tails.append((a * b) ** (-lam) * float(_zeta(2 * lam, t_max + 1)) / 2.0)
+            where[i, j] = where[j, i] = pairs[a, b][0]
+    # one 2^J complex buffer holds each render in turn, then the two gathers
+    buf = np.empty(n_grid, np.complex128)
+    rendered = {cap: _render_into(davenport_fourier(lam, cap), buf).real[:: 2**shift].copy() for cap, shift in caps.items()}
+    ts, idx, gathers = np.arange(n_grid, dtype=np.int64), np.empty(n_grid, np.int64), buf.view(np.float64)
+    heads = np.empty(len(pairs))
+    for (a, b), (p, cap_a, cap_b) in pairs.items():
+        fa = _dilated(a, rendered[cap_a], caps[cap_a], ts, idx, gathers[:n_grid])
+        fb = _dilated(b, rendered[cap_b], caps[cap_b], ts, idx, gathers[n_grid:])
+        heads[p] = fa @ fb
+    values = heads / n_grid
+    if tail_corrected:
+        values += tails
+    return values[where]
 
 
 #: a Gram matrix whose least eigenvalue is at most this is numerically singular

@@ -256,6 +256,17 @@ def test_symbolic_budget_below_the_audit_family_is_config_error(tmp_path, monkey
         assert "var_2(f_1) = 1.49875 > B/(m-n)^alpha = 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("lambdas, builds", [("pow:3:3", 1), ("pow:3:5", 2)])
+def test_symbolic_cross_check_reuses_the_potentials_of_its_spec(tmp_path, monkeypatch, lambdas, builds):
+    # at depth 8 the cross-check keeps depth - 4 = 4 levels: all of pow:3:3,
+    # whose potentials and weights it then reads from the audit
+    calls = []
+    potentials = cli.riesz_potentials
+    monkeypatch.setattr(cli, "riesz_potentials", lambda *args: calls.append(args) or potentials(*args))
+    assert run_raw(tmp_path, {"kind": "symbolic", "parameters": {"lambdas": lambdas, "depth": 8}}) == 0
+    assert len(calls) == builds
+
+
 def test_dilated_and_ergodic_kinds(tmp_path):
     raw = {
         "kind": "dilated",

@@ -1,5 +1,6 @@
 import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -122,11 +123,27 @@ def _quadrature_per_pair(freqs, lam, M, J, tail_corrected):
 
 
 @pytest.mark.parametrize("tail_corrected", [True, False])
-@pytest.mark.parametrize("freqs", [[1, 2, 3, 4, 6, 8, 12, 16], "pow:2:10"])
+@pytest.mark.parametrize("freqs", [[1, 2, 3, 4, 6, 8, 12, 16], "pow:2:10", "pow:3:6", [6, 40, 96, 1000]])
 def test_gram_quadrature_matches_per_pair_quadrature(freqs, tail_corrected):
+    # odd dilations keep their renders whole, mixed 2-adic valuations keep
+    # every 2nd to 2^e-th sample, and M = 7 puts every dilation on one cap
     freqs = dv.freqs_from_rule(freqs)
-    quad = dv.gram_quadrature(freqs, 0.75, M=2048, J=14, tail_corrected=tail_corrected)
-    np.testing.assert_array_equal(quad, _quadrature_per_pair(freqs, 0.75, 2048, 14, tail_corrected))
+    for M in (2048, 7):
+        quad = dv.gram_quadrature(freqs, 0.75, M=M, J=14, tail_corrected=tail_corrected)
+        np.testing.assert_array_equal(quad, _quadrature_per_pair(freqs, 0.75, M, 14, tail_corrected), err_msg=f"M={M}")
+
+
+def test_gram_quadrature_keeps_strided_renders():
+    # pow:2:16 at J = 19 has twelve caps; only the cap of 1, ..., 32 is
+    # read at every grid point, so the traced peak stays below twelve
+    # whole float64 renders of 2^19 samples
+    tracemalloc.start()
+    try:
+        dv.gram_quadrature(dv.freqs_from_rule("pow:2:16"), 0.75, M=4096, J=19)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 12 * 2**19 * 8
 
 
 def test_gram_quadrature_once_per_reduced_pair(monkeypatch):
@@ -183,6 +200,14 @@ def test_riesz_constants_rejects_singular():
     fake = dv.GramMatrix(gm.freqs, gm.lam, gm.entries, (1e-12, gm.eigen_bounds[1]))
     with pytest.raises(ValueError):
         dv.riesz_constants(fake)
+
+
+def test_gram_matrix_refuses_asymmetric_entries():
+    gm = dv.gram_matrix([1, 2, 3], 0.75)
+    entries = gm.entries.copy()
+    entries[0, 1] = np.nextafter(entries[0, 1], 1.0)
+    with pytest.raises(ValueError, match="symmetric"):
+        dv.GramMatrix(gm.freqs, gm.lam, entries, gm.eigen_bounds)
 
 
 # ------------------------------------------------------------- smoothness

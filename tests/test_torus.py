@@ -38,6 +38,21 @@ def test_render_matches_pointwise_oracle():
     assert np.abs(g.samples - direct).max() < 1e-12
 
 
+@pytest.mark.parametrize("J", [12, 18, 19])
+@pytest.mark.parametrize("real", [True, False])
+def test_render_is_bit_identical_to_the_scaled_inverse_fft(J, real):
+    if real:
+        f = sine_series({m: m**-0.75 for m in range(1, 2048)})
+    else:
+        f = FourierFunction({m: complex(math.cos(m), math.sin(3 * m)) / m for m in range(-500, 700) if m})
+    n = 2**J
+    spec = np.zeros(n, dtype=np.complex128)
+    for m, c in f.coeffs.items():
+        spec[m % n] += c
+    samples = np.fft.ifft(spec) * n
+    assert np.array_equal(render(f, J).samples, samples.real if real else samples)
+
+
 def test_render_rejects_nonfinite_amplitudes():
     with pytest.raises(ValueError):
         FourierFunction({1: float("nan")})
