@@ -31,7 +31,7 @@ import numpy as np
 from scipy.special import zeta as _zeta
 
 from .modulus import modulus_profile
-from .torus import FourierFunction, GridFunction, _render_into, render, sine_series
+from .torus import FourierFunction, GridFunction, render, sine_series
 
 __all__ = [
     "DavenportSpec",
@@ -214,14 +214,16 @@ def gram_quadrature(
                     t_max = min(cap_a // b, cap_b // a)
                     tails.append((a * b) ** (-lam) * float(_zeta(2 * lam, t_max + 1)) / 2.0)
             where[i, j] = where[j, i] = pairs[a, b][0]
-    # one 2^J complex buffer holds each render in turn, then the two gathers
-    buf = np.empty(n_grid, np.complex128)
-    rendered = {cap: _render_into(davenport_fourier(lam, cap), buf).real[:: 2**shift].copy() for cap, shift in caps.items()}
-    ts, idx, gathers = np.arange(n_grid, dtype=np.int64), np.empty(n_grid, np.int64), buf.view(np.float64)
+    rendered = {
+        cap: np.ascontiguousarray(render(davenport_fourier(lam, cap), J).samples[:: 2**shift])
+        for cap, shift in caps.items()
+    }
+    ts, idx = np.arange(n_grid, dtype=np.int64), np.empty(n_grid, np.int64)
+    gather_a, gather_b = np.empty(n_grid), np.empty(n_grid)
     heads = np.empty(len(pairs))
     for (a, b), (p, cap_a, cap_b) in pairs.items():
-        fa = _dilated(a, rendered[cap_a], caps[cap_a], ts, idx, gathers[:n_grid])
-        fb = _dilated(b, rendered[cap_b], caps[cap_b], ts, idx, gathers[n_grid:])
+        fa = _dilated(a, rendered[cap_a], caps[cap_a], ts, idx, gather_a)
+        fb = _dilated(b, rendered[cap_b], caps[cap_b], ts, idx, gather_b)
         heads[p] = fa @ fb
     values = heads / n_grid
     if tail_corrected:

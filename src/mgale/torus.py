@@ -163,23 +163,14 @@ def render(f: FourierFunction, J: int) -> GridFunction:
         raise AliasingError(
             f"frequencies beyond 2^{J - 1} cannot be rendered alias-free at J={J}"
         )
-    samples = _render_into(f, np.empty(n, dtype=np.complex128))
+    samples = np.zeros(n, dtype=np.complex128)
+    for m, c in f.coeffs.items():
+        samples[m % n] += c
+    np.fft.ifft(samples, out=samples)  # in place: one 2^J complex buffer
+    samples *= n
     if f.is_real_valued():
         return GridFunction(J, samples.real, "real")
     return GridFunction(J, samples, "complex")
-
-
-def _render_into(f: FourierFunction, spec: np.ndarray) -> np.ndarray:
-    """The samples of f at k/n, k < n = len(spec), made in the complex
-    buffer spec and returned: the spectrum, then one inverse FFT in
-    place.  The caller checks that every mode renders alias-free."""
-    n = spec.shape[0]
-    spec.fill(0)
-    for m, c in f.coeffs.items():
-        spec[m % n] += c
-    np.fft.ifft(spec, out=spec)
-    spec *= n
-    return spec
 
 
 def _lp_norm_array(samples: np.ndarray, p) -> float | np.ndarray:
