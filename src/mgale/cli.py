@@ -74,8 +74,7 @@ from .dilated import (
     _general_cells,
     _pow2_ladder,
     _series_cells,
-    contraction_audit,
-    contraction_refined_audit,
+    contraction_audits,
     gaposhkin_example,
     oscillation_diagnostic,
 )
@@ -378,8 +377,7 @@ def _audit_contraction(cases, p_values, J, seed):
         mmax = max(1, (2 ** (J - 1) - 1) // max(f.max_frequency, 1))
         m = int(rng.integers(1, mmax + 1))
         n = int(rng.integers(0, J - 1))
-        reports.append(contraction_audit(f, m, n, p_values[i % len(p_values)], J))
-        reports.append(contraction_refined_audit(f, m, n, J))
+        reports.extend(contraction_audits(f, m, n, p_values[i % len(p_values)], J))
     return reports
 
 

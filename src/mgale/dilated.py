@@ -30,6 +30,7 @@ __all__ = [
     "OscillationDiagnostic",
     "SeriesSpec",
     "contraction_audit",
+    "contraction_audits",
     "contraction_refined_audit",
     "gaposhkin_coefficients",
     "gaposhkin_example",
@@ -435,8 +436,11 @@ def _window_oscillation(sums, amps, checkpoints, seed: int, label: str) -> Oscil
 # contraction audits
 # --------------------------------------------------------------------------
 
-def contraction_audit(f: FourierFunction, m: int, n: int, p, J: int) -> AuditReport:
-    """Audit ||E(f(m.)|F_n)||_p <= (2^n / m) ||f||_p for zero-mean f.
+def contraction_audits(f: FourierFunction, m: int, n: int, p, J: int) -> tuple[AuditReport, AuditReport]:
+    """Audit ||E(f(m.)|F_n)||_p <= (2^n / m) ||f||_p for zero-mean f, and
+    its p=2 refinement ||E(f(m.)|F_n)||_2 <= sqrt(l 2^n)/m ||f||_2 with
+    l = m mod 2^n (at l = 0 the left side vanishes identically), from one
+    render of f, one of f(m.) and one Haar pyramid.
 
     f and its dilate render alias-free or raise AliasingError, which is
     exactly the regime where the grid inequality inherits the continuum
@@ -446,25 +450,26 @@ def contraction_audit(f: FourierFunction, m: int, n: int, p, J: int) -> AuditRep
         raise ValueError("f must have zero mean")
     if m < 1:
         raise ValueError("m must be >= 1")
-    g = render(dilate(f, m), J)
     # E(g|F_n) is constant on level-n blocks: its norm is that of the means
-    lhs = _lp_norm_array(_haar_means(g.samples, J)[n], p)
-    fn = render(f, J)
-    rhs = (2.0**n / m) * _lp_norm_array(fn.samples, p)
-    return _bound_report(lhs, rhs, 2.0**n / m, f"contraction[m={m},n={n},p={p}]")
+    means = _haar_means(render(dilate(f, m), J).samples, J)[n]
+    fs = render(f, J).samples
+    ell = m % 2**n
+    main, refined = 2.0**n / m, math.sqrt(ell * 2.0**n) / m
+    return (
+        _bound_report(_lp_norm_array(means, p), main * _lp_norm_array(fs, p), main, f"contraction[m={m},n={n},p={p}]"),
+        _bound_report(_lp_norm_array(means, 2), refined * _lp_norm_array(fs, 2), refined,
+                      f"contraction-refined[m={m},n={n}]", tol=1e-11 if ell == 0 else 1e-12),
+    )
+
+
+def contraction_audit(f: FourierFunction, m: int, n: int, p, J: int) -> AuditReport:
+    """The main row of :func:`contraction_audits`."""
+    return contraction_audits(f, m, n, p, J)[0]
 
 
 def contraction_refined_audit(f: FourierFunction, m: int, n: int, J: int) -> AuditReport:
-    """The p=2 refinement: ||E(f(m.)|F_n)||_2 <= sqrt(l 2^n)/m ||f||_2
-    with l = m mod 2^n; at l = 0 the left side vanishes identically."""
-    if not f.has_zero_mean():
-        raise ValueError("f must have zero mean")
-    ell = m % 2**n
-    g = render(dilate(f, m), J)
-    lhs = _lp_norm_array(_haar_means(g.samples, J)[n], 2)
-    rhs = math.sqrt(ell * 2.0**n) / m * _lp_norm_array(render(f, J).samples, 2)
-    tol = 1e-11 if ell == 0 else 1e-12
-    return _bound_report(lhs, rhs, math.sqrt(ell * 2.0**n) / m, f"contraction-refined[m={m},n={n}]", tol=tol)
+    """The p=2 refinement row of :func:`contraction_audits`."""
+    return contraction_audits(f, m, n, 2, J)[1]
 
 
 # --------------------------------------------------------------------------

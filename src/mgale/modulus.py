@@ -45,7 +45,7 @@ class ModulusProfile:
     source_resolution: int
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=np.float64)
+        v = np.array(self.values, dtype=np.float64)  # a private copy, never the caller's buffer
         v.flags.writeable = False
         object.__setattr__(self, "values", v)
         if v.shape != (self.source_resolution + 1,):
@@ -57,14 +57,13 @@ def _circular_corr(g: np.ndarray, h: np.ndarray) -> np.ndarray:
     return np.fft.irfft(np.fft.rfft(g) * np.conj(np.fft.rfft(h)), g.shape[-1])
 
 
-#: shift rows per task of the generic-p scan; the size rule counts a task
-#: as chunk x n cells, though it is scanned in smaller buffered blocks
+#: shift rows the size rule counts per scan of the generic-p pass
 _SCAN_CHUNK = 256
-#: a block holds at most 64 rows and 2^16 cells (512 KiB of float64), so a
-#: block's three buffers stay within a per-core L2 cache
-_SCAN_BLOCK_ROWS, _SCAN_BLOCK_CELLS = 64, 2**16
-#: the most threads one kernel call runs on, whatever the input size: the
-#: generic-p shift scan here and riesz.riesz_partial_density share the rule
+#: cells per block of a threaded kernel (512 KiB of float64): the shift
+#: scan's and the Riesz density's three block buffers stay within a
+#: per-core L2 cache
+_BLOCK_CELLS = 2**16
+#: the most threads one kernel call runs on, whatever the input size
 _SCAN_THREADS = 2
 
 
@@ -76,15 +75,15 @@ def _fft_path(p, real: bool) -> bool:
 
 def _curve_cells(n: int, p_values) -> int:
     """Cells the size rule counts for shift_norm_curve's full curve of n
-    real samples: one scan task of the default chunk x n when some p needs
-    the scan, else a curve of n + 1 values."""
+    real samples: min(_SCAN_CHUNK, n/2 + 1) scan rows x n when some p
+    needs the scan, else a curve of n + 1 values.  The count is fixed:
+    a default scan holds less, one block of at most 64 rows per thread."""
     scan = not all(_fft_path(p, True) for p in p_values)
     return max(n + 1, min(_SCAN_CHUNK, n // 2 + 1) * n if scan else 0)
 
 
 def _scan_threads() -> int:
-    """Threads for the generic-p scan and the Riesz density: at most
-    _SCAN_THREADS, and no more than the CPUs this process may use."""
+    """At most _SCAN_THREADS, and no more than the CPUs this process may use."""
     try:
         cpus = len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity on this platform
@@ -92,55 +91,55 @@ def _scan_threads() -> int:
     return min(_SCAN_THREADS, cpus)
 
 
-def _on_threads(target, thread_args) -> None:
-    """target(*args) for each tuple of ``thread_args``, one thread each:
-    in the calling thread when there is one tuple, else on a pool
-    opened for this call (threads inherited across a fork would hang
-    the child)."""
-    if len(thread_args) == 1:
-        target(*thread_args[0])
+def _on_threads(target, blocks, make_buffers, *shared) -> None:
+    """target(blocks[w::W], make_buffers(), *shared) for each of
+    W = min(_scan_threads(), len(blocks)) workers w: one in the calling
+    thread, more on a pool opened for this call (threads inherited
+    across a fork would hang the child).  The buffers are made here, not
+    on the workers, whose malloc arenas would keep the freed blocks."""
+    threads = min(_scan_threads(), len(blocks))
+    work = [(blocks[w::threads], make_buffers(), *shared) for w in range(threads)]
+    if threads == 1:
+        target(*work[0])
         return
-    with ThreadPoolExecutor(len(thread_args)) as pool:
-        jobs = [pool.submit(target, *args) for args in thread_args]
+    with ThreadPoolExecutor(threads) as pool:
+        jobs = [pool.submit(target, *args) for args in work]
         for job in jobs:
             job.result()
 
 
-def _scan_tasks(shifted, s, ps, tasks, buffers, scan) -> None:
-    """scan[p][lo:hi] = ||tau_t f - f||_p for t in each (lo, hi) task.
+def _scan_blocks(blocks, buffers, shifted, s, ps, scan) -> None:
+    """scan[p][lo:hi] = ||tau_t f - f||_p for t in each (lo, hi) block.
 
-    Each task is scanned in blocks of as many rows as the (difference,
-    abs, work) ``buffers`` hold, in place.  Every row keeps its own
-    reduction, so a value does not depend on the blocking.  This runs on
-    scan threads: it calls numpy only.
+    A block goes through the (difference, abs, work) ``buffers`` in
+    place.  Every row keeps its own reduction, so a value does not
+    depend on the blocking.  This runs on scan threads: it calls numpy
+    only.
     """
     diff, absd, work = buffers
-    rows = diff.shape[0]
-    for task_lo, task_hi in tasks:
-        for lo in range(task_lo, task_hi, rows):
-            hi = min(lo + rows, task_hi)
-            d, a, w = diff[: hi - lo], absd[: hi - lo], work[: hi - lo]
-            np.subtract(shifted[lo:hi], s, out=d)
-            np.abs(d, out=a)
-            for p in ps:
-                if p == math.inf:
-                    vals = a.max(axis=1)
-                elif p == 1:
-                    vals = a.mean(axis=1)
-                elif p == 1.5:
-                    np.multiply(a, np.sqrt(a, out=w), out=w)
-                    vals = w.mean(axis=1) ** (1 / 1.5)
-                elif p == 4:
-                    np.square(a, out=w)
-                    np.multiply(w, w, out=w)
-                    vals = w.mean(axis=1) ** 0.25
-                else:
-                    vals = np.power(a, p, out=w).mean(axis=1) ** (1.0 / p)
-                scan[p][lo:hi] = vals
+    for lo, hi in blocks:
+        d, a, w = diff[: hi - lo], absd[: hi - lo], work[: hi - lo]
+        np.subtract(shifted[lo:hi], s, out=d)
+        np.abs(d, out=a)
+        for p in ps:
+            if p == math.inf:
+                vals = a.max(axis=1)
+            elif p == 1:
+                vals = a.mean(axis=1)
+            elif p == 1.5:
+                np.multiply(a, np.sqrt(a, out=w), out=w)
+                vals = w.mean(axis=1) ** (1 / 1.5)
+            elif p == 4:
+                np.square(a, out=w)
+                np.multiply(w, w, out=w)
+                vals = w.mean(axis=1) ** 0.25
+            else:
+                vals = np.power(a, p, out=w).mean(axis=1) ** (1.0 / p)
+            scan[p][lo:hi] = vals
 
 
 def shift_norm_curve(
-    samples: np.ndarray, p_values, max_shift: int | None = None, chunk: int = _SCAN_CHUNK
+    samples: np.ndarray, p_values, max_shift: int | None = None, chunk: int = 64
 ) -> dict:
     """||tau_t f - f||_p for every shift t = 0..max_shift, per p.
 
@@ -152,11 +151,11 @@ def shift_norm_curve(
     the sum over grid points), so it scans only t <= N/2 and reads the
     other shifts off as N - t.
 
-    The pass splits the rows t into tasks of ``chunk`` rows and scans a
-    task in blocks of at most 64 rows (and 2^16 cells) through
-    preallocated buffers.  Tasks go round-robin to up to two threads (one when the process may
-    use one CPU or there is one task).  Each row is reduced on its own,
-    so the curve is bit-identical whatever the chunk and thread count.
+    The pass scans the rows t in blocks of at most ``chunk`` rows and
+    2^16 cells through preallocated buffers.  Blocks go round-robin to
+    up to two threads (one when the process may use one CPU or there is
+    one block).  Each row is reduced on its own, so the curve is
+    bit-identical whatever the chunk and thread count.
     """
     s = np.asarray(samples)
     n = s.shape[-1]
@@ -188,13 +187,10 @@ def shift_norm_curve(
     # shifted[t] = tau_t f as a contiguous view of one period-doubled copy
     shifted = np.lib.stride_tricks.sliding_window_view(np.concatenate([s, s]), n)
     scan = {p: np.empty(last + 1) for p in remaining}
-    tasks = [(lo, min(lo + chunk, last + 1)) for lo in range(0, last + 1, chunk)]
-    threads = min(_scan_threads(), len(tasks))
-    # the buffers are made here, not on the threads, whose malloc arenas
-    # would keep the freed blocks
-    rows = min(_SCAN_BLOCK_ROWS, max(1, _SCAN_BLOCK_CELLS // n), chunk, last + 1)
-    buffers = [(np.empty((rows, n), s.dtype), np.empty((rows, n)), np.empty((rows, n))) for _ in range(threads)]
-    _on_threads(_scan_tasks, [(shifted, s, remaining, tasks[w::threads], buffers[w], scan) for w in range(threads)])
+    rows = min(chunk, max(1, _BLOCK_CELLS // n), last + 1)
+    blocks = [(lo, min(lo + rows, last + 1)) for lo in range(0, last + 1, rows)]
+    _on_threads(_scan_blocks, blocks, lambda: (np.empty((rows, n), s.dtype), np.empty((rows, n)), np.empty((rows, n))),
+                shifted, s, remaining, scan)
     folded = np.minimum(ts_all, n - ts_all)
     for p in remaining:
         curves[p] = scan[p][folded]

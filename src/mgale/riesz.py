@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dilated import OscillationDiagnostic, _window_oscillation
-from .modulus import _on_threads, _scan_threads, modulus_profile
+from .modulus import _BLOCK_CELLS, _on_threads, modulus_profile
 from .torus import FourierFunction, GridFunction, render
 
 __all__ = [
@@ -69,12 +69,7 @@ class RieszProductSpec:
         return len(self.lambdas)
 
 
-#: grid points per block of the density; a block's three buffers (128 KiB
-#: each at 2^14 points) stay within a per-core L2 cache
-_DENSITY_BLOCK = 2**14
-
-
-def _density_blocks(levels, n_grid, starts, offsets, buffers, dens) -> None:
+def _density_blocks(starts, buffers, levels, n_grid, offsets, dens) -> None:
     """dens[lo:lo + block] = P_N at each block start lo, clipped at 0.
 
     Every level goes through the (phase, theta, factor) ``buffers`` in
@@ -118,9 +113,9 @@ def riesz_partial_density(spec: RieszProductSpec, N: int, J: int) -> GridFunctio
     and the factor is the real form 1 + Re(c e^(i theta)) =
     1 + c.real cos(theta) - c.imag sin(theta) (sin skipped for real c).
 
-    The grid is split into blocks of 2^14 points, each taken through
+    The grid is split into blocks of 2^16 points, each taken through
     all levels in three preallocated buffers, and the blocks go
-    round-robin to the threads of modulus's scan rule (up to two; one
+    round-robin to the threads of modulus's block kernel (up to two; one
     when the process may use one CPU or there is one block).  Every
     point is computed on its own, so P_N is bit-identical to the
     one-pass product over the whole grid, whatever the blocking.
@@ -132,15 +127,10 @@ def riesz_partial_density(spec: RieszProductSpec, N: int, J: int) -> GridFunctio
     n_grid = 2**J
     levels = list(zip(spec.lambdas[: N + 1], spec.cs[: N + 1]))
     dens = np.empty(n_grid)
-    size = min(_DENSITY_BLOCK, n_grid)
-    starts = range(0, n_grid, size)
-    threads = min(_scan_threads(), len(starts))
-    # the buffers are made here, not on the threads, whose malloc arenas
-    # would keep the freed blocks
+    size = min(_BLOCK_CELLS, n_grid)
     offsets = np.arange(size, dtype=np.int64)
-    buffers = [(np.empty(size, np.int64), np.empty(size), np.empty(size)) for _ in range(threads)]
-    work = [(levels, n_grid, starts[w::threads], offsets, buffers[w], dens) for w in range(threads)]
-    _on_threads(_density_blocks, work)
+    _on_threads(_density_blocks, range(0, n_grid, size),
+                lambda: (np.empty(size, np.int64), np.empty(size), np.empty(size)), levels, n_grid, offsets, dens)
     return GridFunction(J, dens, "real")
 
 

@@ -75,9 +75,9 @@ class CylinderFunction:
     values: np.ndarray
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=np.complex128)
-        if np.isrealobj(self.values) or np.abs(v.imag).max(initial=0.0) == 0.0:
-            v = v.real.copy()
+        v = np.asarray(self.values)
+        real = np.isrealobj(v) or np.abs(v.imag).max(initial=0.0) == 0.0
+        v = v.real.astype(np.float64) if real else v.astype(np.complex128)  # never the caller's buffer
         v.flags.writeable = False
         object.__setattr__(self, "values", v)
         if self.start < 1:

@@ -178,8 +178,9 @@ def test_contraction_randomized(rng):
         m = int(rng.integers(1, mmax + 1))
         n = int(rng.integers(0, J - 1))
         p = [1.5, 2, 4, math.inf][int(rng.integers(0, 4))]
-        assert dl.contraction_audit(f, m, n, p, J).passed
-        assert dl.contraction_refined_audit(f, m, n, J).passed
+        main, refined = dl.contraction_audits(f, m, n, p, J)
+        assert main.passed and refined.passed
+        assert (main, refined) == (dl.contraction_audit(f, m, n, p, J), dl.contraction_refined_audit(f, m, n, J))
 
 
 @pytest.mark.parametrize("J, real", [(2, True), (6, True), (6, False)])

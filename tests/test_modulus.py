@@ -16,6 +16,15 @@ def test_profile_constant_is_zero():
     np.testing.assert_array_equal(prof.values, np.zeros(7))
 
 
+def test_modulus_profile_leaves_caller_array_writeable():
+    values = np.array([2.0, 1.0, 0.5])
+    prof = mo.ModulusProfile(1.5, values, 2)
+    assert values.flags.writeable and not prof.values.flags.writeable
+    assert not np.shares_memory(values, prof.values)
+    values[:] = 0.0
+    np.testing.assert_array_equal(prof.values, [2.0, 1.0, 0.5])
+
+
 def test_profile_sine_closed_form():
     prof = mo.modulus_profile(render(sine_series({1: 1.0}), 14), 2)
     ns = np.arange(1, 15)
@@ -239,12 +248,48 @@ def test_scan_threads_stay_bounded_and_are_joined(monkeypatch, rng):
         assert opened == []
     else:
         assert len(opened) == 11 and all(w == 2 for w in opened)
-    # one task, or one CPU, keeps the scan in the calling thread
+    # one block (33 rows of 64 samples), or one CPU, keeps the scan in the calling thread
     opened.clear()
-    mo.shift_norm_curve(rng.standard_normal(2**10), [1.5], chunk=513)
+    mo.shift_norm_curve(rng.standard_normal(2**6), [1.5])
     monkeypatch.setattr(mo.os, "sched_getaffinity", lambda pid: {0}, raising=False)
     mo.shift_norm_curve(rng.standard_normal(2**10), [1.5], chunk=1)
     assert opened == []
+
+
+@pytest.mark.parametrize("threads", [1, 2, 4])
+def test_on_threads_runs_each_block_once_with_buffers_from_the_caller(monkeypatch, threads):
+    opened = []
+
+    class RecordingPool(mo.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            opened.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(mo, "ThreadPoolExecutor", RecordingPool)
+    monkeypatch.setattr(mo, "_SCAN_THREADS", threads)
+    caller = threading.get_ident()
+    baseline = threading.active_count()
+
+    def make_buffers():
+        assert threading.get_ident() == caller
+        made.append([])
+        return made[-1]
+
+    def target(blocks, buffers, idents):
+        buffers.extend(blocks)
+        idents.add(threading.get_ident())
+
+    for count, cpus in ((1, 4), (2, 4), (3, 4), (7, 4), (7, 1)):
+        monkeypatch.setattr(mo.os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+        opened.clear()
+        made, idents = [], set()
+        mo._on_threads(target, list(range(count)), make_buffers, idents)
+        width = min(threads, count, cpus)
+        # worker w fills its own buffers with blocks w, w + width, ...: each block once
+        assert made == [list(range(count))[w::width] for w in range(width)]
+        assert opened == ([width] if width > 1 else [])
+        assert idents == {caller} if width == 1 else caller not in idents
+        assert threading.active_count() == baseline
 
 
 def _scan_in_child(conn, s):

@@ -267,7 +267,7 @@ def test_partial_density_is_bit_identical_to_the_one_pass_product(monkeypatch, c
             super().__init__(max_workers)
 
     monkeypatch.setattr(mo, "ThreadPoolExecutor", RecordingPool)
-    monkeypatch.setattr(rz, "_DENSITY_BLOCK", 97)
+    monkeypatch.setattr(rz, "_BLOCK_CELLS", 97)
     monkeypatch.setattr(mo, "_SCAN_THREADS", threads)
     monkeypatch.setattr(mo.os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
     spec = _density_spec(complex_cs)
@@ -292,7 +292,7 @@ def test_partial_density_is_bit_identical_to_the_one_pass_product(monkeypatch, c
 
 
 def _density_in_child(conn, spec):
-    conn.send(rz.riesz_partial_density(spec, spec.depth - 1, 16).samples)
+    conn.send(rz.riesz_partial_density(spec, spec.depth - 1, 18).samples)
     conn.close()
 
 
@@ -300,8 +300,8 @@ def _density_in_child(conn, spec):
 def test_a_forked_child_tabulates_the_density_after_the_parent():
     spec = _density_spec(True)
     spec = rz.RieszProductSpec(spec.lambdas[:8], spec.cs[:8])
-    parent = rz.riesz_partial_density(spec, 7, 16).samples  # four blocks
-    assert np.array_equal(parent, _one_pass_density(spec, 7, 16))
+    parent = rz.riesz_partial_density(spec, 7, 18).samples  # four blocks
+    assert np.array_equal(parent, _one_pass_density(spec, 7, 18))
     ctx = multiprocessing.get_context("fork")
     recv, send = ctx.Pipe(duplex=False)
     child = ctx.Process(target=_density_in_child, args=(send, spec))

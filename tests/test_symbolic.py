@@ -64,6 +64,22 @@ def test_riesz_potentials_require_unit_lambda0():
         sy.riesz_potentials(spec, 4)
 
 
+@pytest.mark.parametrize("values", [
+    np.array([0.25, 0.75]),  # float64 kept as float64
+    np.array([0.25 + 0.5j, 0.75]),  # complex128 kept as complex128
+    np.array([0.25 + 0j, 0.75]),  # complex128 with no imaginary part, stored real
+    np.array([1, 3]),  # int64, stored as float64
+])
+def test_cylinder_function_leaves_caller_array_writeable(values):
+    kept = values.copy()
+    f = sy.CylinderFunction(1, values)
+    assert values.flags.writeable and not f.values.flags.writeable
+    assert not np.shares_memory(values, f.values)
+    assert f.values.dtype == (np.complex128 if np.iscomplexobj(values) and kept.imag.any() else np.float64)
+    values[:] = 0
+    np.testing.assert_array_equal(f.values, kept)
+
+
 # ------------------------------------------------------------------ var_m
 
 def test_var_depends_only_on_prefix():
