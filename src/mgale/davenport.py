@@ -28,7 +28,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import zeta as _zeta
 
 from .modulus import modulus_profile
 from .torus import FourierFunction, GridFunction, render, sine_series
@@ -45,6 +44,14 @@ __all__ = [
     "riesz_constants",
     "smoothness_estimate",
 ]
+
+
+def _zeta(*args):
+    """scipy.special.zeta, imported at the first call: only the Davenport
+    kind needs it, so no other mgale process pays for importing scipy."""
+    from scipy.special import zeta
+
+    return zeta(*args)
 
 
 @dataclass(frozen=True)

@@ -182,12 +182,21 @@ def equilibrium_weights(space: SymbolicSpace, pots: PotentialSeq) -> np.ndarray:
     # the whole mass profile by G_depth, pinning the last digit's law
     n_max = min(len(pots), space.depth)
     nu = np.full(space.sizes, 1.0 / math.prod(space.sizes))
+    if n_max == 0:  # no adjoint to apply: the uniform start is the fixed point
+        return nu / nu.sum()
+    # two mass boxes and the generator's G_n, no whole-box temporary: a
+    # sweep's first product goes to the spare box, the rest overwrite it
+    spare = np.empty_like(nu)
     for _ in range(64):
         prev = nu
         for n, g in enumerate(_prefix_products(space, pots, n_max), start=1):
             marg = nu.sum(axis=tuple(range(n)))
-            nu = g * np.broadcast_to(marg, space.sizes)
-        delta = float(np.abs(nu - prev).max())
+            nu = np.multiply(g, np.broadcast_to(marg, space.sizes), out=spare if n == 1 else nu)
+        del g  # the spent generator's box
+        # |nu - prev| in prev's dead buffer, the next sweep's spare box
+        np.subtract(nu, prev, out=prev)
+        delta = float(np.abs(prev, out=prev).max())
+        spare = prev
         if delta <= 1e-12:
             break
     else:
@@ -195,7 +204,8 @@ def equilibrium_weights(space: SymbolicSpace, pots: PotentialSeq) -> np.ndarray:
     total = nu.sum()
     if not math.isclose(total, 1.0, rel_tol=1e-9):
         raise RuntimeError(f"fixed point mass drifted to {total}")
-    return nu / total
+    nu /= total
+    return nu
 
 
 def mu_integral(space: SymbolicSpace, weights: np.ndarray, f: CylinderFunction):

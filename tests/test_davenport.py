@@ -1,5 +1,9 @@
 import io
 import math
+import os
+import pathlib
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -157,6 +161,38 @@ def test_gram_quadrature_once_per_reduced_pair(monkeypatch):
     monkeypatch.setattr(dv, "_zeta", counting_zeta)
     dv.gram_quadrature(dv.freqs_from_rule("pow:2:10"), 0.75, M=2048, J=14)
     assert len(calls) == 11
+
+
+_FIRST_ZETA_CALL = """
+import sys
+
+import mgale.cli
+
+assert not [m for m in sys.modules if m.split(".")[0] == "scipy"], "import mgale.cli loaded scipy"
+
+from mgale import davenport as dv
+
+gm = dv.gram_matrix([1, 2], 0.75)
+assert "scipy.special" in sys.modules
+
+from scipy.special import zeta
+
+z = float(zeta(1.5))
+off = 0.5 * z * (1 / 2) ** 0.75
+assert gm.entries.tolist() == [[0.5 * z, off], [off, 0.5 * z]], gm.entries
+"""
+
+
+def test_scipy_loads_at_the_first_zeta_call():
+    # only the zeta calls of the Davenport kind need scipy: a fresh
+    # process imports the CLI without it, and the first Gram matrix
+    # loads scipy.special and equals the closed form computed with it
+    src = pathlib.Path(dv.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-c", _FIRST_ZETA_CALL],
+        env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_gram_quadrature_names_unrenderable_pair():

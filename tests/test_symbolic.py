@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -147,6 +148,27 @@ def test_equilibrium_is_product_weights():
     expected = _g_box_ref(space, pots, 6)
     np.testing.assert_allclose(w, expected, atol=1e-14)
     assert w.sum() == pytest.approx(1.0, abs=1e-12)
+
+
+def test_equilibrium_without_potentials_is_uniform():
+    w = sy.equilibrium_weights(sy.SymbolicSpace((2, 3)), sy.PotentialSeq(()))
+    assert w.shape == (2, 3) and np.ptp(w) == 0.0
+    assert w.sum() == pytest.approx(1.0, abs=1e-15)
+
+
+def test_equilibrium_holds_under_four_boxes():
+    # the two mass boxes, the generator's G_n and a marginal of at most
+    # a third of a box; a whole-box temporary per product or per
+    # stationarity check would pass four boxes (3^10 cells)
+    _, space, pots = riesz_setup(10, 0.8, 8)
+    box = math.prod(space.sizes) * 8
+    tracemalloc.start()
+    try:
+        sy.equilibrium_weights(space, pots)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * box
 
 
 def test_equilibrium_torus_crosscheck():
