@@ -654,6 +654,8 @@ def _run_symbolic(config: ExperimentConfig) -> _Reports:
     except (OverflowError, ZeroDivisionError):  # (m - n)^alpha overflows or underflows to 0
         raise ConfigError(f"symbolic alpha={alpha:g} gives no finite bound B/(m-n)^alpha") from None
     space, pots = riesz_potentials(spec, depth)
+    if pots.positivity_floor() <= 0:  # a factor 1 + Re(c_n e(lambda_n x)) with |c_n| = 1 reaches 0
+        raise ConfigError("symbolic potentials touch zero, so log g_n is undefined: take every |c_n| < 1")
     weights = equilibrium_weights(space, pots)
     reports = [potential_variation_check(space, pots, alpha, p["A"]),
                averaging_decay_audit(space, pots, fns, alpha, p["B"], weights=weights)[0]]

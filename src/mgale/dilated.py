@@ -23,6 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .martingale import AuditReport, _bound_report, _haar_means
+from .modulus import _BLOCK_CELLS, _on_threads, fourier_modulus_l2
 from .torus import FourierFunction, _lp_norm_array, dilate, render, sine_series
 
 __all__ = [
@@ -100,20 +101,21 @@ def sample_dyadic_points(count: int, bits: int, seed: int):
 
 
 def _doubling_orbit_fracs(bitmat: np.ndarray) -> np.ndarray:
-    """fracs[i, m] = frac(2^m * x_i) for the dyadic points, exact.
+    """fracs[i, m] = frac(2^m * x_i) for the dyadic points, within one ulp.
 
     Right-to-left recurrence y_m = (bit_m + y_{m+1}) / 2 reads the full
-    remaining bit tail, so each value is the correctly rounded float64
-    of the exact dyadic rational.
+    remaining bit tail; each step rounds once, so a value can sit one
+    ulp off the exact dyadic rational, never further.  The recurrence
+    runs over the rows of a C-contiguous (bits, count) array, and the
+    (count, bits) result is that array's transposed view.
     """
     count, bits = bitmat.shape
-    out = np.empty((count, bits), dtype=np.float64)
+    rows = np.ascontiguousarray(bitmat.T)
+    out = np.empty((bits, count), dtype=np.float64)
     y = np.zeros(count)
-    cols = bitmat.astype(np.float64)
     for m in range(bits - 1, -1, -1):
-        y = 0.5 * (cols[:, m] + y)
-        out[:, m] = y
-    return out
+        y = np.multiply(np.add(rows[m], y, out=out[m]), 0.5, out=out[m])
+    return out.T
 
 
 def _fracs_of_multiples(ints: list, freqs, bits: int) -> np.ndarray:
@@ -228,13 +230,41 @@ def _series_cells(generator, freqs, length: int, checkpoints, sample_size: int) 
     return arrays
 
 
+def _dyadic_blocks(blocks, buffers, orbit, kf, cols, coeffs, out) -> None:
+    """out[lo:hi] = coeffs * corr[:, cols] for each (lo, hi) block of sample rows, where corr is
+    the circular correlation of sin(2 pi orbit[lo:hi]) with the generator kernel, whose
+    zero-padded spectrum is ``kf``.
+
+    A block goes through the (phase, spectrum, correlation, gather) ``buffers`` in place.  FFTs
+    transform each row on its own, so a value does not depend on the blocking.  This runs on
+    the threads of modulus's block kernel: it calls numpy only.
+    """
+    phase, spec, corr, vals = buffers
+    size = corr.shape[1]
+    for lo, hi in blocks:
+        ph, sf, co, va = phase[: hi - lo], spec[: hi - lo], corr[: hi - lo], vals[: hi - lo]
+        np.multiply(orbit[lo:hi], 2 * np.pi, out=ph)
+        np.sin(ph, out=ph)
+        np.fft.rfft(ph, size, axis=1, out=sf)
+        sf *= kf
+        np.fft.irfft(sf, size, axis=1, out=co)
+        np.take(co, cols, axis=1, out=va)
+        np.multiply(va, coeffs, out=out[lo:hi])
+
+
 def series_values_at_points(
     spec: SeriesSpec, K: int, bitmat: np.ndarray, ints: list
 ) -> np.ndarray:
     """(samples, K) matrix of the term values a_k f(n_k x_i).
 
     Fast path when every frequency (series and generator) is a power of
-    two: one sin table over the doubling orbit plus an FFT correlation.
+    two: a sin table over the doubling orbit plus an FFT correlation
+    with the generator's sine amplitudes.  The orbit is built once, all
+    samples x bits of it; the sin table and the FFTs go in blocks of
+    max(1, 2^16 // FFT size) samples through preallocated buffers, the
+    blocks round-robin on the threads of modulus's block kernel (up to
+    two).  Each row is transformed on its own, so the values are
+    bit-identical to one pass over the whole sample.
     The general path reduces n_k * X mod 2^bits exactly, carrying the
     residue from term to term by a multiply (n_(k-1) | n_k) or an add
     recurrence (see _fracs_of_multiples).
@@ -250,18 +280,24 @@ def series_values_at_points(
         octaves = _octaves(gen)
         kern = np.array([(2j * gen.coeffs.get(1 << j, 0)).real for j in octaves])
         exps = np.array([n.bit_length() - 1 for n in freqs])
+        count, bits = bitmat.shape
         need = exps.max() + octaves[-1] + 1
-        if need > bitmat.shape[1]:
-            raise ValueError(f"need at least {need} sample bits, have {bitmat.shape[1]}")
-        sins = np.sin(2 * np.pi * _doubling_orbit_fracs(bitmat))
-        # correlation over the orbit: f_at[e] = sum_j kern[j] * sins[:, e + octaves[j]]
-        m = sins.shape[1]
-        size = _fft_size(m, kern.size)
-        sf = np.fft.rfft(sins, size, axis=1)
+        if need > bits:
+            raise ValueError(f"need at least {need} sample bits, have {bits}")
+        # correlation over the orbit: f_at[e] = sum_j kern[j] * sins[:, e + octaves[j]],
+        # read at column e + octaves[0] + kern.size - 1 of the full correlation
+        size = _fft_size(bits, kern.size)
         kf = np.fft.rfft(kern[::-1], size)
-        corr = np.fft.irfft(sf * kf[None, :], size, axis=1)[:, kern.size - 1 : m]
-        vals = corr[:, exps + octaves[0]]
-        return vals * coeffs.real[None, :] if np.all(coeffs.imag == 0) else vals * coeffs[None, :]
+        cols = exps + octaves[0] + kern.size - 1
+        if np.all(coeffs.imag == 0):
+            coeffs = coeffs.real
+        out = np.empty((count, K), coeffs.dtype)
+        rows = max(1, min(_BLOCK_CELLS // size, count))
+        _on_threads(_dyadic_blocks, [(lo, min(lo + rows, count)) for lo in range(0, count, rows)],
+                    lambda: (np.empty((rows, bits)), np.empty((rows, size // 2 + 1), np.complex128),
+                             np.empty((rows, size)), np.empty((rows, K))),
+                    _doubling_orbit_fracs(bitmat), kf, cols, coeffs, out)
+        return out
     _check_phase_precision(gen)
     ys = _fracs_of_multiples(ints, freqs, bitmat.shape[1])
     out = np.zeros((len(ints), K), dtype=np.complex128)
@@ -503,8 +539,6 @@ def gaposhkin_modulus_fit(m: int, ns) -> tuple[np.ndarray, np.ndarray, float, fl
     2^50 still fits in a float (the modulus is evaluated in mode space,
     with the default h grid of fourier_modulus_l2).
     """
-    from .modulus import fourier_modulus_l2
-
     ns = np.asarray(list(ns), dtype=np.int64)
     gen = gaposhkin_example(m, 50).generator
     omegas = fourier_modulus_l2(gen, 2.0 ** -ns.astype(np.float64))

@@ -61,7 +61,8 @@ def _circular_corr(g: np.ndarray, h: np.ndarray) -> np.ndarray:
 _SCAN_CHUNK = 256
 #: cells per block of a threaded kernel (512 KiB of float64): the shift
 #: scan's and the Riesz density's three block buffers stay within a
-#: per-core L2 cache
+#: per-core L2 cache; the dyadic series kernel takes this many cells of
+#: FFT length per block
 _BLOCK_CELLS = 2**16
 #: the most threads one kernel call runs on, whatever the input size
 _SCAN_THREADS = 2
@@ -93,11 +94,14 @@ def _scan_threads() -> int:
 
 def _on_threads(target, blocks, make_buffers, *shared) -> None:
     """target(blocks[w::W], make_buffers(), *shared) for each of
-    W = min(_scan_threads(), len(blocks)) workers w: one in the calling
-    thread, more on a pool opened for this call (threads inherited
-    across a fork would hang the child).  The buffers are made here, not
-    on the workers, whose malloc arenas would keep the freed blocks."""
-    threads = min(_scan_threads(), len(blocks))
+    W = max(1, min(_scan_threads(), len(blocks))) workers w: one in the
+    calling thread, more on a pool opened for this call (threads
+    inherited across a fork would hang the child).  The buffers are made here, not
+    on the workers, whose malloc arenas would keep the freed blocks.
+    Three kernels run on it: the shift scan (_scan_blocks), the Riesz
+    density (riesz._density_blocks) and the dyadic exact-point series
+    (dilated._dyadic_blocks)."""
+    threads = max(1, min(_scan_threads(), len(blocks)))
     work = [(blocks[w::threads], make_buffers(), *shared) for w in range(threads)]
     if threads == 1:
         target(*work[0])

@@ -128,13 +128,24 @@ def transfer_decay(f: FourierFunction, N: int) -> TransferDecay:
 
     Requires zero mean.  Every norm is exact whether or not the norms
     have vanished by N; nothing past N is computed or extrapolated.
+    When the energies of finite |c_m| overflow (|c_m| > about 1.3e154),
+    they are taken relative to max |c_m|, as dilated._l2_scale does, so
+    a norm is inf only past the float range.
     """
     if not f.has_zero_mean():
         raise ValueError("f must have zero mean")
     vals = np.array([min((m & -m).bit_length() - 1, N + 1) for m in f.coeffs], dtype=np.int64)
-    weights = np.abs(np.array(list(f.coeffs.values()), dtype=np.complex128)) ** 2
-    energy = np.bincount(vals, weights=weights, minlength=N + 2)[::-1].cumsum()[::-1]
-    return TransferDecay(np.sqrt(energy[: N + 1]))
+    amps = np.abs(np.array(list(f.coeffs.values()), dtype=np.complex128))
+
+    def norms(weights):
+        return np.sqrt(np.bincount(vals, weights=weights, minlength=N + 2)[::-1].cumsum()[::-1][: N + 1])
+
+    with np.errstate(over="ignore"):
+        out = norms(amps**2)
+        if np.isinf(out).any() and np.isfinite(amps).all():
+            top = amps.max()
+            out = top * norms((amps / top) ** 2)
+    return TransferDecay(out)
 
 
 def ergodic_series_run(

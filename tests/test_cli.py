@@ -256,6 +256,14 @@ def test_symbolic_budget_below_the_audit_family_is_config_error(tmp_path, monkey
         assert "var_2(f_1) = 1.49875 > B/(m-n)^alpha = 1" in capsys.readouterr().err
 
 
+def test_symbolic_potentials_touching_zero_are_config_error(tmp_path, capsys):
+    # |c_0| = 1: the factor 1 + cos(2 pi x) reaches 0, so log g_n is undefined
+    raw = {"kind": "symbolic", "parameters": {"lambdas": [1], "cs": [1.0]}}
+    assert run_raw(tmp_path, raw) == 2
+    assert not (tmp_path / "out").exists()
+    assert "potentials touch zero" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("lambdas, builds", [("pow:3:3", 1), ("pow:3:5", 2)])
 def test_symbolic_cross_check_reuses_the_potentials_of_its_spec(tmp_path, monkeypatch, lambdas, builds):
     # at depth 8 the cross-check keeps depth - 4 = 4 levels: all of pow:3:3,

@@ -5,6 +5,7 @@ import pytest
 
 from conftest import block_average, random_trig_poly
 from mgale import dilated as dl
+from mgale import modulus
 from mgale.torus import FourierFunction, _lp_norm_array, dilate, render, sine_series
 
 
@@ -103,6 +104,59 @@ def test_doubling_orbit_exactness():
     for m in (0, 7, 60):
         direct = np.array([_frac_of_multiple(v, 2**m, 120) for v in ints])
         assert np.abs(fr[:, m] - direct).max() < 1e-15
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_doubling_orbit_within_one_ulp(seed):
+    # each recurrence step rounds once: against the correctly rounded
+    # frac(2^m x) = (X mod 2^(bits - m)) / 2^(bits - m) (int true division)
+    # a value may sit one ulp off, at every m, never more
+    bits = 300
+    bitmat, ints = dl.sample_dyadic_points(50, bits, seed=seed)
+    fr = dl._doubling_orbit_fracs(bitmat)
+    for m in range(bits):
+        exact = np.array([(x % (1 << (bits - m))) / (1 << (bits - m)) for x in ints])
+        assert np.all(np.abs(fr[:, m] - exact) <= np.spacing(exact))
+
+
+def _dyadic_reference(spec, K, bitmat):
+    """The dyadic path in one pass over the whole sample: the sin table,
+    one rfft and irfft, then the gather of the term columns."""
+    gen = spec.generator
+    octaves = dl._octaves(gen)
+    kern = np.array([(2j * gen.coeffs.get(1 << j, 0)).real for j in octaves])
+    exps = np.array([n.bit_length() - 1 for n in spec.freqs[:K]])
+    sins = np.sin(2 * np.pi * dl._doubling_orbit_fracs(bitmat))
+    m = sins.shape[1]
+    size = dl._fft_size(m, kern.size)
+    sf = np.fft.rfft(sins, size, axis=1)
+    corr = np.fft.irfft(sf * np.fft.rfft(kern[::-1], size)[None, :], size, axis=1)[:, kern.size - 1 : m]
+    vals = corr[:, exps + octaves[0]]
+    coeffs = np.array(spec.coeffs[:K])
+    return vals * coeffs.real[None, :] if np.all(coeffs.imag == 0) else vals * coeffs[None, :]
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("count", [0, 1, 3, 101, 200])
+@pytest.mark.parametrize("complex_coeffs", [False, True])
+def test_dyadic_blocks_match_one_pass_reference(monkeypatch, threads, count, complex_coeffs):
+    # 2000 terms take 4096-point FFTs, so blocks of 2^16 // 4096 = 16 samples:
+    # 101 and 200 samples end in a partial block
+    monkeypatch.setattr(modulus, "_scan_threads", lambda: threads)
+    K = 2000
+    rng = np.random.default_rng(count)
+    coeffs = rng.normal(size=K) + (1j * rng.normal(size=K) if complex_coeffs else 0.0)
+    gen = sine_series({1: 0.5, 4: -0.25, 32: 1.5})
+    spec = dl.SeriesSpec(tuple(coeffs), dl._pow2_ladder(1, K), gen)
+    bits = dl._sample_bits(spec.freqs[-1], gen.max_frequency, 0)
+    assert dl._fft_size(bits, len(dl._octaves(gen))) == 4096
+    bitmat, ints = dl.sample_dyadic_points(count, bits, seed=count)
+    kept = bitmat.copy()
+    got = dl.series_values_at_points(spec, K, bitmat, ints)
+    np.testing.assert_array_equal(bitmat, kept)
+    ref = _dyadic_reference(spec, K, bitmat)
+    assert got.dtype == ref.dtype == (np.complex128 if complex_coeffs else np.float64)
+    assert np.array_equal(got, ref)
 
 
 # -------------------------------------------------------- oscillation

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -66,6 +67,17 @@ def test_decay_norms_alive_at_n_are_exact():
     dec = tr.transfer_decay(f, 3)
     expected = [math.sqrt(sum(4.0**-k / 2 for k in range(max(n, 1), 12))) for n in range(4)]
     np.testing.assert_allclose(dec.norms, expected, rtol=1e-13)
+
+
+def test_decay_of_amplitudes_whose_squares_overflow():
+    # |c_m|^2 = 1e600 overflows: the energies go relative to max |c_m|, with no warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        norms = tr.transfer_decay(FourierFunction({1: 1e300, 2: 1e300}), 8).norms
+        assert tr.transfer_decay(FourierFunction({1: 1e300}), 8).norms[0] == 1e300
+    assert norms[0] == 1e300 * math.sqrt(2.0)
+    assert norms[1] == 1e300
+    assert not norms[2:].any()
 
 
 def test_decay_csv():
