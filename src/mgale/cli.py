@@ -32,7 +32,9 @@ clean).
 Size rule: before any work, each handler states the cell count (entries,
 whatever the dtype) of the largest array its run will build, and
 ``_check_size`` refuses a run past ``MAX_CELLS`` = 2^24 cells.  The
-dilated and ergodic series read their counts from
+dilated and ergodic kinds read their series through one reader,
+``_series``: the ergodic series sum a_k f(T^k x) of the doubling map is
+the dilated series with n_k = 2^k.  It reads the counts from
 ``mgale.dilated._series_cells``, beside the code that builds the arrays.
 
 Exit codes: 0 success, 1 an audit row failed (a universal-inequality
@@ -319,32 +321,48 @@ def _checkpoints_for(cps, length: int) -> list:
     return cps
 
 
-def _check_series(*args) -> None:
-    """Refuse an oscillation run of ``mgale.dilated._series_cells(*args)`` past
-    the size limit or losing phase precision."""
-    try:
-        _check_size(_series_cells(*args))
+def _series(p: dict, generator_key: str, first: int, default_K: int) -> tuple[SeriesSpec, list]:
+    """The series of a ``dilated`` or ``ergodic`` run, and the checkpoints of its run.
+
+    With ``gaposhkin_m``: the sharpness example with K (default 4096, at
+    least 2) terms on the ladder from 2^first, ``first`` 1 (the example's
+    own) or 0; a series key beside it is a config error rather than a value
+    silently ignored.  Otherwise sum_k a_k g(n_k x): g the ``generator_key``
+    generator (default "sin"), a_k the ``coeffs`` rule ("geom:0.5"), n_k the
+    first K (``default_K``) frequencies of ``freqs`` (2^0, ..., 2^(K-1)), an
+    explicit K past them a config error.  The size of the run is checked
+    before anything of length K is built.
+    """
+    m, K = p["gaposhkin_m"], p["K"]
+    if m is not None:
+        given = [key for key in (generator_key, "freqs", "coeffs") if p.get(key) is not None]
+        if given:
+            raise ConfigError(f"gaposhkin_m fixes the series; it takes none of {given}")
+        K = 4096 if K is None else K
+        if K < 2:
+            raise ConfigError(f"gaposhkin_m needs K >= 2, got {K}")
+        generator, freqs, length = (K, first), None, K  # the example's cells: see _series_cells
+    else:
+        K = default_K if K is None else K
+        freqs = None if p.get("freqs") is None else p["freqs"][:K]
+        if p["K"] is not None and freqs is not None and len(freqs) < K:
+            raise ConfigError(f"K={K} exceeds the {len(freqs)} frequencies of freqs")
+        length = K if freqs is None else len(freqs)
+        generator = _generator("sin") if p[generator_key] is None else p[generator_key]
+    checkpoints = _checkpoints_for(p["checkpoints"], length)
+    try:  # past the size limit or losing phase precision; a generator with non-zero mean, freqs not increasing
+        _check_size(_series_cells(generator, freqs, length, checkpoints, p["sample_size"]))
+        if m is not None:
+            spec = gaposhkin_example(m, K)  # on the ladder 2^1, ..., 2^K
+            if first == 0:  # 2^0, then the example's own integers: no second ladder is built
+                spec = SeriesSpec(spec.coeffs, (1,) + spec.freqs[:-1], spec.generator)
+        else:
+            rule = _coeffs("geom:0.5") if p["coeffs"] is None else p["coeffs"]
+            coeffs = _coeffs_for(rule, length, generator, checkpoints)
+            spec = SeriesSpec(coeffs, _pow2_ladder(0, K) if freqs is None else freqs, generator)
     except ValueError as exc:  # a ConfigError among them
         raise ConfigError(str(exc)) from None
-
-
-def _gaposhkin(p: dict, series_keys: tuple, first: int) -> tuple[SeriesSpec, list]:
-    """The sharpness example of ``gaposhkin_m`` with K (default 4096) terms,
-    and the checkpoints of its run.
-
-    It fixes its own series, so each of ``series_keys`` given beside it
-    is a config error rather than a value silently ignored.  Its size, on
-    the ladder from 2^first, is checked before the example is built.
-    """
-    given = [key for key in series_keys if p[key] is not None]
-    if given:
-        raise ConfigError(f"gaposhkin_m fixes the series; it takes none of {given}")
-    K = 4096 if p["K"] is None else p["K"]
-    if K < 2:
-        raise ConfigError(f"gaposhkin_m needs K >= 2, got {K}")
-    checkpoints = _checkpoints_for(p["checkpoints"], K)
-    _check_series((K, first), None, K, checkpoints, p["sample_size"])
-    return gaposhkin_example(p["gaposhkin_m"], K), checkpoints
+    return spec, checkpoints
 
 
 # the batch audits are looked up on ``mg`` at call time, so a patched or
@@ -481,23 +499,7 @@ def _run_audit(config: ExperimentConfig) -> _Reports:
 })
 def _run_dilated(config: ExperimentConfig) -> _Reports:
     p = config.parameters
-    if p["gaposhkin_m"] is not None:
-        spec, checkpoints = _gaposhkin(p, ("generator", "freqs", "coeffs"), 1)
-    else:
-        K = 64 if p["K"] is None else p["K"]
-        given = None if p["freqs"] is None else p["freqs"][:K]
-        if p["K"] is not None and given is not None and len(given) < K:
-            raise ConfigError(f"dilated K={K} exceeds the {len(given)} frequencies of freqs")
-        length = K if given is None else len(given)
-        checkpoints = _checkpoints_for(p["checkpoints"], length)
-        generator = _generator("sin") if p["generator"] is None else p["generator"]
-        _check_series(generator, given, length, checkpoints, p["sample_size"])
-        rule = _coeffs("geom:0.5") if p["coeffs"] is None else p["coeffs"]
-        freqs = _pow2_ladder(0, K) if given is None else tuple(given)
-        try:
-            spec = SeriesSpec(_coeffs_for(rule, length, generator, checkpoints), freqs, generator)
-        except ValueError as exc:
-            raise ConfigError(f"bad dilated series: {exc}") from None
+    spec, checkpoints = _series(p, "generator", 1, 64)
     diag = oscillation_diagnostic(spec, checkpoints, p["sample_size"], config.seed)
     yield "dilated_oscillation.csv", diag.to_csv() + f"# verdict={diag.verdict} slope={diag.fitted_slope!r}\n", ()
 
@@ -550,20 +552,9 @@ def _run_davenport(config: ExperimentConfig) -> _Reports:
 })
 def _run_ergodic(config: ExperimentConfig) -> _Reports:
     p = config.parameters
-    if p["gaposhkin_m"] is not None:
-        base, checkpoints = _gaposhkin(p, ("f", "coeffs"), 0)
-        f, coeffs = base.generator, base.coeffs
-    else:
-        f = _generator("sin") if p["f"] is None else p["f"]
-        rule = _coeffs("geom:0.5") if p["coeffs"] is None else p["coeffs"]
-        if not f.has_zero_mean():
-            raise ConfigError("ergodic f: generator must have zero mean")
-        K = p["K"] if p["K"] is not None else (len(rule) if isinstance(rule, tuple) else 256)
-        checkpoints = _checkpoints_for(p["checkpoints"], K)
-        # the run dilates f by the powers of two 2^0, ..., 2^(K-1)
-        _check_series(f, None, K, checkpoints, p["sample_size"])
-        coeffs = _coeffs_for(rule, K, f, checkpoints)
-    diag, decay = ergodic_series_run(f, coeffs, checkpoints, p["sample_size"], config.seed)
+    # f(T^k x) = f(2^k x mod 1): the series on the ladder from 2^0
+    spec, checkpoints = _series(p, "f", 0, len(p["coeffs"]) if isinstance(p["coeffs"], tuple) else 256)
+    diag, decay = ergodic_series_run(spec, checkpoints, p["sample_size"], config.seed)
     yield "ergodic_decay.csv", decay.to_csv(), ()
     yield "ergodic_oscillation.csv", diag.to_csv() + f"# verdict={diag.verdict}\n", ()
 

@@ -100,8 +100,8 @@ def smoothness_estimate(spec: DavenportSpec, p, J: int) -> float:
     prof = modulus_profile(gf, p)
     ns = np.arange(3, 10)
     vals = prof.values[ns]
-    if np.any(vals <= 0):
-        raise ValueError("profile vanishes on the fit window")
+    if not np.all(np.isfinite(vals) & (vals > 0)):  # an overflowing p^th power reads inf
+        raise ValueError(f"profile vanishes or is not finite on the fit window: {vals.tolist()}")
     slope = np.polyfit(ns * math.log(2.0), np.log(vals), 1)[0]
     return float(-slope)
 

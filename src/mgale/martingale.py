@@ -81,8 +81,8 @@ def _bound_report(lhs, rhs, constant, context, seed=None, tol=1e-12) -> AuditRep
 
 
 def _tolerance_report(err, tol, context) -> AuditReport:
-    """The row of an err <= tol check: lhs err, rhs tol."""
-    return AuditReport(err, tol, 1.0, err <= tol, context)
+    """The row of an err <= tol check: lhs err, rhs tol, no slack; a non-finite side raises."""
+    return _bound_report(err, tol, 1.0, context, tol=0.0)
 
 
 def k_p(p: float) -> float:

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dilated import OscillationDiagnostic, SeriesSpec, _pow2_ladder, oscillation_diagnostic
+from .dilated import OscillationDiagnostic, SeriesSpec, oscillation_diagnostic
 from .martingale import AuditReport, _tolerance_report
 from .torus import FourierFunction, GridFunction, render
 
@@ -149,23 +149,23 @@ def transfer_decay(f: FourierFunction, N: int) -> TransferDecay:
 
 
 def ergodic_series_run(
-    f: FourierFunction,
-    coeffs,
+    spec: SeriesSpec,
     checkpoints,
     sample_size: int,
     seed: int,
 ) -> tuple[OscillationDiagnostic, TransferDecay]:
     """Oscillation diagnostic for sum_k a_k f(T^k x), T the doubling map.
 
-    f(T^k x) = f(2^k x mod 1), so the run delegates to the dilated
-    engine with n_k = 2^k (exact dyadic sampling); the exact transfer
-    decay is attached.
+    f(T^k x) = f(2^k x mod 1), so ``spec`` is the dilated series of
+    generator f on the frequencies n_k = 2^k, k = 0, ..., K - 1, and
+    the run is the dilated engine's (exact dyadic sampling); the exact
+    transfer decay of f is attached.
     """
-    coeffs = tuple(coeffs)
-    spec = SeriesSpec(coeffs, _pow2_ladder(0, len(coeffs)), f)
+    if any(n.bit_count() != 1 or n.bit_length() != k + 1 for k, n in enumerate(spec.freqs)):
+        raise ValueError("an ergodic series runs on the frequencies 2^0, ..., 2^(K-1)")
     diag = oscillation_diagnostic(spec, checkpoints, sample_size, seed)
     # enough L-steps to exhaust the spectrum, capped at 40 for lacunary
     # generators with astronomically high modes
+    f = spec.generator
     n_dec = max(8, min(40, f.max_frequency.bit_length() + 1))
     return diag, transfer_decay(f, n_dec)
-

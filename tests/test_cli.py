@@ -199,6 +199,25 @@ def test_davenport_quadrature_error_past_1e_6_exits_1(tmp_path, monkeypatch):
     assert float(rows["quadrature_max_err"]) == pytest.approx(1e-3, rel=1e-3)
 
 
+def test_davenport_quadrature_error_of_nan_raises(tmp_path):
+    # zeta(2e300, q) reads NaN for q > 1: a NaN error is a broken check, not a failed audit
+    raw = {"kind": "davenport", "parameters": {"lambda": 1e300, "quadrature_check": True}}
+    assert run_raw(tmp_path, raw) == 1
+    out = tmp_path / "out"
+    assert "davenport-quadrature: a non-finite side, lhs=nan" in (out / "davenport_FAILED.txt").read_text()
+    assert not any("nan" in body_of(path) for path in out.glob("*.csv"))
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_a_smoothness_profile_overflowing_to_inf_raises(tmp_path):
+    # |tau_t f - f|^p overflows at p = 1e300: the fit would read slope nan
+    raw = {"kind": "davenport", "parameters": {"smoothness_p": 1e300}}
+    assert run_raw(tmp_path, raw) == 1
+    out = tmp_path / "out"
+    assert "not finite on the fit window" in (out / "davenport_FAILED.txt").read_text()
+    assert not any("nan" in body_of(path) for path in out.glob("*.csv"))
+
+
 def test_riesz_coeff_and_sample_runs(tmp_path):
     raw = {
         "kind": "riesz",
@@ -295,6 +314,36 @@ def test_dilated_and_ergodic_kinds(tmp_path):
     }
     assert cli.main(["run", str(write_config(tmp_path, raw2))]) == 0
     assert (tmp_path / "ergodic_decay.csv").exists()
+
+
+@pytest.mark.parametrize("generator, coeffs", [
+    ("sin", "geom:0.5"),  # the dyadic path
+    ("davenport:0.75:16", "invsqrt"),  # the general path
+    ({"1": [1.0, 0.5], "3": 0.25}, [1.0 / k for k in range(1, 41)]),  # complex partial sums
+])
+def test_an_ergodic_run_is_the_dilated_run_on_the_doubling_ladder(tmp_path, generator, coeffs):
+    # f(T^k x) = f(2^k x): with the default freqs 2^0, ..., 2^(K-1) the two
+    # kinds run one series, so their oscillation rows agree to the byte
+    params = {"K": 40, "coeffs": coeffs, "checkpoints": [4, 8, 16], "sample_size": 100}
+    rows = {}
+    for kind, key in [("dilated", "generator"), ("ergodic", "f")]:
+        out = tmp_path / kind
+        raw = {"kind": kind, "parameters": dict(params, **{key: generator}), "seed": 5, "output": {"path": str(out)}}
+        assert run_raw(tmp_path, raw) == 0
+        rows[kind] = body_of(out / f"{kind}_oscillation.csv").splitlines()[:-1]  # the trailers differ
+    assert len(rows["dilated"]) == 4 and rows["ergodic"] == rows["dilated"]
+
+
+def test_an_ergodic_gaposhkin_run_reuses_the_example_integers(tmp_path, monkeypatch):
+    # its ladder 2^0, ..., 2^(K-1) is 1, then the example's own 2^1, ..., 2^(K-1):
+    # no second ladder of K exact integers is built
+    seen, run = [], cli.ergodic_series_run
+    monkeypatch.setattr(cli, "ergodic_series_run", lambda spec, *args: seen.append(spec) or run(spec, *args))
+    assert run_raw(tmp_path, {"kind": "ergodic", "parameters": {"gaposhkin_m": 1, "K": 64, "sample_size": 100}}) == 0
+    (spec,) = seen
+    modes = {m: m for m in spec.generator.coeffs}
+    assert spec.freqs == tuple(1 << k for k in range(64))
+    assert all(n is modes[n] for n in spec.freqs[1:])
 
 
 def run_raw(tmp_path, raw) -> int:
@@ -458,6 +507,9 @@ def test_riesz_sample_aliasing_is_config_error(tmp_path):
     ("symbolic", {"alpha": 1e308}),
     ("symbolic", {"alpha": -1e308}),
     ("symbolic", {"alpha": -400}),
+    # the sharpness example needs two terms
+    ("dilated", {"gaposhkin_m": 1, "K": 1}),
+    ("ergodic", {"gaposhkin_m": 0, "K": 1}),
 ])
 def test_series_kind_parameters_are_config_errors(tmp_path, kind, params):
     assert run_raw(tmp_path, {"kind": kind, "parameters": params}) == 2

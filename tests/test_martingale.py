@@ -476,11 +476,14 @@ def test_margin_is_rhs_minus_lhs():
     assert mg._bound_report(4.0, 1.0, 1.0, "row").margin == -3.0
 
 
-def test_tolerance_report_passes_at_the_tolerance_and_fails_on_nan():
+def test_tolerance_report_passes_at_the_tolerance_and_refuses_a_non_finite_side():
     rep = mg._tolerance_report(1e-6, 1e-6, "at-tol")
     assert rep.passed and (rep.lhs, rep.rhs, rep.constant, rep.margin) == (1e-6, 1e-6, 1.0, 0.0)
-    rep = mg._tolerance_report(math.nan, 1e-6, "nan")
-    assert not rep.passed and math.isnan(rep.margin)
+    assert not mg._tolerance_report(math.nextafter(1e-6, 1.0), 1e-6, "past-tol").passed  # no slack
+    # a NaN error is no failed check but a broken one, and inf <= inf would pass
+    for err, tol in [(math.nan, 1e-6), (math.inf, 1e-6), (math.inf, math.inf), (0.0, math.nan)]:
+        with pytest.raises(ValueError, match="non-finite"):
+            mg._tolerance_report(err, tol, "broken")
 
 
 @pytest.mark.parametrize("lhs, rhs", [(math.inf, math.inf), (0.0, math.inf), (math.nan, 1.0), (-math.inf, 0.0)])

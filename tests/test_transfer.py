@@ -6,7 +6,7 @@ import pytest
 
 from conftest import random_trig_poly
 from mgale import transfer as tr
-from mgale.dilated import gaposhkin_example
+from mgale.dilated import SeriesSpec, gaposhkin_example
 from mgale.torus import FourierFunction, sine_series
 
 
@@ -87,17 +87,22 @@ def test_decay_csv():
     assert len(lines) == 5
 
 
+def doubling_series(f, coeffs) -> SeriesSpec:
+    """sum_k a_k f(T^k x) as the dilated series on the frequencies 2^0, ..., 2^(K-1)."""
+    return SeriesSpec(tuple(coeffs), tuple(1 << k for k in range(len(coeffs))), f)
+
+
 def test_ergodic_series_run_converging():
     f = sine_series({1: 1.0})
     coeffs = [1.0 / (k + 1) for k in range(256)]
-    diag, dec = tr.ergodic_series_run(f, coeffs, [8, 16, 32, 64, 128], 150, seed=4)
+    diag, dec = tr.ergodic_series_run(doubling_series(f, coeffs), [8, 16, 32, 64, 128], 150, seed=4)
     assert diag.verdict == "converging"
     assert np.all(dec.norms[1:] == 0.0)  # L f = 0 for the pure sine
 
 
 def test_ergodic_series_zero_coeffs():
     f = sine_series({1: 1.0})
-    diag, _ = tr.ergodic_series_run(f, [0.0] * 64, [8, 16, 32], 128, seed=4)
+    diag, _ = tr.ergodic_series_run(doubling_series(f, [0.0] * 64), [8, 16, 32], 128, seed=4)
     assert np.all(diag.median == 0)
 
 
@@ -107,10 +112,18 @@ def test_ergodic_series_run_gaposhkin_dynamical():
     # exact norms ||L^n f||_2 of its generator
     base = gaposhkin_example(1, 2**13)
     cps = [2**j for j in range(4, 13)]
-    diag, dec = tr.ergodic_series_run(base.generator, base.coeffs, cps, 200, seed=20240817)
+    diag, dec = tr.ergodic_series_run(doubling_series(base.generator, base.coeffs), cps, 200, seed=20240817)
     assert diag.verdict == "diverging"
     expected = [tr.l2_norm_exact(tr.transfer_power(base.generator, n)) for n in range(dec.norms.size)]
     np.testing.assert_allclose(dec.norms, expected, rtol=1e-13, atol=0.0)
+
+
+@pytest.mark.parametrize("freqs", [(2, 4, 8, 16), (1, 2, 3, 4), (1, 2, 4, 16)])
+def test_ergodic_series_run_refuses_frequencies_off_the_doubling_ladder(freqs):
+    # T^k x = 2^k x: any other n_k would be a dilated series labelled ergodic
+    spec = SeriesSpec((1.0,) * 4, freqs, sine_series({1: 1.0}))
+    with pytest.raises(ValueError, match="2\\^0"):
+        tr.ergodic_series_run(spec, [1, 2], 100, seed=0)
 
 
 # ------------------------------------------------------ kernel equivalence
