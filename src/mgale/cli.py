@@ -402,7 +402,7 @@ def _audit_contraction(cases, p_values, J, seed):
 def _audit_telescoping(cases, p_values, J, seed):
     rng = np.random.default_rng(seed)
     arr = mg.random_grid_functions(cases, J, rng, "mixed")
-    return [mg.telescope_check(GridFunction(J, arr[i], "real"), 0, J - 1) for i in range(cases)]
+    return [mg.telescope_check(GridFunction(J, arr[i], "real")) for i in range(cases)]
 
 
 def _grid_cells(cases, p_values, J) -> dict:
@@ -564,7 +564,6 @@ def _run_ergodic(config: ExperimentConfig) -> _Reports:
     "cs": (_list(_COMPLEX), _REQUIRED),
     "action": (_choice("coeff", "sample", "series"), "coeff"),
     "N": (_int(0), None),
-    "J": (_int(0, 24), None),
     "k": (lambda v: _list(_check(_is_int, "an integer"))(v if isinstance(v, list) else [v]), None),
     "count": (_int(0, 2**24), 1000),
     "fn": (_generator, "sin"),
@@ -579,7 +578,6 @@ def _run_riesz(config: ExperimentConfig) -> _Reports:
     except ValueError as exc:
         raise ConfigError(f"bad riesz product: {exc}") from None
     N = spec.depth - 1 if p["N"] is None else p["N"]
-    J = config.resolution if p["J"] is None else p["J"]
     if N >= spec.depth:
         raise ConfigError(f"riesz N={N} outside the spec depth {spec.depth}")
     if p["action"] == "coeff":
@@ -590,6 +588,7 @@ def _run_riesz(config: ExperimentConfig) -> _Reports:
             lines.append(f"{k},{c.real!r},{c.imag!r}")
         yield "riesz_coeff.csv", "\n".join(lines) + "\n", ()
     elif p["action"] == "sample":
+        J = config.resolution
         if sum(spec.lambdas[: N + 1]) >= 2 ** (J - 1):
             raise ConfigError(f"riesz partial product at depth {N} aliases at J={J}")
         _check_size({"density grid": 2**J, "sample": p["count"]})

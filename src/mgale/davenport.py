@@ -67,12 +67,6 @@ class DavenportSpec:
         if self.truncation < 1:
             raise ValueError("truncation must be >= 1")
 
-    def l2_tail_bound(self) -> float:
-        """(sum_{m > M} m^(-2 lam) / 2)^(1/2); needs lam > 1/2."""
-        if self.lam <= 0.5:
-            raise ValueError("the L2 tail is not square-summable for lambda <= 1/2")
-        return math.sqrt(float(_zeta(2 * self.lam, self.truncation + 1)) / 2.0)
-
 
 def davenport_fourier(lam: float, M: int) -> FourierFunction:
     """The truncated generator as a sine series with amplitudes m^(-lam)."""
@@ -94,12 +88,16 @@ def smoothness_estimate(spec: DavenportSpec, p, J: int) -> float:
 
     Least squares over octaves n in [3, 9]; for p = 2 the expected
     exponent is lambda - 1/2 in the rough regime 1/2 < lambda < 3/2 and
-    1 (the L2-Lipschitz ceiling) beyond.
+    1 (the L2-Lipschitz ceiling) beyond.  Each window value is a running
+    max over the shifts t <= 2^(J-9) at least, so a p-th power of their
+    largest |tau_t f - f| that overflows is refused before the scan.
     """
     gf = eval_davenport(spec, J)
-    prof = modulus_profile(gf, p)
     ns = np.arange(3, 10)
-    vals = prof.values[ns]
+    d = max(np.abs(np.roll(gf.samples, -t) - gf.samples).max() for t in range(1, 2 ** (J - 9) + 1))
+    with np.errstate(over="ignore"):  # the scan would read inf at every window value
+        overflows = p != math.inf and np.power(d, p) == math.inf
+    vals = np.full(ns.size, math.inf) if overflows else modulus_profile(gf, p).values[ns]
     if not np.all(np.isfinite(vals) & (vals > 0)):  # an overflowing p^th power reads inf
         raise ValueError(f"profile vanishes or is not finite on the fit window: {vals.tolist()}")
     slope = np.polyfit(ns * math.log(2.0), np.log(vals), 1)[0]
@@ -177,9 +175,7 @@ def _dilated(a: int, samples: np.ndarray, shift: int, ts: np.ndarray, idx: np.nd
     return np.take(samples, idx, out=out, mode="clip")  # mode="raise" would buffer out
 
 
-def gram_quadrature(
-    freqs, lam: float, M: int, J: int, tail_corrected: bool = True
-) -> np.ndarray:
+def gram_quadrature(freqs, lam: float, M: int, J: int) -> np.ndarray:
     """Grid-quadrature oracle for the Gram matrix.
 
     Each pair is reduced to coprime (a, b) by the gcd substitution
@@ -189,8 +185,8 @@ def gram_quadrature(
     a*t mod 2^J is then exact and the product spectrum stays below 2^J,
     so the grid mean has no aliasing term at all.  The removed lattice tail
     (ab)^(-lam) * zeta(2 lam, t_max + 1) / 2 is restored analytically
-    when tail_corrected (the head, which is what actually validates the
-    gcd-lattice closed form, always comes from samples).
+    (the head, which is what actually validates the gcd-lattice closed
+    form, comes from samples).
 
     A render is read only at a*t mod 2^J for the dilations a of its cap,
     so it is kept only at every 2^e-th point, 2^e the largest power of
@@ -217,9 +213,8 @@ def gram_quadrature(
                 for cap, d in ((cap_a, a), (cap_b, b)):
                     caps[cap] = min(caps.get(cap, J), (d & -d).bit_length() - 1)
                 pairs[a, b] = (len(pairs), cap_a, cap_b)
-                if tail_corrected:
-                    t_max = min(cap_a // b, cap_b // a)
-                    tails.append((a * b) ** (-lam) * float(_zeta(2 * lam, t_max + 1)) / 2.0)
+                t_max = min(cap_a // b, cap_b // a)
+                tails.append((a * b) ** (-lam) * float(_zeta(2 * lam, t_max + 1)) / 2.0)
             where[i, j] = where[j, i] = pairs[a, b][0]
     rendered = {
         cap: np.ascontiguousarray(render(davenport_fourier(lam, cap), J).samples[:: 2**shift])
@@ -233,8 +228,7 @@ def gram_quadrature(
         fb = _dilated(b, rendered[cap_b], caps[cap_b], ts, idx, gather_b)
         heads[p] = fa @ fb
     values = heads / n_grid
-    if tail_corrected:
-        values += tails
+    values += tails
     return values[where]
 
 

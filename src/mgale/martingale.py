@@ -136,21 +136,21 @@ def _doob_maximal(means: list[np.ndarray]) -> np.ndarray:
     return run
 
 
-def telescope_check(f: GridFunction, N1: int, N2: int) -> AuditReport:
-    """Audit sum_{n=N1}^{N2} ||D_n f||_2^2 == ||E^{N2+1} f - E^{N1} f||_2^2
-    to relative tolerance 1e-10."""
+def telescope_check(f: GridFunction) -> AuditReport:
+    """Audit sum_{n=0}^{J-1} ||D_n f||_2^2 == ||E^J f - E^0 f||_2^2, the
+    whole dyadic chain, to relative tolerance 1e-10."""
     J = f.resolution_log2
-    if not 0 <= N1 <= N2 <= J - 1:
-        raise ValueError(f"need 0 <= N1 <= N2 <= {J - 1}")
+    if J < 1:
+        raise ValueError("the telescoping chain needs J >= 1")
     means = _haar_means(f.samples, J)
     details = _haar_details(means)
     lhs = 0.0
-    for n in range(N1, N2 + 1):
+    for n in range(J):
         lhs += _lp_norm_array(details[n], 2) ** 2
-    diff = means[N2 + 1] - np.repeat(means[N1], 2 ** (N2 + 1 - N1))
+    diff = means[J] - np.repeat(means[0], 2**J)
     lhs, rhs = float(lhs), float(_lp_norm_array(diff, 2) ** 2)
     scale = max(abs(lhs), abs(rhs), 1e-30)
-    return AuditReport(lhs, rhs, 1.0, abs(lhs - rhs) <= 1e-10 * scale, f"telescoping-parseval[{N1},{N2}]")
+    return AuditReport(lhs, rhs, 1.0, abs(lhs - rhs) <= 1e-10 * scale, f"telescoping-parseval[0,{J - 1}]")
 
 
 # --------------------------------------------------------------------------

@@ -232,13 +232,11 @@ def dyadic_approx_audit_all(f: GridFunction, p) -> list[AuditReport]:
     return reports
 
 
-def fourier_modulus_l2(
-    f: FourierFunction, deltas, h_points: int = 4096
-) -> np.ndarray:
+def fourier_modulus_l2(f: FourierFunction, deltas) -> np.ndarray:
     """Exact-in-modes L2 modulus of a finite Fourier sum.
 
     ||tau_h f - f||_2^2 = sum_m 4 |c_m|^2 sin^2(pi m h) by Parseval, so
-    the modulus only needs a sup over h, taken here on an h_points grid
+    the modulus only needs a sup over h, taken here on a 4096-step grid
     of each [0, delta].  No spatial rendering is involved, which keeps
     high-frequency (lacunary) modes honest where a 2^J grid would alias
     them away.
@@ -250,7 +248,7 @@ def fourier_modulus_l2(
     deltas = np.asarray(list(deltas), dtype=np.float64)
     out = np.empty(deltas.shape)
     for i, d in enumerate(deltas):
-        hs = np.linspace(0.0, d, h_points + 1)
+        hs = np.linspace(0.0, d, 4096 + 1)
         sq = np.zeros_like(hs)
         for lo in range(0, ms.size, 512):
             hi = lo + 512

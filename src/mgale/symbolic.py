@@ -276,7 +276,9 @@ def averaging_decay_audit(
     verified first and a violation raises DecayHypothesisError.  The
     report asserts the fitted log-log decay slope <= -alpha + 0.2 (the
     theorem's constant is existential, so no fixed C is asserted); the
-    fitted C and the decay table ride along for inspection.
+    fitted C and the decay table ride along for inspection.  The fit needs
+    values above roundoff at two or more gaps m - n >= 2; none at all is an
+    exact collapse (slope -inf), and one gap raises ValueError.
     """
     _check_decay_hypothesis(space, fns, alpha, B)
     floor = 1e-12 * max(B, 1.0)  # below this, P_m f_n has decayed to roundoff
@@ -287,7 +289,7 @@ def averaging_decay_audit(
             by_m[(n, m)] = sup_norm(space, _average(space, g, f, m))
     decay = dict(sorted(by_m.items()))
     pairs = [(m - n, val) for (n, m), val in decay.items() if m - n >= 2 and val > floor]
-    if len(pairs) >= 2:
+    if len({gap for gap, _ in pairs}) >= 2:  # a slope needs two abscissae
         xs = np.log([g for g, _ in pairs])
         ys = np.log([v for _, v in pairs])
         slope = float(np.polyfit(xs, ys, 1)[0])

@@ -208,9 +208,9 @@ def test_davenport_quadrature_error_of_nan_raises(tmp_path):
     assert not any("nan" in body_of(path) for path in out.glob("*.csv"))
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 def test_a_smoothness_profile_overflowing_to_inf_raises(tmp_path):
-    # |tau_t f - f|^p overflows at p = 1e300: the fit would read slope nan
+    # |tau_t f - f|^p overflows at p = 1e300: the fit would read slope nan.
+    # It is refused before the shift scan, with no numpy warning
     raw = {"kind": "davenport", "parameters": {"smoothness_p": 1e300}}
     assert run_raw(tmp_path, raw) == 1
     out = tmp_path / "out"
@@ -388,10 +388,10 @@ def test_dilated_checkpoints_past_the_spec_are_config_error(tmp_path, params):
 def test_riesz_sample_aliasing_is_config_error(tmp_path):
     # sum of 3^n, n <= 5, is 364 >= 2^(J-1) = 256 at J = 9
     params = {"action": "sample", "lambdas": [3**n for n in range(6)], "cs": [0.5] * 6, "count": 10}
-    raw = {"kind": "riesz", "parameters": dict(params, J=9)}
+    raw = {"kind": "riesz", "parameters": params, "resolution": 9}
     assert run_raw(tmp_path, raw) == 2
     assert not (tmp_path / "out" / "riesz_FAILED.txt").exists()
-    raw = {"kind": "riesz", "parameters": dict(params, J=10)}
+    raw = {"kind": "riesz", "parameters": params, "resolution": 10}
     assert run_raw(tmp_path, raw) == 0
 
 
@@ -462,7 +462,8 @@ def test_riesz_sample_aliasing_is_config_error(tmp_path):
     ("symbolic", {"A": "x"}),
     ("symbolic", {"cs": [0.5, "x"] * 4}),
     ("riesz", {"lambdas": "pow:3", "cs": [0.5] * 3}),
-    # grids past 2^24 points, and a smoothness fit on an aliased render
+    # "J" is no riesz key (the sample grid is 2^resolution); grids past
+    # 2^24 points, and a smoothness fit on an aliased render
     ("riesz", {"action": "sample", "lambdas": "pow:3:5", "cs": [0.5] * 6, "J": 40}),
     ("davenport", {"freqs": "pow:2:30", "quadrature_check": True}),
     ("davenport", {"freqs": "pow:2:4", "smoothness_p": 2, "M": 20000}),

@@ -11,6 +11,7 @@ import pytest
 from scipy.special import zeta
 
 from mgale import davenport as dv
+from mgale.modulus import modulus_profile
 from mgale.torus import _lp_norm_array
 
 
@@ -49,12 +50,8 @@ def test_l2_norm_approaches_zeta_within_tail_bound():
         spec = dv.DavenportSpec(lam, 2048)
         g = dv.eval_davenport(spec, 13)
         target = math.sqrt(zeta(2 * lam) / 2)
-        assert abs(_lp_norm_array(g.samples, 2) - target) <= spec.l2_tail_bound() + 1e-9
-
-
-def test_tail_bound_rejected_at_small_lambda():
-    with pytest.raises(ValueError):
-        dv.DavenportSpec(0.4, 100).l2_tail_bound()
+        tail = math.sqrt(zeta(2 * lam, spec.truncation + 1) / 2)  # (sum_{m > M} m^(-2 lam) / 2)^(1/2)
+        assert abs(_lp_norm_array(g.samples, 2) - target) <= tail + 1e-9
 
 
 def test_spec_validation():
@@ -126,15 +123,14 @@ def _quadrature_per_pair(freqs, lam, M, J, tail_corrected):
     return out
 
 
-@pytest.mark.parametrize("tail_corrected", [True, False])
 @pytest.mark.parametrize("freqs", [[1, 2, 3, 4, 6, 8, 12, 16], "pow:2:10", "pow:3:6", [6, 40, 96, 1000]])
-def test_gram_quadrature_matches_per_pair_quadrature(freqs, tail_corrected):
+def test_gram_quadrature_matches_per_pair_quadrature(freqs):
     # odd dilations keep their renders whole, mixed 2-adic valuations keep
     # every 2nd to 2^e-th sample, and M = 7 puts every dilation on one cap
     freqs = dv.freqs_from_rule(freqs)
     for M in (2048, 7):
-        quad = dv.gram_quadrature(freqs, 0.75, M=M, J=14, tail_corrected=tail_corrected)
-        np.testing.assert_array_equal(quad, _quadrature_per_pair(freqs, 0.75, M, 14, tail_corrected), err_msg=f"M={M}")
+        quad = dv.gram_quadrature(freqs, 0.75, M=M, J=14)
+        np.testing.assert_array_equal(quad, _quadrature_per_pair(freqs, 0.75, M, 14, True), err_msg=f"M={M}")
 
 
 def test_gram_quadrature_keeps_strided_renders():
@@ -206,8 +202,10 @@ def test_gram_quadrature_head_alone_shows_truncation():
     # sample-driven, not a restatement of the formula
     freqs = [1, 2]
     gm = dv.gram_matrix(freqs, 0.75)
-    raw = dv.gram_quadrature(freqs, 0.75, M=2048, J=14, tail_corrected=False)
-    assert np.abs(gm.entries - raw).max() > 1e-3
+    head = _quadrature_per_pair(freqs, 0.75, 2048, 14, False)
+    assert np.abs(gm.entries - head).max() > 1e-3
+    quad = dv.gram_quadrature(freqs, 0.75, M=2048, J=14)
+    np.testing.assert_array_equal(quad, _quadrature_per_pair(freqs, 0.75, 2048, 14, True))
 
 
 def test_riesz_constants_single_frequency():
@@ -252,6 +250,25 @@ def test_smoothness_exponents():
     assert dv.smoothness_estimate(dv.DavenportSpec(0.75, 4096), 2, 14) == pytest.approx(0.25, abs=0.05)
     assert dv.smoothness_estimate(dv.DavenportSpec(1.0, 4096), 2, 14) == pytest.approx(0.5, abs=0.05)
     assert dv.smoothness_estimate(dv.DavenportSpec(2.0, 4096), 2, 14) >= 0.95
+
+
+def test_smoothness_refuses_an_overflowing_p_before_the_scan(monkeypatch):
+    # at lambda = 0.75 the largest |tau_t f - f| over t <= 2^(J-9) is
+    # about 21.4, so its 1e300-th power overflows: the fit window would
+    # read inf, and the shift scan is not run
+    calls = []
+
+    def spy(gf, p):
+        calls.append(p)
+        return modulus_profile(gf, p)
+
+    monkeypatch.setattr(dv, "modulus_profile", spy)
+    spec = dv.DavenportSpec(0.75, 4096)
+    with pytest.raises(ValueError, match=r"not finite on the fit window: \[inf, inf, inf, inf, inf, inf, inf\]"):
+        dv.smoothness_estimate(spec, 1e300, 14)
+    assert calls == []
+    assert math.isfinite(dv.smoothness_estimate(spec, 3, 14))
+    assert calls == [3]
 
 
 def test_freqs_from_rule():

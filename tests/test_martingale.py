@@ -112,22 +112,25 @@ def test_detail_orthogonality(rng):
 # ------------------------------------------------------------ telescoping
 
 def test_telescope_single_level(rng):
-    g = random_grid(rng, 6)
-    rep = mg.telescope_check(g, 3, 3)
-    assert rep.passed
-    assert rep.lhs == pytest.approx(l2(full_details(g.samples, 6)[3]) ** 2, rel=1e-12)
+    # at J = 1 the chain is the one level D_0; at J = 0 there is none
+    g = random_grid(rng, 1)
+    rep = mg.telescope_check(g)
+    assert rep.passed and rep.context == "telescoping-parseval[0,0]"
+    assert rep.lhs == pytest.approx(l2(full_details(g.samples, 1)[0]) ** 2, rel=1e-12)
+    with pytest.raises(ValueError, match="needs J >= 1"):
+        mg.telescope_check(GridFunction(0, np.array([1.0]), "real"))
 
 
 def test_telescope_full_range_equals_centered_energy(rng):
     g = random_grid(rng, 8)
-    rep = mg.telescope_check(g, 0, 7)
-    assert rep.passed
+    rep = mg.telescope_check(g)
+    assert rep.passed and rep.context == "telescoping-parseval[0,7]"
     assert rep.rhs == pytest.approx(l2(g.samples) ** 2, rel=1e-10)
 
 
 def test_telescope_constant_zero():
     g = GridFunction(4, np.full(16, 3.0), "real")
-    rep = mg.telescope_check(g, 0, 3)
+    rep = mg.telescope_check(g)
     assert rep.passed and rep.lhs == 0.0 and rep.rhs == 0.0
 
 

@@ -249,6 +249,22 @@ def test_est_pn_resonant_riesz_collapses():
     assert all(v < 1e-12 for (n, m), v in decay.items() if m - n >= 1)
 
 
+def test_est_pn_one_gap_family_refuses_a_fit():
+    # cos(2 pi lambda_n x) cos(2 pi lambda_(n+2) x) at the cylinder
+    # midpoints survives at gap m - n = 2 only and collapses past it: one
+    # abscissa gives no slope (np.polyfit would warn RankWarning)
+    depth, lambdas = 9, tuple(3**k for k in range(7))
+    space, pots = sy.riesz_potentials(RieszProductSpec(lambdas, (0.8,) * 7), depth)
+    w = sy.equilibrium_weights(space, pots)
+    ladder = sy._digit_ladder(lambdas, depth)
+    fns = []
+    for n in range(1, 6):
+        x = sy._digit_points(ladder, n + 1, depth, 0.5 / ladder[depth])
+        fns.append(sy.CylinderFunction(n + 1, np.cos(2 * math.pi * ladder[n] * x) * np.cos(2 * math.pi * ladder[n + 2] * x)))
+    with pytest.raises(ValueError, match="not enough decay points to fit a slope"):
+        sy.averaging_decay_audit(space, pots, fns, 1.0, 8.0, weights=w)
+
+
 def test_est_pn_polynomial_family_genuine_fit():
     # potentials with polynomially decaying dependence: a real slope fit
     D = 8
