@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .modulus import modulus_profile
+from .modulus import _fft_path, modulus_profile, shift_norm_curve
 from .torus import FourierFunction, GridFunction, render, sine_series
 
 __all__ = [
@@ -89,14 +89,17 @@ def smoothness_estimate(spec: DavenportSpec, p, J: int) -> float:
     Least squares over octaves n in [3, 9]; for p = 2 the expected
     exponent is lambda - 1/2 in the rough regime 1/2 < lambda < 3/2 and
     1 (the L2-Lipschitz ceiling) beyond.  Each window value is a running
-    max over the shifts t <= 2^(J-9) at least, so a p-th power of their
+    max over the shifts t <= 2^(J-9) at least, so where the scan takes
+    np.power (every p but 1, 1.5, 2, 4 and inf), a p-th power of their
     largest |tau_t f - f| that overflows is refused before the scan.
     """
     gf = eval_davenport(spec, J)
     ns = np.arange(3, 10)
-    d = max(np.abs(np.roll(gf.samples, -t) - gf.samples).max() for t in range(1, 2 ** (J - 9) + 1))
-    with np.errstate(over="ignore"):  # the scan would read inf at every window value
-        overflows = p != math.inf and np.power(d, p) == math.inf
+    overflows = False
+    if p not in (1, 1.5, math.inf) and not _fft_path(p, True):
+        d = shift_norm_curve(gf.samples, [math.inf], max_shift=2 ** (J - 9))[math.inf].max()
+        with np.errstate(over="ignore"):  # the scan would read inf at every window value
+            overflows = np.power(d, p) == math.inf
     vals = np.full(ns.size, math.inf) if overflows else modulus_profile(gf, p).values[ns]
     if not np.all(np.isfinite(vals) & (vals > 0)):  # an overflowing p^th power reads inf
         raise ValueError(f"profile vanishes or is not finite on the fit window: {vals.tolist()}")

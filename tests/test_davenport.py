@@ -11,7 +11,7 @@ import pytest
 from scipy.special import zeta
 
 from mgale import davenport as dv
-from mgale.modulus import modulus_profile
+from mgale.modulus import modulus_profile, shift_norm_curve
 from mgale.torus import _lp_norm_array
 
 
@@ -269,6 +269,24 @@ def test_smoothness_refuses_an_overflowing_p_before_the_scan(monkeypatch):
     assert calls == []
     assert math.isfinite(dv.smoothness_estimate(spec, 3, 14))
     assert calls == [3]
+
+
+def test_smoothness_takes_the_shift_maximum_only_for_a_powered_p(monkeypatch):
+    # p = 1, 1.5, 2, 4 and inf never reach the scan's np.power, so no
+    # |tau_t f - f| maximum is taken for them; p = 3 takes it once
+    calls = []
+
+    def spy(samples, p_values, **kw):
+        calls.append((list(p_values), kw))
+        return shift_norm_curve(samples, p_values, **kw)
+
+    monkeypatch.setattr(dv, "shift_norm_curve", spy)
+    spec = dv.DavenportSpec(0.75, 256)
+    for p in (1, 1.5, 2, 4, math.inf):
+        assert math.isfinite(dv.smoothness_estimate(spec, p, 10))
+    assert calls == []
+    assert math.isfinite(dv.smoothness_estimate(spec, 3, 10))
+    assert calls == [([math.inf], {"max_shift": 2})]
 
 
 def test_freqs_from_rule():
