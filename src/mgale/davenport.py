@@ -91,15 +91,20 @@ def smoothness_estimate(spec: DavenportSpec, p, J: int) -> float:
     1 (the L2-Lipschitz ceiling) beyond.  Each window value is a running
     max over the shifts t <= 2^(J-9) at least, so where the scan takes
     np.power (every p but 1, 1.5, 2, 4 and inf), a p-th power of their
-    largest |tau_t f - f| that overflows is refused before the scan.
+    largest |tau_t f - f| that overflows or underflows to 0 is refused
+    before the scan.
     """
     gf = eval_davenport(spec, J)
     ns = np.arange(3, 10)
     overflows = False
     if p not in (1, 1.5, math.inf) and not _fft_path(p, True):
         d = shift_norm_curve(gf.samples, [math.inf], max_shift=2 ** (J - 9))[math.inf].max()
-        with np.errstate(over="ignore"):  # the scan would read inf at every window value
-            overflows = np.power(d, p) == math.inf
+        with np.errstate(over="ignore", under="ignore"):
+            power = np.power(d, p)
+        if power == 0:  # no |tau_t f - f|^p over those shifts exceeds it: n = 9 would read 0
+            raise ValueError(f"profile vanishes or is not finite on the fit window: n = 9 reads 0, the largest "
+                             f"|tau_t f - f| over t <= 2^(J-9), {float(d)!r}, underflows to 0 at its p-th power")
+        overflows = power == math.inf  # the scan would read inf at every window value
     vals = np.full(ns.size, math.inf) if overflows else modulus_profile(gf, p).values[ns]
     if not np.all(np.isfinite(vals) & (vals > 0)):  # an overflowing p^th power reads inf
         raise ValueError(f"profile vanishes or is not finite on the fit window: {vals.tolist()}")

@@ -22,8 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .martingale import AuditReport, _bound_report, _haar_means
-from .modulus import _BLOCK_CELLS, _on_threads, fourier_modulus_l2
+from .martingale import _BLOCK_CELLS, AuditReport, _bound_report, _haar_means
+from .modulus import _on_threads, fourier_modulus_l2
 from .torus import FourierFunction, _lp_norm_array, dilate, render, sine_series
 
 __all__ = [

@@ -45,6 +45,12 @@ __all__ = [
 
 #: absolute tolerance below which a grid function counts as centered
 CENTERING_TOL = 1e-12
+#: cells per block of a blocked kernel (512 KiB of float64): the batch
+#: audits take their rows in blocks of about this many cells; the shift
+#: scan's and the Riesz density's three block buffers stay within a
+#: per-core L2 cache; the dyadic series kernel takes this many cells of
+#: FFT length per block
+_BLOCK_CELLS = 2**16
 
 
 # --------------------------------------------------------------------------
@@ -343,26 +349,28 @@ def paley_zygmund_audit(values, probabilities, lam: float, q: float) -> AuditRep
 def random_grid_functions(
     count: int, J: int, rng: np.random.Generator, family: str = "mixed", degree: int = 64
 ) -> np.ndarray:
-    """(count, 2^J) array of centered real test functions.
+    """(count, 2^J) array of centered real test functions, J >= 1.
 
     family = "trig" | "mixed".  Trig members are random real
-    trigonometric polynomials of degree <= ``degree``; "mixed" replaces
-    the first count // 2 rows by iid normals.  All rows are exactly
-    centered.
+    trigonometric polynomials of degree <= min(``degree``, 2^(J-1) - 1);
+    "mixed" replaces the first count // 2 rows by iid normals.  All rows
+    are exactly centered.
     """
     if family not in ("trig", "mixed"):
         raise ValueError(f"unknown family {family!r}; expected 'trig' or 'mixed'")
+    if J < 1:
+        raise ValueError(f"random grid functions need J >= 1, got J={J}")
     n = 2**J
     deg = min(degree, n // 2 - 1)
-    ms = np.arange(1, deg + 1)
-    spec = np.zeros((count, n // 2 + 1), dtype=np.complex128)
-    spec[:, 1 : deg + 1] = (
+    # only the columns 0..deg: irfft zero-pads the spectrum up to n // 2 + 1
+    spec = np.zeros((count, deg + 1), dtype=np.complex128)
+    spec[:, 1:] = (
         rng.standard_normal((count, deg)) + 1j * rng.standard_normal((count, deg))
-    ) / np.sqrt(ms)
-    arr = np.fft.irfft(spec, n, axis=1) * (n / 2.0)
+    ) / np.sqrt(np.arange(1, deg + 1))
+    arr = np.fft.irfft(spec, n, axis=1)
+    arr *= n / 2.0
     if family == "mixed":
-        half = count // 2
-        arr[:half] = rng.standard_normal((half, n))
+        rng.standard_normal(out=arr[: count // 2])
     arr -= arr.mean(axis=1, keepdims=True)
     return arr
 
@@ -373,23 +381,33 @@ def rio_audit_batch(cases: int, p_values, J: int, seed: int) -> list[AuditReport
     return _rio_reports(arr, J, list(p_values), seed)
 
 
+def _block_rows(p_values: list, J: int) -> int:
+    """Rows per block of a batch audit: a whole number of cycles of
+    p_values, about _BLOCK_CELLS cells, at least one cycle."""
+    return len(p_values) * max(1, _BLOCK_CELLS // (len(p_values) * 2**J))
+
+
 def _rio_reports(arr: np.ndarray, J: int, p_values: list, seed) -> list[AuditReport]:
     """Audit ||f||_p <= max(1, sqrt(p-1)) * (sum_n ||D_n f||_p^p')^(1/p'),
     p' = min(2, p), for each centered row f of a (cases, 2^J) array.
 
-    Row i uses p_values[i % len(p_values)]; the norms of all rows that
-    share a p are taken in one vectorized pass over the Haar pyramid.
+    Row i uses p_values[i % len(p_values)].  The rows go in blocks of
+    _block_rows, each with its own Haar pyramid; within a block the norms
+    of all rows that share a p are taken in one vectorized pass.  Every
+    norm is a per-row reduction, so the blocking leaves each value as is.
     """
-    cases = arr.shape[0]
-    details = _haar_details(_haar_means(arr, J))
+    cases, step = arr.shape[0], _block_rows(p_values, J)
     consts = [max(1.0, math.sqrt(p - 1.0)) for p in p_values]
     lhs, rhs = np.empty(cases), np.empty(cases)
-    for k, (p, const) in enumerate(zip(p_values, consts)):
-        rows = slice(k, None, len(p_values))
-        pp = _p_prime(p)
-        lhs[rows] = _lp_norm_array(arr[rows], p)
-        dsum = sum(_lp_norm_array(d[rows], p) ** pp for d in details)
-        rhs[rows] = const * dsum ** (1.0 / pp)
+    for lo in range(0, cases, step):
+        block, block_lhs, block_rhs = arr[lo : lo + step], lhs[lo : lo + step], rhs[lo : lo + step]
+        details = _haar_details(_haar_means(block, J))
+        for k, (p, const) in enumerate(zip(p_values, consts)):
+            rows = slice(k, None, len(p_values))
+            pp = _p_prime(p)
+            block_lhs[rows] = _lp_norm_array(block[rows], p)
+            dsum = sum(_lp_norm_array(d[rows], p) ** pp for d in details)
+            block_rhs[rows] = const * dsum ** (1.0 / pp)
     return [
         _bound_report(lhs[i], rhs[i], consts[i % len(p_values)],
                       f"rio[p={p_values[i % len(p_values)]},case={i}]", seed=seed)
@@ -406,17 +424,20 @@ def doob_audit_batch(cases: int, p_values, J: int, seed: int) -> list[AuditRepor
 def _doob_reports(arr: np.ndarray, J: int, p_values: list, seed) -> list[AuditReport]:
     """Audit Doob: ||max_m |S_m|||_p <= p/(p-1) * ||S_J||_p for the detail
     martingale S_m = E(f|F_m) - E(f|F_0) of each row f of a (cases, 2^J)
-    array; row i uses p_values[i % len(p_values)]."""
-    cases = arr.shape[0]
-    means = _haar_means(arr, J)
-    smax = _doob_maximal(means)
-    final = arr - means[0]
+    array; row i uses p_values[i % len(p_values)].  The rows go in
+    blocks of _block_rows, as in _rio_reports."""
+    cases, step = arr.shape[0], _block_rows(p_values, J)
     consts = [p / (p - 1.0) for p in p_values]
     lhs, rhs = np.empty(cases), np.empty(cases)
-    for k, (p, const) in enumerate(zip(p_values, consts)):
-        rows = slice(k, None, len(p_values))
-        lhs[rows] = _lp_norm_array(smax[rows], p)
-        rhs[rows] = const * _lp_norm_array(final[rows], p)
+    for lo in range(0, cases, step):
+        block, block_lhs, block_rhs = arr[lo : lo + step], lhs[lo : lo + step], rhs[lo : lo + step]
+        means = _haar_means(block, J)
+        smax = _doob_maximal(means)
+        final = block - means[0]
+        for k, (p, const) in enumerate(zip(p_values, consts)):
+            rows = slice(k, None, len(p_values))
+            block_lhs[rows] = _lp_norm_array(smax[rows], p)
+            block_rhs[rows] = const * _lp_norm_array(final[rows], p)
     return [
         _bound_report(lhs[i], rhs[i], consts[i % len(p_values)],
                       f"doob[p={p_values[i % len(p_values)]},case={i}]", seed=seed)

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .martingale import AuditReport, _bound_report, _haar_means
+from .martingale import _BLOCK_CELLS, AuditReport, _bound_report, _haar_means
 from .torus import FourierFunction, GridFunction, _lp_norm_array
 
 __all__ = [
@@ -59,11 +59,6 @@ def _circular_corr(g: np.ndarray, h: np.ndarray) -> np.ndarray:
 
 #: shift rows the size rule counts per scan of the generic-p pass
 _SCAN_CHUNK = 256
-#: cells per block of a threaded kernel (512 KiB of float64): the shift
-#: scan's and the Riesz density's three block buffers stay within a
-#: per-core L2 cache; the dyadic series kernel takes this many cells of
-#: FFT length per block
-_BLOCK_CELLS = 2**16
 #: the most threads one kernel call runs on, whatever the input size
 _SCAN_THREADS = 2
 

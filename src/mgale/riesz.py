@@ -27,7 +27,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dilated import OscillationDiagnostic, _window_oscillation
-from .modulus import _BLOCK_CELLS, _on_threads, modulus_profile
+from .martingale import _BLOCK_CELLS
+from .modulus import _on_threads, modulus_profile
 from .torus import FourierFunction, GridFunction, render
 
 __all__ = [

@@ -218,6 +218,16 @@ def test_a_smoothness_profile_overflowing_to_inf_raises(tmp_path):
     assert not any("nan" in body_of(path) for path in out.glob("*.csv"))
 
 
+def test_a_smoothness_profile_underflowing_to_0_raises(tmp_path):
+    # at lambda = 1.5, |tau_t f - f|^p underflows to 0 at p = 1e300: the
+    # fit window would read 0 from n = 9 on; refused before the shift scan
+    raw = {"kind": "davenport", "parameters": {"lambda": 1.5, "smoothness_p": 1e300}}
+    assert run_raw(tmp_path, raw) == 1
+    out = tmp_path / "out"
+    assert "not finite on the fit window: n = 9 reads 0" in (out / "davenport_FAILED.txt").read_text()
+    assert not any("nan" in body_of(path) for path in out.glob("*.csv"))
+
+
 def test_riesz_coeff_and_sample_runs(tmp_path):
     raw = {
         "kind": "riesz",

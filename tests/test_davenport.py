@@ -5,6 +5,7 @@ import pathlib
 import subprocess
 import sys
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -269,6 +270,29 @@ def test_smoothness_refuses_an_overflowing_p_before_the_scan(monkeypatch):
     assert calls == []
     assert math.isfinite(dv.smoothness_estimate(spec, 3, 14))
     assert calls == [3]
+
+
+def test_smoothness_refuses_a_p_th_power_underflowing_to_0_before_the_scan(monkeypatch):
+    # at lambda = 1.5 the largest |tau_t f - f| over t <= 2^(J-9) is
+    # about 0.375, so its 1e300-th power is 0 and the window value at
+    # n = 9 would read 0: only that maximum is taken, no generic-p scan
+    # runs and numpy warns of nothing
+    calls = []
+
+    def spy(samples, p_values, **kw):
+        calls.append((list(p_values), kw))
+        return shift_norm_curve(samples, p_values, **kw)
+
+    def no_profile(gf, p):
+        raise AssertionError(f"the shift scan ran at p={p}")
+
+    monkeypatch.setattr(dv, "shift_norm_curve", spy)
+    monkeypatch.setattr(dv, "modulus_profile", no_profile)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"not finite on the fit window: n = 9 reads 0, .* 0\.375"):
+            dv.smoothness_estimate(dv.DavenportSpec(1.5, 4096), 1e300, 14)
+    assert calls == [([math.inf], {"max_shift": 32})]
 
 
 def test_smoothness_takes_the_shift_maximum_only_for_a_powered_p(monkeypatch):

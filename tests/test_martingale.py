@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -182,6 +183,60 @@ def test_random_grid_functions_rejects_unknown_family(family):
         mg.random_grid_functions(4, 6, np.random.default_rng(0), family)
 
 
+def test_random_grid_functions_rejects_J0():
+    with pytest.raises(ValueError, match="J=0"):
+        mg.random_grid_functions(4, 0, np.random.default_rng(0), "trig")
+
+
+def _full_spectrum_grid_functions(count, J, rng, family):
+    """The construction on the full spectrum, n // 2 + 1 columns, with
+    the "mixed" rows drawn into a new array: the reference for the
+    library's zero-padded irfft and in-place draws."""
+    n = 2**J
+    deg = min(64, n // 2 - 1)
+    ms = np.arange(1, deg + 1)
+    spec = np.zeros((count, n // 2 + 1), dtype=np.complex128)
+    spec[:, 1 : deg + 1] = (
+        rng.standard_normal((count, deg)) + 1j * rng.standard_normal((count, deg))
+    ) / np.sqrt(ms)
+    arr = np.fft.irfft(spec, n, axis=1) * (n / 2.0)
+    if family == "mixed":
+        half = count // 2
+        arr[:half] = rng.standard_normal((half, n))
+    arr -= arr.mean(axis=1, keepdims=True)
+    return arr
+
+
+@pytest.mark.parametrize("J", [1, 2, 12, 18])
+@pytest.mark.parametrize("family", ["trig", "mixed"])
+def test_random_grid_functions_equal_the_full_spectrum_construction(J, family):
+    got = mg.random_grid_functions(5, J, np.random.default_rng(7), family)
+    assert np.array_equal(got, _full_spectrum_grid_functions(5, J, np.random.default_rng(7), family))
+
+
+def _traced_peak(fn, *args):
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return result, peak
+
+
+@pytest.mark.parametrize("batch", [mg.rio_audit_batch, mg.doob_audit_batch])
+def test_batch_audits_peak_below_20_mb(batch):
+    # 300 cases at J = 12 are 9.4 MiB of test functions; the Haar pyramid,
+    # the details and the Doob arrays of one row block at a time add little
+    _, peak = _traced_peak(batch, 300, [1.5, 2, 3, 4, 8], 12, 3)
+    assert peak <= 20e6
+
+
+def test_mixed_grid_functions_peak_below_1_6_results():
+    arr, peak = _traced_peak(mg.random_grid_functions, 300, 12, np.random.default_rng(3), "mixed")
+    assert peak <= 1.6 * arr.nbytes
+
+
 # ------------------------------------------------------ Haar pyramid kernels
 # The full-resolution formulations the pyramid replaced stay here as the
 # references: details as differences of block averages, Doob's maximum
@@ -271,6 +326,62 @@ def test_batch_audits_match_per_case_reference(batch, reference):
     assert all(r.passed and r.seed == 11 for r in reports)
     np.testing.assert_allclose([r.lhs for r in reports], [l for l, _, _ in ref], rtol=1e-13)
     np.testing.assert_allclose([r.rhs for r in reports], [h for _, h, _ in ref], rtol=1e-13)
+
+
+def _unblocked_rio_reports(arr, J, p_values, seed):
+    """The one-pass Rio audit: one Haar pyramid over all rows."""
+    cases = arr.shape[0]
+    details = mg._haar_details(mg._haar_means(arr, J))
+    consts = [max(1.0, math.sqrt(p - 1.0)) for p in p_values]
+    lhs, rhs = np.empty(cases), np.empty(cases)
+    for k, (p, const) in enumerate(zip(p_values, consts)):
+        rows = slice(k, None, len(p_values))
+        pp = min(2.0, p)
+        lhs[rows] = mg._lp_norm_array(arr[rows], p)
+        dsum = sum(mg._lp_norm_array(d[rows], p) ** pp for d in details)
+        rhs[rows] = const * dsum ** (1.0 / pp)
+    return [
+        mg._bound_report(lhs[i], rhs[i], consts[i % len(p_values)],
+                         f"rio[p={p_values[i % len(p_values)]},case={i}]", seed=seed)
+        for i in range(cases)
+    ]
+
+
+def _unblocked_doob_reports(arr, J, p_values, seed):
+    """The one-pass Doob audit: one Haar pyramid and S* over all rows."""
+    cases = arr.shape[0]
+    means = mg._haar_means(arr, J)
+    smax = mg._doob_maximal(means)
+    final = arr - means[0]
+    consts = [p / (p - 1.0) for p in p_values]
+    lhs, rhs = np.empty(cases), np.empty(cases)
+    for k, (p, const) in enumerate(zip(p_values, consts)):
+        rows = slice(k, None, len(p_values))
+        lhs[rows] = mg._lp_norm_array(smax[rows], p)
+        rhs[rows] = const * mg._lp_norm_array(final[rows], p)
+    return [
+        mg._bound_report(lhs[i], rhs[i], consts[i % len(p_values)],
+                         f"doob[p={p_values[i % len(p_values)]},case={i}]", seed=seed)
+        for i in range(cases)
+    ]
+
+
+@pytest.mark.parametrize("blocked, unblocked", [
+    (mg._rio_reports, _unblocked_rio_reports),
+    (mg._doob_reports, _unblocked_doob_reports),
+])
+@pytest.mark.parametrize("cases, p_values, J", [
+    (1, [2], 8),
+    (301, [1.5, 2, 3, 4, 8], 8),  # blocks of 255 rows, the last of 46
+    (16, [1.5, 2, 3, 8], 12),  # one block of 16 rows
+    (301, [1.5, 2, 3, 4, 8], 12),  # blocks of 15 rows, the last of 1
+    (301, [3], 12),
+    (1, [1.5, 2, 3, 8], 18),
+    (16, [1.5, 2, 3, 4, 8], 18),  # blocks of 5 rows, the last of 1
+])
+def test_row_blocked_audits_are_bit_identical_to_one_pass(blocked, unblocked, cases, p_values, J):
+    arr = mg.random_grid_functions(cases, J, np.random.default_rng(cases + J), "mixed")
+    assert blocked(arr, J, p_values, 4) == unblocked(arr, J, p_values, 4)
 
 
 # ------------------------------------ rerouted functions vs block averages
