@@ -646,9 +646,11 @@ def _run_symbolic(config: ExperimentConfig) -> _Reports:
     space, pots = riesz_potentials(spec, depth)
     if pots.positivity_floor() <= 0:  # a factor 1 + Re(c_n e(lambda_n x)) with |c_n| = 1 reaches 0
         raise ConfigError("symbolic potentials touch zero, so log g_n is undefined: take every |c_n| < 1")
+    variation = potential_variation_check(space, pots, alpha, p["A"])
+    if not variation.passed:  # a hypothesis the potentials break, as a B below the family is
+        raise ConfigError(f"symbolic A={p['A']:g} is below A* = {variation.lhs:.6g} ({variation.context})")
     weights = equilibrium_weights(space, pots)
-    reports = [potential_variation_check(space, pots, alpha, p["A"]),
-               averaging_decay_audit(space, pots, fns, alpha, p["B"], weights=weights)[0]]
+    reports = [variation, averaging_decay_audit(space, pots, fns, alpha, p["B"], weights=weights)[0]]
     spec_check = RieszProductSpec(lambdas[:levels_check], cs[:levels_check])
     w_c = weights if spec_check == spec else equilibrium_weights(*riesz_potentials(spec_check, depth))
     ints = riesz_cylinder_integrals(spec_check, levels_check - 1, n_check)

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .martingale import _BLOCK_CELLS, AuditReport, _bound_report, _haar_means
+from .martingale import AuditReport, _bound_report, _haar_means, _rows_per_block
 from .modulus import _on_threads, fourier_modulus_l2
 from .torus import FourierFunction, _lp_norm_array, dilate, render, sine_series
 
@@ -292,7 +292,7 @@ def series_values_at_points(
         if np.all(coeffs.imag == 0):
             coeffs = coeffs.real
         out = np.empty((count, K), coeffs.dtype)
-        rows = max(1, min(_BLOCK_CELLS // size, count))
+        rows = _rows_per_block(count, size)
         _on_threads(_dyadic_blocks, [(lo, min(lo + rows, count)) for lo in range(0, count, rows)],
                     lambda: (np.empty((rows, bits)), np.empty((rows, size // 2 + 1), np.complex128),
                              np.empty((rows, size)), np.empty((rows, K))),

@@ -45,12 +45,13 @@ __all__ = [
 
 #: absolute tolerance below which a grid function counts as centered
 CENTERING_TOL = 1e-12
-#: cells per block of a blocked kernel (512 KiB of float64): the batch
-#: audits take their rows in blocks of about this many cells; the shift
-#: scan's and the Riesz density's three block buffers stay within a
-#: per-core L2 cache; the dyadic series kernel takes this many cells of
-#: FFT length per block
+#: cells per block of a blocked kernel (512 KiB of float64), read only by _rows_per_block
 _BLOCK_CELLS = 2**16
+
+
+def _rows_per_block(rows: int, row_cells: int) -> int:
+    """Rows per block over ``rows`` rows of ``row_cells`` cells: all that fit in _BLOCK_CELLS, at least 1."""
+    return max(1, min(rows, _BLOCK_CELLS // row_cells))
 
 
 # --------------------------------------------------------------------------
@@ -381,38 +382,20 @@ def rio_audit_batch(cases: int, p_values, J: int, seed: int) -> list[AuditReport
     return _rio_reports(arr, J, list(p_values), seed)
 
 
-def _block_rows(p_values: list, J: int) -> int:
-    """Rows per block of a batch audit: a whole number of cycles of
-    p_values, about _BLOCK_CELLS cells, at least one cycle."""
-    return len(p_values) * max(1, _BLOCK_CELLS // (len(p_values) * 2**J))
-
-
 def _rio_reports(arr: np.ndarray, J: int, p_values: list, seed) -> list[AuditReport]:
-    """Audit ||f||_p <= max(1, sqrt(p-1)) * (sum_n ||D_n f||_p^p')^(1/p'),
-    p' = min(2, p), for each centered row f of a (cases, 2^J) array.
-
-    Row i uses p_values[i % len(p_values)].  The rows go in blocks of
-    _block_rows, each with its own Haar pyramid; within a block the norms
-    of all rows that share a p are taken in one vectorized pass.  Every
-    norm is a per-row reduction, so the blocking leaves each value as is.
-    """
-    cases, step = arr.shape[0], _block_rows(p_values, J)
+    """Audit ||f||_p <= max(1, sqrt(p-1)) * (sum_n ||D_n f||_p^p')^(1/p'), p' = min(2, p),
+    for each centered row f of a (cases, 2^J) array, through _batch_reports."""
     consts = [max(1.0, math.sqrt(p - 1.0)) for p in p_values]
-    lhs, rhs = np.empty(cases), np.empty(cases)
-    for lo in range(0, cases, step):
-        block, block_lhs, block_rhs = arr[lo : lo + step], lhs[lo : lo + step], rhs[lo : lo + step]
-        details = _haar_details(_haar_means(block, J))
-        for k, (p, const) in enumerate(zip(p_values, consts)):
-            rows = slice(k, None, len(p_values))
-            pp = _p_prime(p)
-            block_lhs[rows] = _lp_norm_array(block[rows], p)
-            dsum = sum(_lp_norm_array(d[rows], p) ** pp for d in details)
-            block_rhs[rows] = const * dsum ** (1.0 / pp)
-    return [
-        _bound_report(lhs[i], rhs[i], consts[i % len(p_values)],
-                      f"rio[p={p_values[i % len(p_values)]},case={i}]", seed=seed)
-        for i in range(cases)
-    ]
+    return _batch_reports(arr, J, p_values, consts, "rio", seed, _rio_sides)
+
+
+def _rio_sides(block: np.ndarray, J: int):
+    details = _haar_details(_haar_means(block, J))
+    def sides(rows, p, const):
+        pp = _p_prime(p)
+        dsum = sum(_lp_norm_array(d[rows], p) ** pp for d in details)
+        return _lp_norm_array(block[rows], p), const * dsum ** (1.0 / pp)
+    return sides
 
 
 def doob_audit_batch(cases: int, p_values, J: int, seed: int) -> list[AuditReport]:
@@ -422,24 +405,37 @@ def doob_audit_batch(cases: int, p_values, J: int, seed: int) -> list[AuditRepor
 
 
 def _doob_reports(arr: np.ndarray, J: int, p_values: list, seed) -> list[AuditReport]:
-    """Audit Doob: ||max_m |S_m|||_p <= p/(p-1) * ||S_J||_p for the detail
-    martingale S_m = E(f|F_m) - E(f|F_0) of each row f of a (cases, 2^J)
-    array; row i uses p_values[i % len(p_values)].  The rows go in
-    blocks of _block_rows, as in _rio_reports."""
-    cases, step = arr.shape[0], _block_rows(p_values, J)
-    consts = [p / (p - 1.0) for p in p_values]
+    """Audit Doob: ||max_m |S_m|||_p <= p/(p-1) * ||S_J||_p for the detail martingale
+    S_m = E(f|F_m) - E(f|F_0) of each row f of a (cases, 2^J) array, through _batch_reports."""
+    return _batch_reports(arr, J, p_values, [p / (p - 1.0) for p in p_values], "doob", seed, _doob_sides)
+
+
+def _doob_sides(block: np.ndarray, J: int):
+    means = _haar_means(block, J)
+    smax, final = _doob_maximal(means), block - means[0]
+    return lambda rows, p, const: (_lp_norm_array(smax[rows], p), const * _lp_norm_array(final[rows], p))
+
+
+def _batch_reports(arr: np.ndarray, J: int, p_values: list, consts, name: str, seed, block_sides) -> list[AuditReport]:
+    """One report per row of a (cases, 2^J) array; row i uses p_values[i % m]
+    and its constant in ``consts``, m = len(p_values).
+
+    The rows go in blocks of _rows_per_block.  block_sides(block, J) builds
+    a block's Haar pyramid and returns sides(rows, p, const), the (lhs, rhs)
+    of the block rows ``rows`` in one vectorized pass.  The block from lo
+    may start mid-cycle: its rows slice(k, None, m) use p_values[(lo + k) % m].
+    Every norm is a per-row reduction, so the blocking leaves each value as is.
+    """
+    cases, m = arr.shape[0], len(p_values)
+    step = _rows_per_block(cases, 2**J)
     lhs, rhs = np.empty(cases), np.empty(cases)
     for lo in range(0, cases, step):
         block, block_lhs, block_rhs = arr[lo : lo + step], lhs[lo : lo + step], rhs[lo : lo + step]
-        means = _haar_means(block, J)
-        smax = _doob_maximal(means)
-        final = block - means[0]
-        for k, (p, const) in enumerate(zip(p_values, consts)):
-            rows = slice(k, None, len(p_values))
-            block_lhs[rows] = _lp_norm_array(smax[rows], p)
-            block_rhs[rows] = const * _lp_norm_array(final[rows], p)
+        sides = block_sides(block, J)
+        for k in range(min(m, block.shape[0])):
+            rows, i = slice(k, None, m), (lo + k) % m
+            block_lhs[rows], block_rhs[rows] = sides(rows, p_values[i], consts[i])
     return [
-        _bound_report(lhs[i], rhs[i], consts[i % len(p_values)],
-                      f"doob[p={p_values[i % len(p_values)]},case={i}]", seed=seed)
+        _bound_report(lhs[i], rhs[i], consts[i % m], f"{name}[p={p_values[i % m]},case={i}]", seed=seed)
         for i in range(cases)
     ]

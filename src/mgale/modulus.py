@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .martingale import _BLOCK_CELLS, AuditReport, _bound_report, _haar_means
+from .martingale import AuditReport, _bound_report, _haar_means, _rows_per_block
 from .torus import FourierFunction, GridFunction, _lp_norm_array
 
 __all__ = [
@@ -186,7 +186,7 @@ def shift_norm_curve(
     # shifted[t] = tau_t f as a contiguous view of one period-doubled copy
     shifted = np.lib.stride_tricks.sliding_window_view(np.concatenate([s, s]), n)
     scan = {p: np.empty(last + 1) for p in remaining}
-    rows = min(chunk, max(1, _BLOCK_CELLS // n), last + 1)
+    rows = min(chunk, _rows_per_block(last + 1, n))
     blocks = [(lo, min(lo + rows, last + 1)) for lo in range(0, last + 1, rows)]
     _on_threads(_scan_blocks, blocks, lambda: (np.empty((rows, n), s.dtype), np.empty((rows, n)), np.empty((rows, n))),
                 shifted, s, remaining, scan)

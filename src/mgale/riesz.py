@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dilated import OscillationDiagnostic, _window_oscillation
-from .martingale import _BLOCK_CELLS
+from .martingale import _rows_per_block
 from .modulus import _on_threads, modulus_profile
 from .torus import FourierFunction, GridFunction, render
 
@@ -128,7 +128,7 @@ def riesz_partial_density(spec: RieszProductSpec, N: int, J: int) -> GridFunctio
     n_grid = 2**J
     levels = list(zip(spec.lambdas[: N + 1], spec.cs[: N + 1]))
     dens = np.empty(n_grid)
-    size = min(_BLOCK_CELLS, n_grid)
+    size = _rows_per_block(n_grid, 1)
     offsets = np.arange(size, dtype=np.int64)
     _on_threads(_density_blocks, range(0, n_grid, size),
                 lambda: (np.empty(size, np.int64), np.empty(size), np.empty(size)), levels, n_grid, offsets, dens)

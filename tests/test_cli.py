@@ -246,7 +246,7 @@ def test_riesz_coeff_and_sample_runs(tmp_path):
     assert len(body_of(tmp_path / "riesz_sample.csv").splitlines()) == 65
 
 
-def test_symbolic_run_and_failure_exit(tmp_path):
+def test_symbolic_run_and_failure_exit(tmp_path, capsys):
     raw = {
         "kind": "symbolic",
         "parameters": {"lambdas": "pow:3:5", "cs": [0.8] * 6, "depth": 6, "alpha": 1.0},
@@ -256,20 +256,29 @@ def test_symbolic_run_and_failure_exit(tmp_path):
     assert rc == 0
     reports = json.loads(body_of(tmp_path / "ok" / "symbolic_audit.json"))
     assert all(r["passed"] for r in reports)
-    # an impossible potential-variation budget must flip the exit code to 1
-    raw = {
-        "kind": "symbolic",
-        "parameters": {
-            "lambdas": [3**k for k in range(6)],
-            "cs": [0.8] * 6,
-            "depth": 6,
-            "alpha": 1.0,
-            "A": 1e-9,
-        },
-        "output": {"path": str(tmp_path / "fail"), "format": "json"},
-        "seed": 0,
-    }
-    assert cli.main(["run", str(write_config(tmp_path, raw))]) == 1
+    # a budget A at exactly A* passes; one below A* is a hypothesis the
+    # potentials break, a config error (exit 2, nothing written) as a B
+    # below the audit family is
+    a_star = reports[0]["lhs"]
+    for A, rc, out in [(a_star, 0, "exact"), (1e-9, 2, "fail")]:
+        raw = {
+            "kind": "symbolic",
+            "parameters": {
+                "lambdas": [3**k for k in range(6)],
+                "cs": [0.8] * 6,
+                "depth": 6,
+                "alpha": 1.0,
+                "A": A,
+            },
+            "output": {"path": str(tmp_path / out), "format": "json"},
+            "seed": 0,
+        }
+        assert cli.main(["run", str(write_config(tmp_path, raw))]) == rc
+        assert (tmp_path / out).exists() == (rc == 0)
+    exact = json.loads(body_of(tmp_path / "exact" / "symbolic_audit.json"))
+    assert exact[0]["lhs"] == exact[0]["rhs"] == a_star and all(r["passed"] for r in exact)
+    err = capsys.readouterr().err
+    assert f"symbolic A=1e-09 is below A* = {a_star:.6g} (potential-variation[alpha=1.0,witness=(2, 3)])" in err
 
 
 @pytest.mark.parametrize("B, rc", [(1.0, 2), (8.0, 0)])

@@ -33,3 +33,16 @@ def test_config_keys_stay_within_the_ratchet():
     # every key a config may set, over the top level, "output" and each
     # kind's parameters; a new key raises the bound here on purpose
     assert sum(map(len, cli.SCHEMAS.values())) + len(cli._CONFIG) + len(cli._OUTPUT) <= 45
+
+
+def test_block_cells_is_read_only_by_the_block_rule():
+    # every blocked kernel takes its rows from martingale._rows_per_block, so
+    # a new kernel cannot grow its own block formula; the definition is a store
+    readers = set()
+    for path in SRC.glob("*.py"):
+        for top in ast.parse(path.read_text()).body:
+            for node in ast.walk(top):
+                name = getattr(node, "id", None) or getattr(node, "attr", None) or getattr(node, "name", None)
+                if name == "_BLOCK_CELLS" and not isinstance(getattr(node, "ctx", None), ast.Store):
+                    readers.add((path.stem, getattr(top, "name", type(top).__name__)))
+    assert readers == {("martingale", "_rows_per_block")}

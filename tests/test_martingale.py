@@ -224,12 +224,18 @@ def _traced_peak(fn, *args):
     return result, peak
 
 
-@pytest.mark.parametrize("batch", [mg.rio_audit_batch, mg.doob_audit_batch])
-def test_batch_audits_peak_below_20_mb(batch):
-    # 300 cases at J = 12 are 9.4 MiB of test functions; the Haar pyramid,
-    # the details and the Doob arrays of one row block at a time add little
-    _, peak = _traced_peak(batch, 300, [1.5, 2, 3, 4, 8], 12, 3)
-    assert peak <= 20e6
+@pytest.mark.parametrize("batch, cases, J, bound", [
+    pytest.param(mg.rio_audit_batch, 300, 12, 20e6, id="rio_audit_batch"),
+    pytest.param(mg.doob_audit_batch, 300, 12, 20e6, id="doob_audit_batch"),
+    pytest.param(mg.rio_audit_batch, 4, 18, 25e6, id="rio_audit_batch-J18"),
+    pytest.param(mg.doob_audit_batch, 4, 18, 25e6, id="doob_audit_batch-J18"),
+])
+def test_batch_audits_peak_below_20_mb(batch, cases, J, bound):
+    # 300 cases at J = 12 are 9.4 MiB of test functions, 4 cases at J = 18
+    # 8 MiB; the Haar pyramid, the details and the Doob arrays of one row
+    # block at a time (16 rows at J = 12, one row at J = 18) add little
+    _, peak = _traced_peak(batch, cases, [1.5, 2, 3, 4, 8], J, 3)
+    assert peak <= bound
 
 
 def test_mixed_grid_functions_peak_below_1_6_results():
@@ -372,16 +378,32 @@ def _unblocked_doob_reports(arr, J, p_values, seed):
 ])
 @pytest.mark.parametrize("cases, p_values, J", [
     (1, [2], 8),
-    (301, [1.5, 2, 3, 4, 8], 8),  # blocks of 255 rows, the last of 46
+    (301, [1.5, 2, 3, 4, 8], 8),  # blocks of 256 rows, the second from mid-cycle and of 45
     (16, [1.5, 2, 3, 8], 12),  # one block of 16 rows
-    (301, [1.5, 2, 3, 4, 8], 12),  # blocks of 15 rows, the last of 1
+    (301, [1.5, 2, 3, 4, 8], 12),  # blocks of 16 rows from mid-cycle, the last of 13
     (301, [3], 12),
     (1, [1.5, 2, 3, 8], 18),
-    (16, [1.5, 2, 3, 4, 8], 18),  # blocks of 5 rows, the last of 1
+    (16, [1.5, 2, 3, 4, 8], 18),  # blocks of 1 row
+    (7, [1.5, 3, 8], 15),  # blocks of 2 rows from mid-cycle, the last of 1
+    (5, [3], 18),  # blocks of 1 row with a single p
+    (0, [1.5, 2], 8),
 ])
 def test_row_blocked_audits_are_bit_identical_to_one_pass(blocked, unblocked, cases, p_values, J):
     arr = mg.random_grid_functions(cases, J, np.random.default_rng(cases + J), "mixed")
-    assert blocked(arr, J, p_values, 4) == unblocked(arr, J, p_values, 4)
+    reports = blocked(arr, J, p_values, 4)
+    assert reports == unblocked(arr, J, p_values, 4)
+    assert len(reports) == cases
+
+
+@pytest.mark.parametrize("rows, row_cells, want", [
+    (0, 2**12, 1),  # no rows: a step of 1 over an empty range
+    (5, 2**12, 5),  # fewer rows than one block holds
+    (3, 2**17, 1),  # a row wider than _BLOCK_CELLS
+    (301, 2**12, 16),  # 18 full blocks and a ragged last one of 13
+    (2**17, 1, 2**16),  # the Riesz density: a grid point is a row of one cell
+])
+def test_rows_per_block(rows, row_cells, want):
+    assert mg._rows_per_block(rows, row_cells) == want
 
 
 # ------------------------------------ rerouted functions vs block averages

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy.stats import chi2 as chi2_dist
 
+from mgale import martingale as mg
 from mgale import modulus as mo
 from mgale import riesz as rz
 from mgale.dilated import oscillation_verdict
@@ -267,7 +268,7 @@ def test_partial_density_is_bit_identical_to_the_one_pass_product(monkeypatch, c
             super().__init__(max_workers)
 
     monkeypatch.setattr(mo, "ThreadPoolExecutor", RecordingPool)
-    monkeypatch.setattr(rz, "_BLOCK_CELLS", 97)
+    monkeypatch.setattr(mg, "_BLOCK_CELLS", 97)
     monkeypatch.setattr(mo, "_SCAN_THREADS", threads)
     monkeypatch.setattr(mo.os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
     spec = _density_spec(complex_cs)
