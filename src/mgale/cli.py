@@ -400,9 +400,7 @@ def _audit_contraction(cases, p_values, J, seed):
 
 
 def _audit_telescoping(cases, p_values, J, seed):
-    rng = np.random.default_rng(seed)
-    arr = mg.random_grid_functions(cases, J, rng, "mixed")
-    return [mg.telescope_check(GridFunction(J, arr[i], "real")) for i in range(cases)]
+    return mg.telescope_audit_batch(cases, J, seed)
 
 
 def _grid_cells(cases, p_values, J) -> dict:

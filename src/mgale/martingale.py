@@ -37,7 +37,7 @@ __all__ = [
     "paley_zygmund_audit",
     "random_grid_functions",
     "rio_audit_batch",
-    "telescope_check",
+    "telescope_audit_batch",
     "bounded_moment_audits",
     "detail_criteria",
     "DetailCriteriaResult",
@@ -141,23 +141,6 @@ def _doob_maximal(means: list[np.ndarray]) -> np.ndarray:
     for m in range(1, len(means)):
         run = np.maximum(np.repeat(run, 2, axis=-1), np.abs(means[m] - means[0]))
     return run
-
-
-def telescope_check(f: GridFunction) -> AuditReport:
-    """Audit sum_{n=0}^{J-1} ||D_n f||_2^2 == ||E^J f - E^0 f||_2^2, the
-    whole dyadic chain, to relative tolerance 1e-10."""
-    J = f.resolution_log2
-    if J < 1:
-        raise ValueError("the telescoping chain needs J >= 1")
-    means = _haar_means(f.samples, J)
-    details = _haar_details(means)
-    lhs = 0.0
-    for n in range(J):
-        lhs += _lp_norm_array(details[n], 2) ** 2
-    diff = means[J] - np.repeat(means[0], 2**J)
-    lhs, rhs = float(lhs), float(_lp_norm_array(diff, 2) ** 2)
-    scale = max(abs(lhs), abs(rhs), 1e-30)
-    return AuditReport(lhs, rhs, 1.0, abs(lhs - rhs) <= 1e-10 * scale, f"telescoping-parseval[0,{J - 1}]")
 
 
 # --------------------------------------------------------------------------
@@ -378,8 +361,7 @@ def random_grid_functions(
 
 def rio_audit_batch(cases: int, p_values, J: int, seed: int) -> list[AuditReport]:
     """Randomized Rio audits; one report per case, all expected to pass."""
-    arr = random_grid_functions(cases, J, np.random.default_rng(seed))
-    return _rio_reports(arr, J, list(p_values), seed)
+    return _rio_reports(random_grid_functions(cases, J, np.random.default_rng(seed)), J, list(p_values), seed)
 
 
 def _rio_reports(arr: np.ndarray, J: int, p_values: list, seed) -> list[AuditReport]:
@@ -400,8 +382,7 @@ def _rio_sides(block: np.ndarray, J: int):
 
 def doob_audit_batch(cases: int, p_values, J: int, seed: int) -> list[AuditReport]:
     """Randomized Doob audits on the detail martingale of random f."""
-    arr = random_grid_functions(cases, J, np.random.default_rng(seed))
-    return _doob_reports(arr, J, list(p_values), seed)
+    return _doob_reports(random_grid_functions(cases, J, np.random.default_rng(seed)), J, list(p_values), seed)
 
 
 def _doob_reports(arr: np.ndarray, J: int, p_values: list, seed) -> list[AuditReport]:
@@ -417,8 +398,14 @@ def _doob_sides(block: np.ndarray, J: int):
 
 
 def _batch_reports(arr: np.ndarray, J: int, p_values: list, consts, name: str, seed, block_sides) -> list[AuditReport]:
-    """One report per row of a (cases, 2^J) array; row i uses p_values[i % m]
-    and its constant in ``consts``, m = len(p_values).
+    """One bound row per row of a (cases, 2^J) array, its sides from _block_sides."""
+    (lhs, rhs), m = _block_sides(arr, J, p_values, consts, block_sides), len(p_values)
+    return [_bound_report(lhs[i], rhs[i], consts[i % m], f"{name}[p={p_values[i % m]},case={i}]", seed=seed)
+            for i in range(len(lhs))]
+
+
+def _block_sides(arr: np.ndarray, J: int, p_values: list, consts, block_sides) -> tuple[np.ndarray, np.ndarray]:
+    """The (lhs, rhs) arrays of a (cases, 2^J) array; row i uses p_values[i % m] and consts[i % m].
 
     The rows go in blocks of _rows_per_block.  block_sides(block, J) builds
     a block's Haar pyramid and returns sides(rows, p, const), the (lhs, rhs)
@@ -435,7 +422,26 @@ def _batch_reports(arr: np.ndarray, J: int, p_values: list, consts, name: str, s
         for k in range(min(m, block.shape[0])):
             rows, i = slice(k, None, m), (lo + k) % m
             block_lhs[rows], block_rhs[rows] = sides(rows, p_values[i], consts[i])
-    return [
-        _bound_report(lhs[i], rhs[i], consts[i % m], f"{name}[p={p_values[i % m]},case={i}]", seed=seed)
-        for i in range(cases)
-    ]
+    return lhs, rhs
+
+
+def telescope_audit_batch(cases: int, J: int, seed: int) -> list[AuditReport]:
+    """Randomized telescoping audits; one report per case, all expected to pass."""
+    return _telescoping_reports(random_grid_functions(cases, J, np.random.default_rng(seed), "mixed"), J)
+
+
+def _telescoping_reports(arr: np.ndarray, J: int) -> list[AuditReport]:
+    """Audit the L^2 identity sum_{n<J} ||D_n f||_2^2 == ||f - E_0 f||_2^2 (p = 2, constant 1)
+    to relative 1e-10 for each row f of a (cases, 2^J) array, through _block_sides."""
+    lhs, rhs = _block_sides(arr, J, [2], [1.0], _telescoping_sides)
+    return [AuditReport(l, r, 1.0, abs(l - r) <= 1e-10 * max(abs(l), abs(r), 1e-30), f"telescoping-parseval[0,{J - 1}]")
+            for l, r in zip(lhs.tolist(), rhs.tolist())]
+
+
+def _telescoping_sides(block: np.ndarray, J: int):
+    # each norm is squared alone by C pow, whose rounding the report bytes keep:
+    # the vector square x * x differs from pow in the last bit for about 1 value in 1000
+    means = _haar_means(block, J)
+    energy = sum(_lp_norm_array(d, 2).astype(object) ** 2 for d in _haar_details(means))
+    centered = _lp_norm_array(block - means[0], 2).astype(object) ** 2
+    return lambda rows, p, const: (energy[rows], centered[rows])

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .martingale import AuditReport
+from .martingale import AuditReport, _bound_report
 from .riesz import RieszProductSpec, partial_density_coeffs
 
 __all__ = [
@@ -239,7 +239,7 @@ def potential_variation_check(
             need = v * (m - n) ** alpha
             if need > a_star:
                 a_star, witness = need, (n, m)
-    return AuditReport(a_star, float(A), alpha, a_star <= A, f"potential-variation[alpha={alpha},witness={witness}]")
+    return _bound_report(a_star, A, alpha, f"potential-variation[alpha={alpha},witness={witness}]", tol=0.0)
 
 
 def _check_decay_hypothesis(space: SymbolicSpace, fns: list[CylinderFunction], alpha: float, B: float) -> None:

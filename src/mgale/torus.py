@@ -75,10 +75,6 @@ class GridFunction:
         arr.flags.writeable = False
         object.__setattr__(self, "samples", arr)
 
-    @property
-    def n_samples(self) -> int:
-        return 2**self.resolution_log2
-
     def mean(self) -> complex | float:
         return self.samples.mean()
 

@@ -46,3 +46,21 @@ def test_block_cells_is_read_only_by_the_block_rule():
                 if name == "_BLOCK_CELLS" and not isinstance(getattr(node, "ctx", None), ast.Store):
                     readers.add((path.stem, getattr(top, "name", type(top).__name__)))
     assert readers == {("martingale", "_rows_per_block")}
+
+
+def test_audit_rows_are_built_only_by_the_row_builders():
+    # every bound row goes through martingale._bound_report, which refuses a
+    # non-finite side; the telescoping equality row and the averaging-decay
+    # row build theirs directly
+    callers = set()
+    for path in SRC.glob("*.py"):
+        for top in ast.parse(path.read_text()).body:
+            for node in ast.walk(top):
+                func = getattr(node, "func", None)
+                if "AuditReport" in (getattr(func, "id", None), getattr(func, "attr", None)):
+                    callers.add((path.stem, getattr(top, "name", type(top).__name__)))
+    assert callers == {
+        ("martingale", "_bound_report"),
+        ("martingale", "_telescoping_reports"),
+        ("symbolic", "averaging_decay_audit"),
+    }

@@ -115,23 +115,22 @@ def test_detail_orthogonality(rng):
 def test_telescope_single_level(rng):
     # at J = 1 the chain is the one level D_0; at J = 0 there is none
     g = random_grid(rng, 1)
-    rep = mg.telescope_check(g)
+    [rep] = mg._telescoping_reports(g.samples[None], 1)
     assert rep.passed and rep.context == "telescoping-parseval[0,0]"
     assert rep.lhs == pytest.approx(l2(full_details(g.samples, 1)[0]) ** 2, rel=1e-12)
-    with pytest.raises(ValueError, match="needs J >= 1"):
-        mg.telescope_check(GridFunction(0, np.array([1.0]), "real"))
+    with pytest.raises(ValueError, match="J >= 1"):
+        mg.telescope_audit_batch(1, 0, 0)
 
 
 def test_telescope_full_range_equals_centered_energy(rng):
     g = random_grid(rng, 8)
-    rep = mg.telescope_check(g)
+    [rep] = mg._telescoping_reports(g.samples[None], 8)
     assert rep.passed and rep.context == "telescoping-parseval[0,7]"
     assert rep.rhs == pytest.approx(l2(g.samples) ** 2, rel=1e-10)
 
 
 def test_telescope_constant_zero():
-    g = GridFunction(4, np.full(16, 3.0), "real")
-    rep = mg.telescope_check(g)
+    [rep] = mg._telescoping_reports(np.full((1, 16), 3.0), 4)
     assert rep.passed and rep.lhs == 0.0 and rep.rhs == 0.0
 
 
@@ -224,11 +223,18 @@ def _traced_peak(fn, *args):
     return result, peak
 
 
+def _telescope_audit_batch(cases, p_values, J, seed):
+    """telescope_audit_batch under the rio and doob signature: telescoping reads no p."""
+    return mg.telescope_audit_batch(cases, J, seed)
+
+
 @pytest.mark.parametrize("batch, cases, J, bound", [
     pytest.param(mg.rio_audit_batch, 300, 12, 20e6, id="rio_audit_batch"),
     pytest.param(mg.doob_audit_batch, 300, 12, 20e6, id="doob_audit_batch"),
     pytest.param(mg.rio_audit_batch, 4, 18, 25e6, id="rio_audit_batch-J18"),
     pytest.param(mg.doob_audit_batch, 4, 18, 25e6, id="doob_audit_batch-J18"),
+    pytest.param(_telescope_audit_batch, 300, 12, 20e6, id="telescope_audit_batch"),
+    pytest.param(_telescope_audit_batch, 4, 18, 25e6, id="telescope_audit_batch-J18"),
 ])
 def test_batch_audits_peak_below_20_mb(batch, cases, J, bound):
     # 300 cases at J = 12 are 9.4 MiB of test functions, 4 cases at J = 18
@@ -372,9 +378,30 @@ def _unblocked_doob_reports(arr, J, p_values, seed):
     ]
 
 
+def _per_case_telescoping_reports(arr, J, p_values, seed):
+    """The per-case telescoping audit: one Haar pyramid per row, its detail
+    energies summed in level order."""
+    reports = []
+    for f in arr:
+        means = mg._haar_means(f, J)
+        lhs = 0.0
+        for d in mg._haar_details(means):
+            lhs += mg._lp_norm_array(d, 2) ** 2
+        lhs, rhs = float(lhs), float(mg._lp_norm_array(means[J] - np.repeat(means[0], 2**J), 2) ** 2)
+        scale = max(abs(lhs), abs(rhs), 1e-30)
+        reports.append(mg.AuditReport(lhs, rhs, 1.0, abs(lhs - rhs) <= 1e-10 * scale, f"telescoping-parseval[0,{J - 1}]"))
+    return reports
+
+
+def _telescoping_reports(arr, J, p_values, seed):
+    """_telescoping_reports under the rio and doob signature: no p, no seed in the rows."""
+    return mg._telescoping_reports(arr, J)
+
+
 @pytest.mark.parametrize("blocked, unblocked", [
     (mg._rio_reports, _unblocked_rio_reports),
     (mg._doob_reports, _unblocked_doob_reports),
+    (_telescoping_reports, _per_case_telescoping_reports),
 ])
 @pytest.mark.parametrize("cases, p_values, J", [
     (1, [2], 8),
