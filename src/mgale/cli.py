@@ -23,6 +23,11 @@ Each handler is a generator of ``(file name, body, audits)`` reports,
 report's verdict (empty for a diagnostic), and ``run`` writes each one,
 header first, as soon as it is yielded: the only code that writes a file.
 
+Only this module turns numbers into report text: ``_csv`` is the row
+writer, one ``str`` per cell (a float's ``repr``).  ``GramMatrix.to_csv``
+and the ``riesz`` sample column keep writers of their own, faster than
+``_csv`` at their sizes.
+
 Reports start with one header line carrying the config hash, seed,
 library version and a timestamp; everything after that line is
 byte-identical across reruns with the same config and seed (the
@@ -54,6 +59,7 @@ import sys
 import time
 import traceback
 from dataclasses import dataclass
+from itertools import accumulate
 from pathlib import Path
 from typing import Callable, Iterator
 
@@ -154,6 +160,17 @@ def _header(config: ExperimentConfig) -> str:
     )
 
 
+def _csv(rows) -> str:
+    """One line per row of Python scalars, the ``str`` of each cell joined by commas."""
+    return "".join([",".join(map(str, row)) + "\n" for row in rows])
+
+
+def _oscillation_csv(diag, tail: str) -> str:
+    """The checkpoint table of an oscillation diagnostic, then its verdict line ending in ``tail``."""
+    rows = zip(diag.checkpoints, diag.median.tolist(), diag.q90.tolist())
+    return _csv([("checkpoint", "median_osc", "q90_osc"), *rows]) + f"# verdict={diag.verdict}{tail}\n"
+
+
 def _audit_table(config: ExperimentConfig, name: str, reports) -> tuple[str, str, tuple]:
     """The report of audit rows in the configured format, with the rows.
 
@@ -168,9 +185,8 @@ def _audit_table(config: ExperimentConfig, name: str, reports) -> tuple[str, str
             for r in reports
         ) + "\n]\n"
     else:
-        body = "lhs,rhs,constant,margin,passed,context\n" + "".join(
-            f"{r.lhs!r},{r.rhs!r},{r.constant!r},{r.margin!r},{int(r.passed)},{r.context}\n" for r in reports
-        )
+        body = _csv([("lhs", "rhs", "constant", "margin", "passed", "context"),
+                     *((r.lhs, r.rhs, r.constant, r.margin, int(r.passed), r.context) for r in reports)])
     return f"{name}.{config.out_format}", body, reports
 
 
@@ -499,7 +515,7 @@ def _run_dilated(config: ExperimentConfig) -> _Reports:
     p = config.parameters
     spec, checkpoints = _series(p, "generator", 1, 64)
     diag = oscillation_diagnostic(spec, checkpoints, p["sample_size"], config.seed)
-    yield "dilated_oscillation.csv", diag.to_csv() + f"# verdict={diag.verdict} slope={diag.fitted_slope!r}\n", ()
+    yield "dilated_oscillation.csv", _oscillation_csv(diag, f" slope={diag.fitted_slope!r}"), ()
 
 
 @_kind("davenport", {
@@ -524,20 +540,20 @@ def _run_davenport(config: ExperimentConfig) -> _Reports:
     })
     gm = gram_matrix(freqs, lam)
     yield "davenport_gram.csv", gm.to_csv(), ()
-    lines = [f"lambda,{lam!r}", f"min_eig,{gm.eigen_bounds[0]!r}", f"max_eig,{gm.eigen_bounds[1]!r}"]
+    rows = [("lambda", lam), ("min_eig", gm.eigen_bounds[0]), ("max_eig", gm.eigen_bounds[1])]
     audits = ()
     if gm.eigen_bounds[0] > SINGULAR_EIG:
         lo, hi = riesz_constants(gm)
-        lines += [f"riesz_lower,{lo!r}", f"riesz_upper,{hi!r}"]
+        rows += [("riesz_lower", lo), ("riesz_upper", hi)]
     if p["quadrature_check"]:
         quad = gram_quadrature(freqs, lam, M=p["M"], J=quad_J)
         err = float(np.abs(gm.entries - quad).max())
-        lines.append(f"quadrature_max_err,{err!r}")
+        rows.append(("quadrature_max_err", err))
         audits = (mg._tolerance_report(err, 1e-6, "davenport-quadrature"),)
     if p["smoothness_p"] is not None:
         est = smoothness_estimate(DavenportSpec(lam, p["M"]), p["smoothness_p"], smooth_J)
-        lines.append(f"smoothness_exponent,{est!r}")
-    yield "davenport_summary.csv", "\n".join(lines) + "\n", audits
+        rows.append(("smoothness_exponent", est))
+    yield "davenport_summary.csv", _csv(rows), audits
 
 
 @_kind("ergodic", {
@@ -553,8 +569,12 @@ def _run_ergodic(config: ExperimentConfig) -> _Reports:
     # f(T^k x) = f(2^k x mod 1): the series on the ladder from 2^0
     spec, checkpoints = _series(p, "f", 0, len(p["coeffs"]) if isinstance(p["coeffs"], tuple) else 256)
     diag, decay = ergodic_series_run(spec, checkpoints, p["sample_size"], config.seed)
-    yield "ergodic_decay.csv", decay.to_csv(), ()
-    yield "ergodic_oscillation.csv", diag.to_csv() + f"# verdict={diag.verdict}\n", ()
+    norms = decay.tolist()
+    # the partial sums of the criterion sum_{n>=1} ||L^n f||_2 / sqrt(n)
+    partials = accumulate((v / math.sqrt(n) for n, v in enumerate(norms) if n), initial=0.0)
+    rows = zip(range(len(norms)), norms, partials)
+    yield "ergodic_decay.csv", _csv([("n", "norm", "criterion_partial"), *rows]), ()
+    yield "ergodic_oscillation.csv", _oscillation_csv(diag, ""), ()
 
 
 @_kind("riesz", {
@@ -580,18 +600,18 @@ def _run_riesz(config: ExperimentConfig) -> _Reports:
         raise ConfigError(f"riesz N={N} outside the spec depth {spec.depth}")
     if p["action"] == "coeff":
         _check_size({"prefix sums": N + 2})
-        lines = ["k,re,im"]
+        rows = [("k", "re", "im")]
         for k in [spec.lambdas[0]] if p["k"] is None else p["k"]:
             c = complex(riesz_fourier_coeff(spec, N, k))
-            lines.append(f"{k},{c.real!r},{c.imag!r}")
-        yield "riesz_coeff.csv", "\n".join(lines) + "\n", ()
+            rows.append((k, c.real, c.imag))
+        yield "riesz_coeff.csv", _csv(rows), ()
     elif p["action"] == "sample":
         J = config.resolution
         if sum(spec.lambdas[: N + 1]) >= 2 ** (J - 1):
             raise ConfigError(f"riesz partial product at depth {N} aliases at J={J}")
         _check_size({"density grid": 2**J, "sample": p["count"]})
         xs = sample_mu(spec, N, J, p["count"], config.seed)
-        yield "riesz_sample.csv", "x\n" + "\n".join(repr(float(x)) for x in xs) + "\n", ()
+        yield "riesz_sample.csv", "x\n" + "".join(f"{float(x)!r}\n" for x in xs), ()
     else:
         _check_size({
             "sampling grid": 2 ** series_resolution(spec, N),
@@ -601,7 +621,7 @@ def _run_riesz(config: ExperimentConfig) -> _Reports:
         checkpoints = _checkpoints_for(p["checkpoints"], N + 1)
         coeffs = _coeffs_for(p["coeffs"], N + 1, p["fn"], checkpoints)
         diag = riesz_series_run(spec, lambda n: p["fn"], coeffs, checkpoints, p["sample_size"], config.seed)
-        yield "riesz_series.csv", diag.to_csv() + f"# verdict={diag.verdict} label={diag.label}\n", ()
+        yield "riesz_series.csv", _oscillation_csv(diag, f" label={diag.label}"), ()
 
 
 @_kind("symbolic", {
@@ -685,7 +705,8 @@ def run(config: ExperimentConfig) -> int:
     it; returns the process exit code."""
     def write(name: str, body: str) -> None:
         config.out_path.mkdir(parents=True, exist_ok=True)
-        (config.out_path / name).write_text(_header(config) + body)
+        with (config.out_path / name).open("w") as out:
+            out.writelines([_header(config), body])
 
     failed = False
     try:

@@ -16,7 +16,6 @@ documented at :func:`oscillation_verdict`.
 
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass
 
@@ -327,16 +326,7 @@ class OscillationDiagnostic:
     q90: np.ndarray
     verdict: str
     fitted_slope: float
-    sample_size: int
-    seed: int
     label: str
-
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        buf.write("checkpoint,median_osc,q90_osc\n")
-        for c, m, q in zip(self.checkpoints, self.median, self.q90):
-            buf.write(f"{c},{float(m)!r},{float(q)!r}\n")
-        return buf.getvalue()
 
 
 def oscillation_verdict(checkpoints, medians, scales) -> tuple[str, float]:
@@ -417,7 +407,7 @@ def oscillation_diagnostic(
     K = min(2 * checkpoints[-1], spec.length)
     sums = _sampled_partial_sums(spec, K, sample_size, seed)
     amps = np.array([abs(a) for a in spec.coeffs[:K]])
-    return _window_oscillation(sums, amps, checkpoints, seed, "")
+    return _window_oscillation(sums, amps, checkpoints, "")
 
 
 def _sampled_partial_sums(spec: SeriesSpec, K: int, sample_size: int, seed: int) -> np.ndarray:
@@ -428,19 +418,20 @@ def _sampled_partial_sums(spec: SeriesSpec, K: int, sample_size: int, seed: int)
     return np.cumsum(series_values_at_points(spec, K, bitmat, ints), axis=1)
 
 
-def _l2_scale(amps) -> float:
-    """sqrt(sum |a_k|^2).  When the squares of finite |a_k| overflow
-    (|a_k| > about 1.3e154 squares to inf), the sum is taken relative to
-    max |a_k|, so the scale is inf only past the float range."""
+def _l2(amps: np.ndarray, total):
+    """sqrt(total(|a|^2)) of the amplitudes ``amps``, ``total`` a sum over
+    them (np.sum, or a sum per group).  When the squares of finite |a|
+    overflow (|a| > about 1.3e154 squares to inf), the sums are taken
+    relative to max |a|, so a result is inf only past the float range."""
     with np.errstate(over="ignore"):
-        scale = float(np.sqrt((amps**2).sum()))
-        if math.isinf(scale) and np.isfinite(amps).all():
+        out = np.sqrt(total(amps**2))
+        if np.isinf(out).any() and np.isfinite(amps).all():
             top = amps.max()
-            scale = float(top * np.sqrt(((amps / top) ** 2).sum()))
-    return scale
+            out = top * np.sqrt(total((amps / top) ** 2))
+    return out
 
 
-def _window_oscillation(sums, amps, checkpoints, seed: int, label: str) -> OscillationDiagnostic:
+def _window_oscillation(sums, amps, checkpoints, label: str) -> OscillationDiagnostic:
     """The diagnostic of sampled partial sums, sums[:, k - 1] = S_k(x).
 
     For each checkpoint N', osc(N') = max_{N'<=p,q<=min(2N',K)} |S_p - S_q|
@@ -461,11 +452,9 @@ def _window_oscillation(sums, amps, checkpoints, seed: int, label: str) -> Oscil
             osc = 2.0 * np.abs(window - center).max(axis=1)
         med.append(float(np.median(osc)))
         q90.append(float(np.quantile(osc, 0.9)))
-        scales.append(_l2_scale(amps[cp - 1 : hi]))
+        scales.append(float(_l2(amps[cp - 1 : hi], np.sum)))
     verdict, slope = oscillation_verdict(checkpoints, med, scales)
-    return OscillationDiagnostic(
-        tuple(checkpoints), np.array(med), np.array(q90), verdict, slope, sums.shape[0], seed, label
-    )
+    return OscillationDiagnostic(tuple(checkpoints), np.array(med), np.array(q90), verdict, slope, label)
 
 
 # --------------------------------------------------------------------------

@@ -280,4 +280,4 @@ def riesz_series_run(
     if np.abs(terms.imag).max() < 1e-13 * max(np.abs(terms).max(), 1.0):
         terms = terms.real
     label = "riesz-series" + ("" if hyp_ok else "[out-of-hypothesis]")
-    return _window_oscillation(np.cumsum(terms, axis=1), np.abs(np.array(coeffs)), checkpoints, seed, label)
+    return _window_oscillation(np.cumsum(terms, axis=1), np.abs(np.array(coeffs)), checkpoints, label)

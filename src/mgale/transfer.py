@@ -19,18 +19,15 @@ beyond its resolution.
 
 from __future__ import annotations
 
-import io
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .dilated import OscillationDiagnostic, SeriesSpec, oscillation_diagnostic
+from .dilated import OscillationDiagnostic, SeriesSpec, _l2, oscillation_diagnostic
 from .martingale import AuditReport, _tolerance_report
 from .torus import FourierFunction, GridFunction, render
 
 __all__ = [
-    "TransferDecay",
     "duality_audit",
     "ergodic_series_run",
     "l2_norm_exact",
@@ -98,26 +95,9 @@ def l2_norm_exact(f: FourierFunction) -> float:
     return math.sqrt(sum(abs(c) ** 2 for c in f.coeffs.values()))
 
 
-@dataclass(frozen=True)
-class TransferDecay:
-    """||L^n f||_2 for n = 0..N; the report adds the partial sums of
-    the criterion sum_{n>=1} ||L^n f||_2 / sqrt(n)."""
-
-    norms: np.ndarray
-
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        buf.write("n,norm,criterion_partial\n")
-        partial = 0.0
-        for n, v in enumerate(self.norms):
-            if n >= 1:
-                partial += v / math.sqrt(n)
-            buf.write(f"{n},{float(v)!r},{float(partial)!r}\n")
-        return buf.getvalue()
-
-
-def transfer_decay(f: FourierFunction, N: int) -> TransferDecay:
-    """Exact decay ||L^n f||_2 = (sum_m |f^(2^n m)|^2)^(1/2), n = 0..N.
+def transfer_decay(f: FourierFunction, N: int) -> np.ndarray:
+    """Exact decay ||L^n f||_2 = (sum_m |f^(2^n m)|^2)^(1/2), n = 0..N:
+    a float array of N + 1 norms, entry n holding ||L^n f||_2.
 
     By Parseval and (L^n f)^(m) = f^(2^n m), ||L^n f||_2^2 is the sum of
     |c_m|^2 over the modes m of f with 2-adic valuation v_2(m) >= n.  One
@@ -129,23 +109,18 @@ def transfer_decay(f: FourierFunction, N: int) -> TransferDecay:
     Requires zero mean.  Every norm is exact whether or not the norms
     have vanished by N; nothing past N is computed or extrapolated.
     When the energies of finite |c_m| overflow (|c_m| > about 1.3e154),
-    they are taken relative to max |c_m|, as dilated._l2_scale does, so
-    a norm is inf only past the float range.
+    they are taken relative to max |c_m| by dilated._l2, so a norm is
+    inf only past the float range.
     """
     if not f.has_zero_mean():
         raise ValueError("f must have zero mean")
     vals = np.array([min((m & -m).bit_length() - 1, N + 1) for m in f.coeffs], dtype=np.int64)
     amps = np.abs(np.array(list(f.coeffs.values()), dtype=np.complex128))
 
-    def norms(weights):
-        return np.sqrt(np.bincount(vals, weights=weights, minlength=N + 2)[::-1].cumsum()[::-1][: N + 1])
+    def tails(energies):  # entry n: the energy of the modes with v_2(m) >= n
+        return np.bincount(vals, weights=energies, minlength=N + 2)[::-1].cumsum()[::-1][: N + 1]
 
-    with np.errstate(over="ignore"):
-        out = norms(amps**2)
-        if np.isinf(out).any() and np.isfinite(amps).all():
-            top = amps.max()
-            out = top * norms((amps / top) ** 2)
-    return TransferDecay(out)
+    return _l2(amps, tails)
 
 
 def ergodic_series_run(
@@ -153,13 +128,13 @@ def ergodic_series_run(
     checkpoints,
     sample_size: int,
     seed: int,
-) -> tuple[OscillationDiagnostic, TransferDecay]:
-    """Oscillation diagnostic for sum_k a_k f(T^k x), T the doubling map.
+) -> tuple[OscillationDiagnostic, np.ndarray]:
+    """Oscillation diagnostic for sum_k a_k f(T^k x), T the doubling map,
+    and the array ``transfer_decay(f, n)`` of the norms ||L^j f||_2, j <= n.
 
     f(T^k x) = f(2^k x mod 1), so ``spec`` is the dilated series of
     generator f on the frequencies n_k = 2^k, k = 0, ..., K - 1, and
-    the run is the dilated engine's (exact dyadic sampling); the exact
-    transfer decay of f is attached.
+    the run is the dilated engine's (exact dyadic sampling).
     """
     if any(n.bit_count() != 1 or n.bit_length() != k + 1 for k, n in enumerate(spec.freqs)):
         raise ValueError("an ergodic series runs on the frequencies 2^0, ..., 2^(K-1)")

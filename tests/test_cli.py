@@ -246,6 +246,15 @@ def test_riesz_coeff_and_sample_runs(tmp_path):
     assert len(body_of(tmp_path / "riesz_sample.csv").splitlines()) == 65
 
 
+def test_riesz_sample_of_count_0_writes_the_header_line_alone(tmp_path):
+    # the body is the column name and its newline, with no blank record below it
+    raw = {"kind": "riesz", "parameters": {"action": "sample", "lambdas": "pow:3:5", "cs": [0.5] * 6, "count": 0},
+           "resolution": 14}
+    assert run_raw(tmp_path, raw) == 0
+    header, body = (tmp_path / "out" / "riesz_sample.csv").read_text().split("\n", 1)
+    assert header.startswith("# mgale-report") and body == "x\n"
+
+
 def test_symbolic_run_and_failure_exit(tmp_path, capsys):
     raw = {
         "kind": "symbolic",
@@ -727,6 +736,17 @@ def test_ergodic_decay_of_a_mode_past_2_40_is_exact(tmp_path):
     assert [int(r[0]) for r in rows] == list(range(41))
     fourier = cli._generator(f)
     assert [float(r[1]) for r in rows] == [l2_norm_exact(transfer_power(fourier, n)) for n in range(41)]
+
+
+def test_ergodic_criterion_partial_sums_past_the_float_range_read_inf(tmp_path):
+    # ||L^n f||_2 = 7.07e307 for n <= 20: the partial sums leave the float range at n = 4
+    # and read inf, with no overflow warning (a warning is an error here, so it would fail the run)
+    f = {"1048576": 5e307, "-1048576": 5e307}
+    assert run_raw(tmp_path, {"kind": "ergodic", "parameters": {"f": f, "coeffs": [1e-300] * 16, "K": 16}}) == 0
+    rows = [r.split(",") for r in body_of(tmp_path / "out" / "ergodic_decay.csv").splitlines()[1:]]
+    assert [r[1] for r in rows[:3]] == ["7.071067811865476e+307"] * 3
+    assert [r[2] for r in rows[:3]] == ["0.0", "7.071067811865476e+307", "1.2071067811865475e+308"]
+    assert [r[2] for r in rows[3:6]] == ["1.6153550716504105e+308", "inf", "inf"]
 
 
 def audit_row(passed: bool):

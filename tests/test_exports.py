@@ -64,3 +64,22 @@ def test_audit_rows_are_built_only_by_the_row_builders():
         ("martingale", "_telescoping_reports"),
         ("symbolic", "averaging_decay_audit"),
     }
+
+
+def test_report_text_is_formatted_in_cli_and_written_by_run():
+    # cli turns numbers into report text (GramMatrix keeps its own writer,
+    # faster than a per-cell one at k = 512) and cli.run is the only code
+    # that writes a file
+    found = {"StringIO": set(), "to_csv": set(), "writes": set()}
+    for path in SRC.glob("*.py"):
+        for top in ast.parse(path.read_text()).body:
+            where = (path.stem, getattr(top, "name", type(top).__name__))
+            for node in ast.walk(top):
+                if "StringIO" in (getattr(node, "id", None), getattr(node, "attr", None), getattr(node, "name", None)):
+                    found["StringIO"].add(where)
+                if isinstance(node, ast.FunctionDef) and node.name == "to_csv":
+                    found["to_csv"].add(where)
+                func = getattr(node, "func", None)
+                if {getattr(func, "id", None), getattr(func, "attr", None)} & {"open", "write_text", "write_bytes"}:
+                    found["writes"].add(where)
+    assert found == {"StringIO": set(), "to_csv": {("davenport", "GramMatrix")}, "writes": {("cli", "run")}}

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import random_trig_poly
+from mgale import cli
 from mgale import transfer as tr
 from mgale.dilated import SeriesSpec, gaposhkin_example
 from mgale.torus import FourierFunction, sine_series
@@ -43,22 +44,22 @@ def test_decay_closed_form():
     f = sine_series({2**k: 2.0**-k for k in range(1, 20)})
     dec = tr.transfer_decay(f, 22)
     expected = [math.sqrt(sum(4.0**-k / 2 for k in range(max(n, 1), 20))) for n in range(23)]
-    np.testing.assert_allclose(dec.norms[1:], expected[1:], rtol=1e-12)
+    np.testing.assert_allclose(dec[1:], expected[1:], rtol=1e-12)
     # the infinite-series closed form, up to the k <= 19 truncation
-    assert dec.norms[3] == pytest.approx(2.0**-3 / math.sqrt(1.5), rel=1e-9)
+    assert dec[3] == pytest.approx(2.0**-3 / math.sqrt(1.5), rel=1e-9)
 
 
 def test_decay_nonincreasing(rng):
     for _ in range(10):
         f = random_trig_poly(rng, degree=64)
         dec = tr.transfer_decay(f, 8)
-        assert np.all(np.diff(dec.norms) <= 1e-14)
+        assert np.all(np.diff(dec) <= 1e-14)
 
 
 def test_decay_single_sine_truncates():
     dec = tr.transfer_decay(sine_series({1: 1.0}), 4)
-    assert dec.norms[0] == pytest.approx(1 / math.sqrt(2))
-    assert np.all(dec.norms[1:] == 0.0)
+    assert dec[0] == pytest.approx(1 / math.sqrt(2))
+    assert np.all(dec[1:] == 0.0)
 
 
 def test_decay_norms_alive_at_n_are_exact():
@@ -66,25 +67,33 @@ def test_decay_norms_alive_at_n_are_exact():
     f = sine_series({2**k: 1.0 / 2**k for k in range(1, 12)})
     dec = tr.transfer_decay(f, 3)
     expected = [math.sqrt(sum(4.0**-k / 2 for k in range(max(n, 1), 12))) for n in range(4)]
-    np.testing.assert_allclose(dec.norms, expected, rtol=1e-13)
+    np.testing.assert_allclose(dec, expected, rtol=1e-13)
 
 
 def test_decay_of_amplitudes_whose_squares_overflow():
     # |c_m|^2 = 1e600 overflows: the energies go relative to max |c_m|, with no warning
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        norms = tr.transfer_decay(FourierFunction({1: 1e300, 2: 1e300}), 8).norms
-        assert tr.transfer_decay(FourierFunction({1: 1e300}), 8).norms[0] == 1e300
+        norms = tr.transfer_decay(FourierFunction({1: 1e300, 2: 1e300}), 8)
+        assert tr.transfer_decay(FourierFunction({1: 1e300}), 8)[0] == 1e300
     assert norms[0] == 1e300 * math.sqrt(2.0)
     assert norms[1] == 1e300
     assert not norms[2:].any()
 
 
-def test_decay_csv():
-    dec = tr.transfer_decay(sine_series({1: 1.0}), 3)
-    lines = dec.to_csv().splitlines()
-    assert lines[0] == "n,norm,criterion_partial"
-    assert len(lines) == 5
+def ergodic_report_rows(tmp_path, f: FourierFunction) -> list:
+    """The body lines of the ergodic_decay.csv that `cli.run` writes for f, split at the commas."""
+    modes = {str(m): [c.real, c.imag] for m, c in f.coeffs.items()}
+    raw = {"kind": "ergodic", "parameters": {"f": modes, "K": 16, "sample_size": 100}, "output": {"path": str(tmp_path)}}
+    assert cli.run(cli.validate_config(raw)) == 0
+    return [line.split(",") for line in (tmp_path / "ergodic_decay.csv").read_text().splitlines()[1:]]
+
+
+def test_decay_csv(tmp_path):
+    # a sine runs 8 L-steps: the header, then the rows n = 0..8
+    rows = ergodic_report_rows(tmp_path, sine_series({1: 1.0}))
+    assert rows[0] == ["n", "norm", "criterion_partial"]
+    assert len(rows) == 10
 
 
 def doubling_series(f, coeffs) -> SeriesSpec:
@@ -97,7 +106,7 @@ def test_ergodic_series_run_converging():
     coeffs = [1.0 / (k + 1) for k in range(256)]
     diag, dec = tr.ergodic_series_run(doubling_series(f, coeffs), [8, 16, 32, 64, 128], 150, seed=4)
     assert diag.verdict == "converging"
-    assert np.all(dec.norms[1:] == 0.0)  # L f = 0 for the pure sine
+    assert np.all(dec[1:] == 0.0)  # L f = 0 for the pure sine
 
 
 def test_ergodic_series_zero_coeffs():
@@ -114,8 +123,8 @@ def test_ergodic_series_run_gaposhkin_dynamical():
     cps = [2**j for j in range(4, 13)]
     diag, dec = tr.ergodic_series_run(doubling_series(base.generator, base.coeffs), cps, 200, seed=20240817)
     assert diag.verdict == "diverging"
-    expected = [tr.l2_norm_exact(tr.transfer_power(base.generator, n)) for n in range(dec.norms.size)]
-    np.testing.assert_allclose(dec.norms, expected, rtol=1e-13, atol=0.0)
+    expected = [tr.l2_norm_exact(tr.transfer_power(base.generator, n)) for n in range(dec.size)]
+    np.testing.assert_allclose(dec, expected, rtol=1e-13, atol=0.0)
 
 
 @pytest.mark.parametrize("freqs", [(2, 4, 8, 16), (1, 2, 3, 4), (1, 2, 4, 16)])
@@ -157,11 +166,21 @@ def test_decay_matches_iterated_transfer(rng, real, N):
         cur = _halve(cur)
     assert (tr.l2_norm_exact(cur) == 0.0) == (N >= 12)
     dec = tr.transfer_decay(f, N)
-    np.testing.assert_allclose(dec.norms, norms, rtol=1e-13, atol=0.0)
-    assert np.all(dec.norms[13:] == 0.0)
-    # the report's last criterion partial sum, sum_{1 <= n <= N} ||L^n f||_2 / sqrt(n)
-    partial = float(dec.to_csv().splitlines()[-1].split(",")[2])
-    assert partial == pytest.approx(sum(norms[n] / math.sqrt(n) for n in range(1, N + 1)), rel=1e-13)
+    np.testing.assert_allclose(dec, norms, rtol=1e-13, atol=0.0)
+    assert np.all(dec[13:] == 0.0)
+
+
+@pytest.mark.parametrize("real", [True, False])
+def test_decay_report_matches_iterated_transfer(tmp_path, rng, real):
+    # the run takes bits(max mode) + 1 L-steps (about 19 here); each row's
+    # criterion partial sum is sum_{1 <= j <= n} ||L^j f||_2 / sqrt(j)
+    f = _valuation_rich(rng, real)
+    rows = ergodic_report_rows(tmp_path, f)[1:]
+    norms = [tr.l2_norm_exact(tr.transfer_power(f, n)) for n in range(f.max_frequency.bit_length() + 2)]
+    assert [int(r[0]) for r in rows] == list(range(len(norms)))
+    np.testing.assert_allclose([float(r[1]) for r in rows], norms, rtol=1e-13, atol=0.0)
+    for n, r in enumerate(rows):
+        assert float(r[2]) == pytest.approx(sum(norms[j] / math.sqrt(j) for j in range(1, n + 1)), rel=1e-13)
 
 
 @pytest.mark.parametrize("real", [True, False])
